@@ -5,6 +5,12 @@
 //! mapping pipeline — and writes the numbers to `BENCH_phmm.json` so the
 //! perf trajectory is recorded in-repo across kernel changes.
 //!
+//! The `*_band4_*` entries time the kernels in the shape production runs
+//! them (`MappingConfig::default()`: 62-bp read, 62-column window, band
+//! half-width 4): the emission-profile build done once per read
+//! orientation, the rolling-row `forward_total` every candidate gets, and
+//! the fused `posterior_columns_profiled` only surviving candidates get.
+//!
 //! Usage: `bench_phmm [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the workload and measurement windows to a smoke test
@@ -130,6 +136,47 @@ fn main() {
     });
     results.push(Measurement {
         name: "fused_scratch_62bp_per_sec",
+        per_sec,
+        iters,
+    });
+
+    // --- Production shape: 62x62, band 4, profile + genome codes. ---
+    let band = Some(4);
+    let mut profile = Vec::new();
+    let (per_sec, iters) = measure(window, 1, || {
+        pwm.fill_profile(&params, black_box(&mut profile));
+    });
+    results.push(Measurement {
+        name: "profile_build_62bp_per_sec",
+        per_sec,
+        iters,
+    });
+    pwm.fill_profile(&params, &mut profile);
+    let codes: Vec<u8> = win.iter().map(|&y| pairhmm::pwm::base_code(y)).collect();
+    let (per_sec, iters) = measure(window, 1, || {
+        black_box(phmm_scratch.forward_total(
+            black_box(&profile),
+            black_box(&codes),
+            &params,
+            band,
+        ));
+    });
+    results.push(Measurement {
+        name: "forward_total_62bp_band4_per_sec",
+        per_sec,
+        iters,
+    });
+    let (per_sec, iters) = measure(window, 1, || {
+        black_box(phmm_scratch.posterior_columns_profiled(
+            black_box(&pwm),
+            black_box(&profile),
+            black_box(&codes),
+            &params,
+            band,
+        ));
+    });
+    results.push(Measurement {
+        name: "posterior_columns_62bp_band4_per_sec",
         per_sec,
         iters,
     });

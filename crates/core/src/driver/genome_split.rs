@@ -14,14 +14,16 @@
 //!    own slice (plus a margin of one window so boundary-crossing
 //!    placements are still seen by their owner). Memory per rank shrinks
 //!    by ~`1/ranks` — the entire point of this mode.
-//! 2. Every rank scans **all** reads, scoring only placements whose window
-//!    starts inside its shard. Each read's candidate summaries
-//!    `(strand, placement, likelihood)` are then combined across ranks
-//!    with an allreduce per read batch — this is the communication that
-//!    makes the mode slower than read-split (Figure 4). Sorting the merged
-//!    candidates into the serial engine's evaluation order makes the
-//!    posterior weights (and, with the FIXED layout, the accumulator)
-//!    bit-identical to a serial run.
+//! 2. Every rank scans **all** reads and forward-scores the placements its
+//!    slice yields, keeping those whose window starts inside its shard.
+//!    Each read's candidate summaries `(strand, placement, likelihood)`
+//!    are then combined across ranks with an allreduce per read batch —
+//!    this is the communication that makes the mode slower than
+//!    read-split (Figure 4). Sorting the merged candidates into the serial
+//!    engine's evaluation order makes the posterior weights (and, with the
+//!    FIXED layout, the accumulator) bit-identical to a serial run. Only
+//!    owned candidates that survive the global `min_weight` cut then get
+//!    the backward pass and their columns, as in the serial engine.
 //! 3. Evidence deposited into the margin beyond `e_r` is shipped to the
 //!    next rank and folded in.
 //! 4. Each rank calls SNPs on its own shard; calls are gathered at rank 0.
@@ -65,10 +67,11 @@ pub fn run_genome_split<A: GenomeAccumulator>(
 }
 
 /// [`run_genome_split`] with structured observability: one
-/// [`Event::Batch`] per rank (every rank scans all reads; owned
-/// candidates and deposited columns are counted per shard, and the exact
-/// global mapped count is carried by rank 0's event), stage timings taken
-/// on rank 0.
+/// [`Event::Batch`] per rank (every rank scans all reads; scored owned
+/// candidates and deposited columns are counted per shard, so the ranks'
+/// candidate counts add up to the serial driver's, and the exact global
+/// mapped count is carried by rank 0's event), stage timings taken on
+/// rank 0.
 pub fn run_genome_split_observed<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
@@ -110,57 +113,48 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
         let mut mapped_here = 0u64;
         let (mut candidates_here, mut columns_here) = (0u64, 0u64);
         let map_timer = stage(Stage::Map);
-        // One scratch arena per rank, reused across every batch. Owned
-        // alignments are only materialised for placements this shard keeps
-        // (they must outlive the allreduce below), so out-of-shard
-        // candidates never touch the heap.
+        // One scratch arena per rank, reused across every batch.
         let mut scratch = crate::mapping::AlignScratch::new();
 
         for batch in reads.chunks(BATCH) {
-            // Score each read locally; keep only placements owned by this
-            // shard (placement start within [shard.start, shard.end)).
-            // Each alignment is summarised for the wire as a
-            // `(strand, global placement, likelihood)` triple.
-            let mut owned: Vec<Vec<crate::mapping::RawAlignment>> = Vec::with_capacity(batch.len());
+            // Phase 1: forward-score each read locally and keep only the
+            // placements this shard owns (placement start within
+            // [shard.start, shard.end)). Each is summarised for the wire
+            // as a `(strand, global placement, likelihood)` triple; the
+            // local `(strand, placement, likelihood)` is kept for phase 3.
+            let mut owned: Vec<Vec<(bool, usize, f64)>> = Vec::with_capacity(batch.len());
             let mut triples: Vec<Vec<(u64, u64, f64)>> = Vec::with_capacity(batch.len());
             for read in batch.iter() {
-                engine.map_read_raw_with(read, &mut scratch);
-                let raw: Vec<crate::mapping::RawAlignment> = scratch
-                    .alignments()
-                    .filter(|a| {
-                        let global_placement = slice_start + a.placement_start;
-                        shard.contains(global_placement)
-                    })
-                    .map(|a| crate::mapping::RawAlignment {
-                        window_start: a.window_start,
-                        placement_start: a.placement_start,
-                        likelihood: a.score,
-                        reverse: a.reverse,
-                        columns: a.columns.to_vec(),
-                    })
-                    .collect();
+                engine.score_read_with(read, &mut scratch);
+                let mut mine = Vec::new();
+                for a in scratch.alignments() {
+                    if !shard.contains(slice_start + a.placement_start) {
+                        continue;
+                    }
+                    candidates_here += 1;
+                    if a.score > 0.0 {
+                        mine.push((a.reverse, a.placement_start, a.score));
+                    }
+                }
                 triples.push(
-                    raw.iter()
-                        .map(|a| {
-                            (
-                                a.reverse as u64,
-                                (slice_start + a.placement_start) as u64,
-                                a.likelihood,
-                            )
+                    mine.iter()
+                        .map(|&(rev, place, likelihood)| {
+                            (rev as u64, (slice_start + place) as u64, likelihood)
                         })
                         .collect(),
                 );
-                owned.push(raw);
+                owned.push(mine);
             }
 
-            // Normalisation needs every shard's candidates — the per-batch
-            // communication of this mode. Concatenating per rank and then
-            // sorting strand-major/position-minor reconstructs the exact
-            // candidate order the serial engine's `map_read` sees (forward
-            // placements ascending, then reverse), so the grand total, the
-            // min-weight filter and the kept-sum renormalisation below are
-            // all evaluated in the serial operation order: the resulting
-            // deposits are bit-identical to a serial run.
+            // Phase 2: normalisation needs every shard's candidates — the
+            // per-batch communication of this mode. Concatenating per rank
+            // and then sorting strand-major/position-minor reconstructs the
+            // exact candidate order the serial engine's `map_read_with`
+            // sees (forward placements ascending, then reverse), so the
+            // grand total, the min-weight filter and the kept-sum
+            // renormalisation below are all evaluated in the serial
+            // operation order: the resulting deposits are bit-identical to
+            // a serial run.
             let all_triples = rank.allreduce(triples, |mut a, b| {
                 for (mine, theirs) in a.iter_mut().zip(b) {
                     mine.extend(theirs);
@@ -168,14 +162,13 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
                 a
             });
 
-            for (i, alignments) in owned.into_iter().enumerate() {
-                let mut merged = all_triples[i].clone();
+            for ((read, mine), mut merged) in batch.iter().zip(owned).zip(all_triples) {
                 merged.sort_by_key(|x| (x.0, x.1));
                 let grand_total: f64 = merged.iter().map(|t| t.2).sum();
                 if grand_total <= 0.0 {
                     continue;
                 }
-                // Mirror `MappingEngine::map_read`: posterior weights,
+                // Mirror `MappingEngine::map_read_with`: posterior weights,
                 // min-weight filter, renormalise over the kept set.
                 let mut kept: Vec<(u64, u64, f64)> = merged
                     .into_iter()
@@ -196,21 +189,23 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
                 if rank.id() == 0 && !kept.is_empty() {
                     mapped_here += 1;
                 }
-                for aln in alignments {
-                    candidates_here += 1;
-                    let key = (
-                        aln.reverse as u64,
-                        (slice_start + aln.placement_start) as u64,
-                    );
-                    if let Ok(idx) = kept.binary_search_by(|t| (t.0, t.1).cmp(&key)) {
-                        columns_here += aln.columns.len() as u64;
-                        crate::pipeline::deposit(
-                            &mut acc,
-                            aln.window_start,
-                            kept[idx].2,
-                            &aln.columns,
-                        );
-                    }
+                // Phase 3: columns only for owned candidates that survived
+                // the global cut, deposited with their global weights.
+                let survivors: Vec<((bool, usize, f64), f64)> = mine
+                    .into_iter()
+                    .filter_map(|cand @ (rev, place, _)| {
+                        let key = (rev as u64, (slice_start + place) as u64);
+                        let idx = kept.binary_search_by(|t| (t.0, t.1).cmp(&key)).ok()?;
+                        Some((cand, kept[idx].2))
+                    })
+                    .collect();
+                if survivors.is_empty() {
+                    continue;
+                }
+                engine.posterior_for(read, survivors.iter().map(|s| s.0), &mut scratch);
+                for (aln, &(_, weight)) in scratch.alignments().zip(&survivors) {
+                    columns_here += aln.columns.len() as u64;
+                    crate::pipeline::deposit(&mut acc, aln.window_start, weight, aln.columns);
                 }
             }
         }

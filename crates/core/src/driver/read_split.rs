@@ -41,11 +41,11 @@ fn map_rank_share<A: GenomeAccumulator>(
     for read in reads.iter().skip(rank_id).step_by(rank_count) {
         share += 1;
         engine.map_read_with(read, &mut scratch);
+        candidates += scratch.scored() as u64;
         if !scratch.is_empty() {
             mapped += 1;
         }
         for aln in scratch.alignments() {
-            candidates += 1;
             columns += aln.columns.len() as u64;
             crate::pipeline::deposit(acc, aln.window_start, aln.score, aln.columns);
         }

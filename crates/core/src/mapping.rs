@@ -8,14 +8,24 @@
 //! that maps equally well to two repeat copies contributes half its
 //! evidence to each — exactly the multi-mapping behaviour the paper argues
 //! makes SNP calls unbiased in repeat regions.
+//!
+//! A read is mapped in three phases. **Score:** every candidate on both
+//! strands gets only its Pair-HMM forward total, computed from the read's
+//! emission profile (built once per orientation) and a byte-code genome
+//! window. **Prune:** the totals are normalised into posterior weights and
+//! candidates below `min_weight` are dropped. **Posterior:** only the
+//! survivors get the forward planes, the backward pass and their per-column
+//! evidence. A weight depends on forward totals alone, and the posterior
+//! recomputes the same forward bit for bit, so this equals running the full
+//! forward–backward on every candidate — at a fraction of the cost when,
+//! as is typical, most candidates are pruned.
 
-use genome::alphabet::Base;
 use genome::index::{IndexConfig, KmerIndex};
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use pairhmm::marginal::ColumnPosterior;
 use pairhmm::params::PhmmParams;
-use pairhmm::pwm::Pwm;
+use pairhmm::pwm::{base_code, ProfileRow, Pwm, N_CODE};
 use pairhmm::scratch::PhmmScratch;
 
 /// Configuration of the mapping engine.
@@ -61,38 +71,63 @@ impl Default for MappingConfig {
 /// Reusable per-thread scratch for the whole mapping hot path.
 ///
 /// One instance is meant to live as long as a worker thread's read batch:
-/// the Pair-HMM planes, the window buffer, the candidate list and the
-/// column arena are all grow-only, so after the first few reads the
-/// engine performs **zero heap allocations per read×window pair**
-/// (per-read allocations — the reverse complement and the PWM — remain,
-/// but are independent of the candidate count). Results of
-/// [`MappingEngine::map_read_with`] / [`MappingEngine::map_read_raw_with`]
-/// are left inside the scratch and read back through
-/// [`AlignScratch::alignments`].
+/// the Pair-HMM rows and planes, the emission profiles, the genome-code
+/// window, the candidate list and the column arena are all grow-only, so
+/// after the first few reads the engine performs **zero heap allocations
+/// per read×window pair** (per-read allocations — the reverse complement
+/// and the two PWMs — remain, but are independent of the candidate count).
+/// Results of [`MappingEngine::map_read_with`] /
+/// [`MappingEngine::map_read_raw_with`] are left inside the scratch and
+/// read back through [`AlignScratch::alignments`].
 #[derive(Default)]
 pub struct AlignScratch {
-    /// Pair-HMM emission/DP/rolling-row arena (see [`PhmmScratch`]).
+    /// Pair-HMM row/plane arena (see [`PhmmScratch`]).
     phmm: PhmmScratch,
-    /// Genome window buffer, refilled per candidate.
-    window: Vec<Option<Base>>,
+    /// The current read's PWMs: forward orientation, reverse complement.
+    pwms: [Pwm; 2],
+    /// Emission profiles of `pwms`, built once per read and shared by all
+    /// of that orientation's candidates.
+    profiles: [Vec<ProfileRow>; 2],
+    /// Genome window as profile codes, refilled per candidate.
+    codes: Vec<u8>,
     /// Sorted, deduplicated candidate starts for one oriented read.
     starts: Vec<usize>,
-    /// Column arena: every scored candidate appends its posteriors here.
+    /// Column arena: every candidate given a posterior appends its
+    /// columns here.
     cols: Vec<ColumnPosterior>,
     /// Candidate metadata indexing into `cols`.
     cands: Vec<CandMeta>,
+    /// Candidates the most recent read scored with the forward pass.
+    scored: usize,
 }
 
-/// One scored candidate inside an [`AlignScratch`].
+/// One candidate inside an [`AlignScratch`].
 struct CandMeta {
     window_start: usize,
     placement_start: usize,
+    /// Forward total likelihood from the scoring phase.
+    likelihood: f64,
     /// Raw likelihood after `map_read_raw_with`; posterior weight after
     /// `map_read_with`.
     score: f64,
     reverse: bool,
     col_off: usize,
     col_len: usize,
+}
+
+impl CandMeta {
+    /// A scored candidate at placement `start`, with no columns yet.
+    fn new(reverse: bool, start: usize, likelihood: f64) -> CandMeta {
+        CandMeta {
+            window_start: start,
+            placement_start: start,
+            likelihood,
+            score: likelihood,
+            reverse,
+            col_off: 0,
+            col_len: 0,
+        }
+    }
 }
 
 /// Borrowed view of one alignment stored in an [`AlignScratch`].
@@ -131,6 +166,13 @@ impl AlignScratch {
         })
     }
 
+    /// Candidate placements the most recent read had scored by the
+    /// Pair-HMM forward pass, on both strands — before any weight cut, and
+    /// including candidates whose likelihood underflowed to zero.
+    pub fn scored(&self) -> usize {
+        self.scored
+    }
+
     /// Number of alignments currently held.
     pub fn len(&self) -> usize {
         self.cands.len()
@@ -144,6 +186,7 @@ impl AlignScratch {
     fn clear(&mut self) {
         self.cols.clear();
         self.cands.clear();
+        self.scored = 0;
     }
 }
 
@@ -234,76 +277,154 @@ impl<'g> MappingEngine<'g> {
         }
     }
 
-    /// Score one oriented read against the window at placement `start`,
-    /// using the caller's scratch buffers. On success the columns are left
-    /// in `phmm` (read them via [`PhmmScratch::columns`]) and the total
-    /// likelihood is returned.
-    ///
-    /// Every candidate is scored over the same window length
-    /// `N + window_pad` (genome positions past the end become virtual `N`
-    /// bases), so likelihoods are directly comparable across a read's
+    /// Refill `codes` with the genome window of `len` bases at `start`,
+    /// as profile codes. Positions past the genome end become `N`, so
+    /// every candidate is scored over the same window length `N +
+    /// window_pad` and likelihoods stay comparable across a read's
     /// candidate locations — a requirement for unbiased posterior weights.
-    fn score_candidate_with(
-        &self,
-        oriented: &SequencedRead,
-        pwm: &Pwm,
-        start: usize,
-        phmm: &mut PhmmScratch,
-        window: &mut Vec<Option<Base>>,
-    ) -> Option<f64> {
-        let pad = self.config.window_pad;
-        window.clear();
-        window.extend((0..oriented.len() + pad).map(|j| self.genome.try_get(start + j).flatten()));
-        let band = self.config.band.map(|w| w + pad);
-        let total = phmm.posterior_columns(pwm, window, &self.config.phmm, band);
-        (total > 0.0).then_some(total)
+    fn fill_window(&self, start: usize, len: usize, codes: &mut Vec<u8>) {
+        let bases = self.genome.as_slice();
+        let end = (start + len).min(bases.len());
+        codes.clear();
+        codes.extend(bases[start.min(end)..end].iter().map(|&y| base_code(y)));
+        codes.resize(len, N_CODE);
     }
 
-    /// Map one read into `scratch`, leaving **unnormalised** candidate
-    /// alignments (each carries its raw Pair-HMM total likelihood in
-    /// [`AlignmentView::score`]). The genome-split driver needs this form,
-    /// because the normalising constant must be computed *across shards*
-    /// (paper: "Communication between machines via message passing
-    /// determines \[the\] additional locations and calculates the final
-    /// score").
-    pub fn map_read_raw_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+    /// Banded-DP half width of a window (the band widens with the pad).
+    fn band(&self) -> Option<usize> {
+        self.config.band.map(|w| w + self.config.window_pad)
+    }
+
+    /// Start a read in `scratch`: clear the previous results and build
+    /// both orientations' PWMs and emission profiles. Returns the reverse
+    /// complement, which seeding needs.
+    fn prepare(&self, read: &SequencedRead, scratch: &mut AlignScratch) -> SequencedRead {
         scratch.clear();
         let rc = read.reverse_complement();
+        scratch.pwms = [Pwm::from_read(read), Pwm::from_read(&rc)];
+        for (pwm, profile) in scratch.pwms.iter().zip(&mut scratch.profiles) {
+            pwm.fill_profile(&self.config.phmm, profile);
+        }
+        rc
+    }
+
+    /// Phase 1 — score. Seed both strands of `read` and give every
+    /// candidate placement only its Pair-HMM forward total
+    /// ([`PhmmScratch::forward_total`]: rolling rows, no planes, no
+    /// columns). Leaves every scored candidate in `scratch`, in
+    /// evaluation order (forward placements ascending, then reverse),
+    /// with its total in [`AlignmentView::score`] and no columns — zero
+    /// totals included, so [`AlignScratch::scored`] and
+    /// [`AlignScratch::len`] agree. [`Self::map_read_with`] and
+    /// [`Self::map_read_raw_with`] build on this; the genome-split driver
+    /// calls it directly, because its weight cut needs every shard's
+    /// totals first.
+    pub(crate) fn score_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+        let rc = self.prepare(read, scratch);
+        let band = self.band();
         for (reverse, oriented) in [(false, read), (true, &rc)] {
-            let pwm = Pwm::from_read(oriented);
             self.candidates_into(oriented, &mut scratch.starts);
-            for idx in 0..scratch.starts.len() {
-                let start = scratch.starts[idx];
-                let AlignScratch {
-                    phmm,
-                    window,
-                    cols,
-                    cands,
-                    ..
-                } = scratch;
-                if let Some(total) = self.score_candidate_with(oriented, &pwm, start, phmm, window)
-                {
-                    let col_off = cols.len();
-                    cols.extend_from_slice(phmm.columns());
-                    cands.push(CandMeta {
-                        window_start: start,
-                        placement_start: start,
-                        score: total,
-                        reverse,
-                        col_off,
-                        col_len: cols.len() - col_off,
-                    });
-                }
+            let AlignScratch {
+                phmm,
+                profiles,
+                codes,
+                starts,
+                cands,
+                ..
+            } = scratch;
+            let profile = &profiles[usize::from(reverse)];
+            for &start in starts.iter() {
+                self.fill_window(start, oriented.len() + self.config.window_pad, codes);
+                let total = phmm.forward_total(profile, codes, &self.config.phmm, band);
+                cands.push(CandMeta::new(reverse, start, total));
             }
+        }
+        scratch.scored = scratch.cands.len();
+    }
+
+    /// Phase 3 — posterior. Forward planes + backward + marginal for every
+    /// candidate `scratch` still holds, appending its columns to the
+    /// arena. The forward is recomputed; its total must carry the same
+    /// bits as the phase-1 score.
+    fn posterior_phase(&self, scratch: &mut AlignScratch) {
+        let band = self.band();
+        let AlignScratch {
+            phmm,
+            pwms,
+            profiles,
+            codes,
+            cols,
+            cands,
+            ..
+        } = scratch;
+        for c in cands.iter_mut() {
+            let o = usize::from(c.reverse);
+            self.fill_window(
+                c.window_start,
+                pwms[o].len() + self.config.window_pad,
+                codes,
+            );
+            let total = phmm.posterior_columns_profiled(
+                &pwms[o],
+                &profiles[o],
+                codes,
+                &self.config.phmm,
+                band,
+            );
+            debug_assert_eq!(
+                total.to_bits(),
+                c.likelihood.to_bits(),
+                "posterior forward diverged from the scoring pass"
+            );
+            c.col_off = cols.len();
+            cols.extend_from_slice(phmm.columns());
+            c.col_len = cols.len() - c.col_off;
         }
     }
 
+    /// Map one read into `scratch`, leaving **unnormalised** candidate
+    /// alignments: every candidate with a positive total likelihood, in
+    /// evaluation order, each with its raw Pair-HMM total in
+    /// [`AlignmentView::score`] and its columns.
+    pub fn map_read_raw_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+        self.score_read_with(read, scratch);
+        scratch.cands.retain(|c| c.likelihood > 0.0);
+        self.posterior_phase(scratch);
+    }
+
+    /// Posterior columns for candidates of `read` pruned elsewhere — the
+    /// genome-split driver's third phase, after the cross-shard weight
+    /// cut. Each `(reverse, placement_start, likelihood)` must come from
+    /// [`Self::score_read_with`] on this engine. Leaves one alignment per
+    /// entry, in the given order, with the likelihood as its score.
+    pub(crate) fn posterior_for(
+        &self,
+        read: &SequencedRead,
+        survivors: impl IntoIterator<Item = (bool, usize, f64)>,
+        scratch: &mut AlignScratch,
+    ) {
+        self.prepare(read, scratch);
+        scratch.cands.extend(
+            survivors
+                .into_iter()
+                .map(|(reverse, start, likelihood)| CandMeta::new(reverse, start, likelihood)),
+        );
+        self.posterior_phase(scratch);
+    }
+
     /// Map one read into `scratch`: all candidate placements on both
-    /// strands, scored and posterior-normalised
-    /// ([`AlignmentView::score`] holds the weight). The scratch is left
-    /// empty for unmappable reads.
+    /// strands, posterior-normalised ([`AlignmentView::score`] holds the
+    /// weight). The scratch is left empty for unmappable reads.
+    ///
+    /// Three phases: every candidate is scored with a forward total
+    /// (`score_read_with`); the totals are normalised and pruned
+    /// by `min_weight`; only the survivors get the backward pass and
+    /// their columns. Weights depend on forward totals alone, so the
+    /// result is bit-identical to giving every candidate its columns
+    /// first.
     pub fn map_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
-        self.map_read_raw_with(read, scratch);
+        self.score_read_with(read, scratch);
+        scratch.cands.retain(|c| c.likelihood > 0.0);
         let grand_total: f64 = scratch.cands.iter().map(|c| c.score).sum();
         if grand_total <= 0.0 {
             scratch.cands.clear();
@@ -322,23 +443,7 @@ impl<'g> MappingEngine<'g> {
                 c.score /= kept_sum;
             }
         }
-    }
-
-    /// Convenience wrapper around [`MappingEngine::map_read_raw_with`]
-    /// that allocates owned `RawAlignment`s with a throwaway scratch.
-    pub fn map_read_raw(&self, read: &SequencedRead) -> Vec<RawAlignment> {
-        let mut scratch = AlignScratch::new();
-        self.map_read_raw_with(read, &mut scratch);
-        scratch
-            .alignments()
-            .map(|v| RawAlignment {
-                window_start: v.window_start,
-                placement_start: v.placement_start,
-                likelihood: v.score,
-                reverse: v.reverse,
-                columns: v.columns.to_vec(),
-            })
-            .collect()
+        self.posterior_phase(scratch);
     }
 
     /// Convenience wrapper around [`MappingEngine::map_read_with`] that
@@ -357,22 +462,6 @@ impl<'g> MappingEngine<'g> {
             })
             .collect()
     }
-}
-
-/// An unnormalised candidate alignment (see
-/// [`MappingEngine::map_read_raw`]).
-#[derive(Debug, Clone)]
-pub struct RawAlignment {
-    /// Genome position of the window's first column (placement minus pad).
-    pub window_start: usize,
-    /// Genome position the seeds proposed for read base 1.
-    pub placement_start: usize,
-    /// Raw Pair-HMM total likelihood of the window.
-    pub likelihood: f64,
-    /// Reverse-strand flag.
-    pub reverse: bool,
-    /// Per-column evidence vectors, unweighted.
-    pub columns: Vec<ColumnPosterior>,
 }
 
 #[cfg(test)]

@@ -91,7 +91,8 @@ pub enum Event {
         reads: u64,
         /// Reads that produced at least one alignment.
         mapped: u64,
-        /// Candidate alignments scored by the Pair-HMM.
+        /// Candidate placements scored by the Pair-HMM forward pass, before
+        /// the `min_weight` cut.
         candidates: u64,
         /// Posterior columns deposited into the accumulator.
         deposited_columns: u64,

@@ -81,11 +81,11 @@ pub fn accumulate_reads_observed<A: GenomeAccumulator>(
         let (mut mapped, mut candidates, mut columns) = (0u64, 0u64, 0u64);
         for read in batch {
             engine.map_read_with(read, scratch);
+            candidates += scratch.scored() as u64;
             if !scratch.is_empty() {
                 mapped += 1;
             }
             for aln in scratch.alignments() {
-                candidates += 1;
                 columns += aln.columns.len() as u64;
                 deposit(acc, aln.window_start, aln.score, aln.columns);
             }

@@ -247,11 +247,11 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
                                     let (mut candidates, mut columns) = (0u64, 0u64);
                                     for read in &batch.reads {
                                         engine.map_read_with(read, &mut scratch);
+                                        candidates += scratch.scored() as u64;
                                         if !scratch.is_empty() {
                                             mapped += 1;
                                         }
                                         for aln in scratch.alignments() {
-                                            candidates += 1;
                                             columns += aln.columns.len() as u64;
                                             sharded.deposit(
                                                 aln.window_start,

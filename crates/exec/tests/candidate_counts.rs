@@ -1,0 +1,104 @@
+//! `Event::Batch.candidates` counts the candidate placements the Pair-HMM
+//! scored with its forward pass, before the `min_weight` cut. Every driver
+//! must report the same total on the same reads: serial, read-split and
+//! stream add up each read's `AlignScratch::scored()`, and genome-split's
+//! ranks each count the scored placements their shard owns.
+
+use exec::{run_stream_observed, MemoryStream, StreamConfig};
+use genome::{DnaSeq, SequencedRead};
+use gnumap_core::accum::FixedAccumulator;
+use gnumap_core::driver::genome_split::run_genome_split_observed;
+use gnumap_core::driver::read_split::run_read_split_observed;
+use gnumap_core::mapping::{AlignScratch, MappingEngine};
+use gnumap_core::observe::{Event, MemorySink, Observer};
+use gnumap_core::pipeline::run_serial_observed;
+use gnumap_core::GnumapConfig;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
+use simulate::GenomeConfig;
+use std::sync::Arc;
+
+fn workload() -> (DnaSeq, Vec<SequencedRead>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(707);
+    let reference = simulate::generate_genome(
+        &GenomeConfig {
+            length: 12_000,
+            repeat_families: 3,
+            repeat_copies: 4,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    let sim = ReadSimConfig {
+        coverage: 3.0,
+        ..Default::default()
+    };
+    let reads = simulate_reads(
+        &ReadSource::Monoploid(&reference),
+        sim.read_count(reference.len()),
+        &sim,
+        &mut rng,
+    )
+    .into_iter()
+    .map(|r| r.read)
+    .collect();
+    (reference, reads)
+}
+
+/// Run `f` under a memory sink and sum the batch events' candidates.
+fn candidates(f: impl FnOnce(&Observer)) -> u64 {
+    let sink = Arc::new(MemorySink::new());
+    f(&Observer::new(sink.clone()));
+    sink.events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::Batch { candidates, .. } => Some(*candidates),
+            _ => None,
+        })
+        .sum()
+}
+
+#[test]
+fn every_driver_counts_scored_candidates_alike() {
+    let (reference, reads) = workload();
+    let cfg = GnumapConfig::default();
+
+    // Ground truth straight from the engine, plus the kept count the
+    // drivers used to report, to show the two differ on this workload.
+    let engine = MappingEngine::new(&reference, cfg.mapping);
+    let mut scratch = AlignScratch::new();
+    let (mut scored, mut kept) = (0u64, 0u64);
+    for read in &reads {
+        engine.map_read_with(read, &mut scratch);
+        scored += scratch.scored() as u64;
+        kept += scratch.len() as u64;
+    }
+    assert!(
+        scored > kept,
+        "workload must prune candidates: {scored} vs {kept}"
+    );
+
+    let serial = candidates(|o| {
+        run_serial_observed::<FixedAccumulator>(&reference, &reads, &cfg, o);
+    });
+    let read_split = candidates(|o| {
+        run_read_split_observed::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
+    });
+    let stream = candidates(|o| {
+        let sc = StreamConfig {
+            workers: 2,
+            batch_size: 16,
+            ..StreamConfig::default()
+        };
+        let mut source = MemoryStream::new(reads.clone());
+        run_stream_observed::<FixedAccumulator>(&reference, &mut source, &cfg, &sc, o).unwrap();
+    });
+    let genome_split = candidates(|o| {
+        run_genome_split_observed::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
+    });
+    assert_eq!(serial, scored, "serial");
+    assert_eq!(read_split, scored, "read-split");
+    assert_eq!(stream, scored, "stream");
+    assert_eq!(genome_split, scored, "genome-split");
+}

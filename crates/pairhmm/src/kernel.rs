@@ -24,9 +24,17 @@
 //! right of each row's band instead of clearing whole planes, so scratch
 //! buffers can be reused across alignments without `O(N·M)` memsets: every
 //! cell a later row reads is either freshly computed or an explicit zero.
+//!
+//! The mapping hot path builds no emission table: `p*(i, j)` is looked up
+//! in the read's emission profile by the window's genome code, only for
+//! in-band cells. [`forward_row`] takes its row's in-band emissions as an
+//! iterator, so the scoring forward does that lookup inside the sweep; the
+//! posterior pass fills only the in-band cells of its table with
+//! [`gather_row`] (cells outside the band are never read).
 
 use crate::emission::Emission;
 use crate::params::PhmmParams;
+use crate::pwm::{ProfileRow, N_CODE};
 
 /// Diagonal band `lo <= j - i <= hi`; `None` = full table.
 pub type Band = Option<(isize, isize)>;
@@ -55,6 +63,26 @@ pub fn row_range(band: Band, i: usize, m: usize) -> (usize, usize) {
     }
 }
 
+/// Profile index of genome code `c`. Codes come from
+/// [`crate::pwm::base_code`]; the clamp only lets the compiler drop the
+/// bounds check of the [`ProfileRow`] lookup.
+#[inline]
+pub(crate) fn code_index(c: u8) -> usize {
+    debug_assert!(c <= N_CODE, "invalid genome code {c}");
+    usize::from(c.min(N_CODE))
+}
+
+/// Gather emissions `out[j] = prow[codes[j]]` for one read row: `codes` and
+/// `out` are the same in-band column span of the genome-code window and of
+/// the emission row.
+#[inline]
+pub(crate) fn gather_row(prow: &ProfileRow, codes: &[u8], out: &mut [f64]) {
+    debug_assert_eq!(codes.len(), out.len());
+    for (e, &c) in out.iter_mut().zip(codes) {
+        *e = prow[code_index(c)];
+    }
+}
+
 /// One-time shape validation for a kernel call over `(n+1) × (m+1)`
 /// planes. All per-cell asserts live here, outside the hot loops.
 #[inline]
@@ -73,13 +101,15 @@ fn validate_planes(emit: Emission<'_>, planes: [&[f64]; 3]) -> (usize, usize, us
 
 /// Compute one forward row `i` from row `i−1`, two-sweep. `mp`/`xp`/`yp`
 /// are row `i−1`; `mc`/`xc`/`yc` are row `i` (each of length `m + 1`);
-/// `erow` is the emission row `p*(i, ·)`. Writes zero sentinels one cell
-/// left and right of the band so stale buffers need no pre-clearing.
+/// `erow` yields the in-band emissions `p*(i, j)` for `j = j_min ..=
+/// j_max`, read from a table row or looked up in a profile row. Writes
+/// zero sentinels one cell left and right of the band so stale buffers
+/// need no pre-clearing.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_row(
     params: &PhmmParams,
-    erow: &[f64],
+    erow: impl IntoIterator<Item = f64>,
     mp: &[f64],
     xp: &[f64],
     yp: &[f64],
@@ -113,13 +143,13 @@ pub(crate) fn forward_row(
     let it = mc[j_min..=j_max]
         .iter_mut()
         .zip(xc[j_min..=j_max].iter_mut())
-        .zip(&erow[j_min - 1..j_max])
+        .zip(erow)
         .zip(&mp[j_min - 1..j_max])
         .zip(&xp[j_min - 1..j_max])
         .zip(&yp[j_min - 1..j_max])
         .zip(&mp[j_min..=j_max])
         .zip(&xp[j_min..=j_max]);
-    for (((((((mv, xv), &e), &mpd), &xpd), &ypd), &mps), &xps) in it {
+    for (((((((mv, xv), e), &mpd), &xpd), &ypd), &mps), &xps) in it {
         *mv = e * (t_mm * mpd + t_gm * (xpd + ypd));
         *xv = q * (t_mg * mps + t_gg * xps);
     }
@@ -162,7 +192,7 @@ pub fn forward_planes(
         let (yp, yc) = fy[base..base + 2 * stride].split_at_mut(stride);
         forward_row(
             params,
-            emit.row(i - 1),
+            emit.row(i - 1)[j_min - 1..j_max].iter().copied(),
             mp,
             xp,
             yp,

@@ -14,14 +14,23 @@
 //! * [`params`]   — transition/emission parameterisation (`T_MM`, `T_MG`,
 //!   `T_GM`, `T_GG`, match emission matrix `p_ab`, gap emission `q`).
 //! * [`pwm`]      — position-weight matrix built from read qualities
-//!   (`r_ik` in the paper), and the blended emission `p*(i, j)`.
+//!   (`r_ik` in the paper), the blended emission `p*(i, j)`, and the
+//!   per-read emission profile ([`pwm::ProfileRow`]: `p*` of one read row
+//!   against A, C, G, T and `N`) the production kernels look emissions up
+//!   in, by a window of genome byte codes ([`pwm::base_code`]).
 //! * [`emission`] — flat row-major emission storage ([`EmissionTable`] /
-//!   borrowed [`Emission`] view) consumed by every kernel.
+//!   borrowed [`Emission`] view) consumed by the plane kernels. Full tables
+//!   built with [`Pwm::fill_emission`] now serve only oracles, tests and
+//!   benchmark replays; the mapping path fills only in-band cells from the
+//!   profile.
 //! * [`kernel`]   — the flat-plane, vectorization-structured forward and
 //!   backward recursions (full-table and banded via one `Band` parameter).
-//! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena with
-//!   the fused backward+marginal streaming pass (zero steady-state
-//!   allocations).
+//! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena
+//!   (zero steady-state allocations) with the two production entry
+//!   points: `forward_total`, the rolling-row forward every candidate gets,
+//!   and `posterior_columns_profiled`, forward planes plus the fused
+//!   backward+marginal streaming pass, run only for candidates that
+//!   survive the posterior weight cut.
 //! * [`matrix`]   — dense `f64` DP matrices.
 //! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI Step 2.
 //! * [`marginal`] — posterior cell probabilities and per-column `z` vectors.

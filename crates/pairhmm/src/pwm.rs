@@ -10,15 +10,37 @@
 //!
 //! i.e. the read base is integrated out against its quality-derived
 //! distribution. A genome `N` is treated as a uniformly uncertain base.
+//!
+//! `p*(i, j)` depends only on the read row `i` and the genome symbol `y_j`,
+//! so the production path never builds the `N × M` table: it computes one
+//! [`ProfileRow`] per read row, the blends against A, C, G, T and `N`
+//! ([`Pwm::fill_profile`]), once per read orientation, and the kernels look
+//! up `profile[i][code(y_j)]` from a window of [`base_code`]s. The table
+//! builders ([`Pwm::fill_emission`], [`Pwm::emission_table`]) remain for
+//! oracles, tests and benchmarks, and agree with the profile bit for bit.
 
 use crate::emission::EmissionTable;
 use crate::params::PhmmParams;
 use genome::alphabet::Base;
 use genome::read::SequencedRead;
 
+/// One read row's blended emissions, indexed by [`base_code`]: `p*` against
+/// A, C, G, T, then `0.25` against `N`.
+pub type ProfileRow = [f64; 5];
+
+/// Profile index of a genome `N` (an unknown base).
+pub const N_CODE: u8 = 4;
+
+/// Profile index of genome symbol `y`: [`Base::index`] for A/C/G/T,
+/// [`N_CODE`] for `N`.
+#[inline]
+pub fn base_code(y: Option<Base>) -> u8 {
+    y.map_or(N_CODE, |b| b.index() as u8)
+}
+
 /// A read's position-weight matrix: one probability row `r_i` per read
 /// position, each summing to 1 over A, C, G, T.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Pwm {
     rows: Vec<[f64; 4]>,
 }
@@ -94,34 +116,46 @@ impl Pwm {
         }
     }
 
+    /// The emission profile of read row `r`: the blend against each
+    /// concrete genome base, summed over `k` in the same ascending order as
+    /// [`blended_emission`](Self::blended_emission) (so the values are
+    /// bit-identical), then `0.25` for `N`: every emission row sums to 1, so
+    /// against an unknown genome base the blend is 1/4.
+    #[inline]
+    fn profile_row(r: &[f64; 4], params: &PhmmParams) -> ProfileRow {
+        let mut out = [0.25f64; 5];
+        for (yi, b) in out[..4].iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (k, &rk) in r.iter().enumerate() {
+                acc += rk * params.emission(k, yi);
+            }
+            *b = acc;
+        }
+        out
+    }
+
+    /// Fill `out` with one [`ProfileRow`] per read position — everything
+    /// the kernels need to look up `p*(i, j)` as
+    /// `out[i][base_code(y_j)]`. Clears and refills `out`; allocation-free
+    /// once its capacity suffices.
+    pub fn fill_profile(&self, params: &PhmmParams, out: &mut Vec<ProfileRow>) {
+        out.clear();
+        out.extend(self.rows.iter().map(|r| Self::profile_row(r, params)));
+    }
+
     /// Fill a caller-owned flat buffer with `p*(i, j)` for all read
     /// positions against a genome window (row-major, stride = window
     /// length). Clears and refills `out`; when `out`'s capacity already
-    /// suffices this performs no allocation — the scratch-arena hot path.
-    ///
-    /// The blend against each of the four concrete genome bases is
-    /// precomputed once per read row (the inner `k` sum is in the same
-    /// ascending order as [`blended_emission`](Self::blended_emission), so
-    /// the values are bit-identical), then the window is a pure table
-    /// lookup.
+    /// suffices this performs no allocation. Each cell is the row's
+    /// [`ProfileRow`] entry for the window symbol, so the table agrees
+    /// with the profile lookup bit for bit. Oracles, tests and benchmarks
+    /// use it; the production kernels read the profile directly.
     pub fn fill_emission(&self, window: &[Option<Base>], params: &PhmmParams, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.len() * window.len());
         for r in &self.rows {
-            let mut blend = [0.0f64; 4];
-            for (yi, b) in blend.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (k, &rk) in r.iter().enumerate() {
-                    acc += rk * params.emission(k, yi);
-                }
-                *b = acc;
-            }
-            out.extend(window.iter().map(|&y| match y {
-                Some(y) => blend[y.index()],
-                // Against an unknown genome base every read base is
-                // equally compatible; rows sum to 1, so the blend is 1/4.
-                None => 0.25,
-            }));
+            let blend = Self::profile_row(r, params);
+            out.extend(window.iter().map(|&y| blend[usize::from(base_code(y))]));
         }
     }
 
@@ -213,6 +247,14 @@ mod tests {
                     "cell ({i},{j})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn profile_codes_cover_every_symbol() {
+        assert_eq!(base_code(None), N_CODE);
+        for b in genome::alphabet::BASES {
+            assert_eq!(usize::from(base_code(Some(b))), b.index());
         }
     }
 

@@ -1,36 +1,53 @@
 //! Per-thread scratch arena for the alignment hot path.
 //!
-//! [`PhmmScratch`] owns every buffer one posterior alignment needs — the
-//! flat emission table, the three retained forward planes, six rolling
-//! backward rows, the per-column `z`-vector accumulator, and a scale
-//! vector for the rescaled forward variant. Buffers grow monotonically and
-//! are reused across a thread's whole read batch, so after the first few
-//! alignments warm them up the steady-state loop performs **zero heap
-//! allocations per read × window pair**.
+//! [`PhmmScratch`] owns every buffer one posterior alignment needs — an
+//! `N × M` emission buffer, the three retained forward planes, six rolling
+//! backward rows, the per-column `z`-vector accumulator, and a scale vector for the
+//! rescaled forward variant. Buffers grow monotonically and are reused
+//! across a thread's whole read batch, so after the first few alignments
+//! warm them up the steady-state loop performs **zero heap allocations per
+//! read × window pair**.
 //!
-//! The fused pass ([`PhmmScratch::posterior_columns`]) never materialises
-//! the backward tables: it streams two rolling backward rows (`i+1` and
-//! `i`) from the bottom of the DP upward, and folds each freshly computed
-//! row directly into the column posteriors against the retained forward
-//! planes. Per-cell arithmetic and per-column summation order are exactly
-//! those of the materialised implementation (backward row `i` combined
-//! with forward row `i`, for `i = N` down to `1`), so the result is
-//! bit-identical — property-tested via `f64::to_bits` in
-//! `tests/fused_bitident.rs`.
+//! The mapping hot path scores a read's candidates in two steps, both fed
+//! by the read's emission profile ([`crate::pwm::ProfileRow`] per read row)
+//! and a window of genome codes ([`crate::pwm::base_code`]):
+//!
+//! * [`PhmmScratch::forward_total`] — the forward total alone, over two
+//!   rolling rows per state, looking up each row's in-band emissions as
+//!   the row is computed. No planes, no emission table. Every candidate
+//!   gets this; the total is all the posterior weight needs.
+//! * [`PhmmScratch::posterior_columns_profiled`] — only for candidates that
+//!   survive the weight cut: the in-band emission cells, the forward into
+//!   retained planes, then the streaming backward fused with the marginals.
+//!
+//! Both run the same [`kernel::forward_row`] on the same emission values,
+//! so their totals agree bit for bit.
+//!
+//! The fused pass never materialises the backward tables: it streams two
+//! rolling backward rows (`i+1` and `i`) from the bottom of the DP upward,
+//! and folds each freshly computed row directly into the column posteriors
+//! against the retained forward planes. Per-cell arithmetic and per-column
+//! summation order are exactly those of the materialised implementation
+//! (backward row `i` combined with forward row `i`, for `i = N` down to
+//! `1`), so the result is bit-identical — property-tested via `f64::to_bits`
+//! in `tests/fused_bitident.rs`.
 
 use crate::emission::Emission;
 use crate::kernel::{self, Band};
 use crate::marginal::ColumnPosterior;
 use crate::params::PhmmParams;
-use crate::pwm::Pwm;
+use crate::pwm::{base_code, ProfileRow, Pwm};
 use genome::alphabet::Base;
 
 /// Grow-only reusable buffers for one thread's Pair-HMM alignments.
 #[derive(Debug, Default)]
 pub struct PhmmScratch {
-    /// Flat `N × M` emission table `p*(i, j)`.
+    /// Flat `N × M` emission table `p*(i, j)`; the profile path writes
+    /// only its in-band cells.
     emit: Vec<f64>,
     /// Retained forward planes, `(N+1) × (M+1)` row-major.
+    /// [`forward_total`](Self::forward_total) uses their first two rows
+    /// as its rolling rows.
     fm: Vec<f64>,
     fx: Vec<f64>,
     fy: Vec<f64>,
@@ -46,6 +63,10 @@ pub struct PhmmScratch {
     scale: Vec<f64>,
     /// Column posterior accumulator, length `M` after a call.
     cols: Vec<ColumnPosterior>,
+    /// Profile and genome codes built by the `Option<Base>` entry point
+    /// [`posterior_columns`](Self::posterior_columns).
+    profile: Vec<ProfileRow>,
+    codes: Vec<u8>,
 }
 
 /// Grow `v` to at least `len` without ever shrinking (keeps capacity hot
@@ -71,15 +92,59 @@ impl PhmmScratch {
         &self.cols
     }
 
-    /// Fill the internal flat emission table for `pwm` against `window`
-    /// and return a view of it alongside the shape.
-    fn fill_emission(&mut self, pwm: &Pwm, window: &[Option<Base>], params: &PhmmParams) {
-        pwm.fill_emission(window, params, &mut self.emit);
+    /// Forward total likelihood of a read against one window: the read's
+    /// emission profile (one row per read position, see
+    /// [`Pwm::fill_profile`]) against the window's genome codes
+    /// ([`base_code`]). Runs [`kernel::forward_row`] over two rolling rows
+    /// per state, looking up only each row's in-band emissions, so it
+    /// keeps no planes and builds no emission table. The result has the
+    /// same bits as the total of [`posterior_columns_profiled`] and of
+    /// [`kernel::forward_planes`] on the same inputs.
+    ///
+    /// [`posterior_columns_profiled`]: Self::posterior_columns_profiled
+    pub fn forward_total(
+        &mut self,
+        profile: &[ProfileRow],
+        codes: &[u8],
+        params: &PhmmParams,
+        band: Option<usize>,
+    ) -> f64 {
+        let n = profile.len();
+        let m = codes.len();
+        assert!(n >= 1, "read must be non-empty");
+        assert!(m >= 1, "window must be non-empty");
+        let band: Band = band.map(|w| kernel::diagonal_bounds(n, m, w));
+        let stride = m + 1;
+        for p in [&mut self.fm, &mut self.fx, &mut self.fy] {
+            ensure(p, 2 * stride);
+        }
+
+        // Border row 0: zero over the range row 1 reads, with f_M(0,0) = 1
+        // — as in `kernel::forward_planes`.
+        let (_, hi0) = kernel::row_range(band, 1, m);
+        for p in [&mut self.fm, &mut self.fx, &mut self.fy] {
+            p[..=hi0].fill(0.0);
+        }
+        self.fm[0] = 1.0;
+
+        for (i, prow) in (1..=n).zip(profile) {
+            let (j_min, j_max) = kernel::row_range(band, i, m);
+            // p*(i, j) for j in [j_min, j_max], looked up by genome code.
+            let erow = codes[j_min - 1..j_max]
+                .iter()
+                .map(|&c| prow[kernel::code_index(c)]);
+            let (mp, mc) = rolling(&mut self.fm, stride, i);
+            let (xp, xc) = rolling(&mut self.fx, stride, i);
+            let (yp, yc) = rolling(&mut self.fy, stride, i);
+            kernel::forward_row(params, erow, mp, xp, yp, mc, xc, yc, j_min, j_max, m);
+        }
+        let end = (n % 2) * stride + m;
+        self.fm[end] + self.fx[end] + self.fy[end]
     }
 
     /// Full fused posterior alignment of one read (PWM) against one
-    /// window: emission build → forward into retained planes → streaming
-    /// backward fused with `z`-vector accumulation. Returns the total
+    /// window: [`posterior_columns_profiled`] with the profile and genome
+    /// codes built here from `pwm` and `window`. Returns the total
     /// likelihood; the per-column evidence vectors are available from
     /// [`columns`](Self::columns) afterwards (all-zero when the total is
     /// zero, matching `PosteriorAlignment::column_posteriors`).
@@ -87,6 +152,8 @@ impl PhmmScratch {
     /// `band` is the optional diagonal half-width: `Some(w)` restricts
     /// both passes to the band of [`kernel::diagonal_bounds`], exactly
     /// like `PosteriorAlignment::from_emissions_banded`.
+    ///
+    /// [`posterior_columns_profiled`]: Self::posterior_columns_profiled
     pub fn posterior_columns(
         &mut self,
         pwm: &Pwm,
@@ -94,13 +161,52 @@ impl PhmmScratch {
         params: &PhmmParams,
         band: Option<usize>,
     ) -> f64 {
+        let mut profile = std::mem::take(&mut self.profile);
+        let mut codes = std::mem::take(&mut self.codes);
+        pwm.fill_profile(params, &mut profile);
+        codes.clear();
+        codes.extend(window.iter().map(|&y| base_code(y)));
+        let total = self.posterior_columns_profiled(pwm, &profile, &codes, params, band);
+        self.profile = profile;
+        self.codes = codes;
+        total
+    }
+
+    /// Full fused posterior alignment from a read's emission profile and a
+    /// window of genome codes (the inputs of
+    /// [`forward_total`](Self::forward_total)): in-band emission gather →
+    /// forward into retained planes → streaming backward fused with
+    /// `z`-vector accumulation. `pwm` supplies the read rows the `z`
+    /// vectors are weighted by; `profile` must be its
+    /// [`Pwm::fill_profile`]. Returns the total likelihood, bit-identical
+    /// to [`forward_total`](Self::forward_total)'s.
+    pub fn posterior_columns_profiled(
+        &mut self,
+        pwm: &Pwm,
+        profile: &[ProfileRow],
+        codes: &[u8],
+        params: &PhmmParams,
+        band: Option<usize>,
+    ) -> f64 {
         let n = pwm.len();
-        let m = window.len();
+        let m = codes.len();
         assert!(n >= 1, "read must be non-empty");
         assert!(m >= 1, "window must be non-empty");
+        assert_eq!(profile.len(), n, "profile must have one row per read base");
 
-        self.fill_emission(pwm, window, params);
         let band: Band = band.map(|w| kernel::diagonal_bounds(n, m, w));
+        // Only the cells forward row i+1 reads are gathered into emission
+        // row i. The backward pass reads row i over [j_min(i), min(j_max(i),
+        // m−1)], a subset of that span, so no unwritten cell is ever read.
+        ensure(&mut self.emit, n * m);
+        for (i, (prow, erow)) in profile
+            .iter()
+            .zip(self.emit[..n * m].chunks_exact_mut(m))
+            .enumerate()
+        {
+            let (j_min, j_max) = kernel::row_range(band, i + 1, m);
+            kernel::gather_row(prow, &codes[j_min - 1..j_max], &mut erow[j_min - 1..j_max]);
+        }
 
         let stride = m + 1;
         let plane = (n + 1) * stride;
@@ -273,7 +379,7 @@ impl PhmmScratch {
         let m = window.len();
         assert!(n >= 1, "read must be non-empty");
         assert!(m >= 1, "window must be non-empty");
-        self.fill_emission(pwm, window, params);
+        pwm.fill_emission(window, params, &mut self.emit);
         let stride = m + 1;
         ensure(&mut self.fm, (n + 1) * stride);
         ensure(&mut self.fx, (n + 1) * stride);
@@ -288,6 +394,18 @@ impl PhmmScratch {
             &mut self.fy,
             &mut self.scale,
         )
+    }
+}
+
+/// Rows `i − 1` (read) and `i` (written) of a two-row rolling buffer:
+/// row `i` lives in slot `i mod 2`.
+#[inline]
+fn rolling(buf: &mut [f64], stride: usize, i: usize) -> (&[f64], &mut [f64]) {
+    let (even, odd) = buf[..2 * stride].split_at_mut(stride);
+    if i % 2 == 1 {
+        (even, odd)
+    } else {
+        (odd, even)
     }
 }
 

@@ -5,12 +5,16 @@
 //! reuse — and the banded DP must collapse to the full DP bitwise when the
 //! band covers every cell. The scaled-forward scratch entry must likewise
 //! reproduce [`pairhmm::scaling::scaled_forward`] exactly on reads long
-//! enough to trigger rescaling.
+//! enough to trigger rescaling. The scoring pass
+//! [`pairhmm::PhmmScratch::forward_total`] (emission profile + genome codes,
+//! rolling rows) must return the bits of the plane forward's total, and the
+//! profile it reads must equal the blended emission cell for cell.
 
 use genome::alphabet::{Base, BASES};
+use pairhmm::kernel::{diagonal_bounds, forward_planes};
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
-use pairhmm::pwm::Pwm;
+use pairhmm::pwm::{base_code, Pwm};
 use pairhmm::scaling::scaled_forward;
 use pairhmm::PhmmScratch;
 use proptest::prelude::*;
@@ -127,6 +131,66 @@ proptest! {
         for (a, b) in fc.iter().zip(&bc) {
             for k in 0..5 {
                 prop_assert_eq!(a.probs[k].to_bits(), b.probs[k].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn forward_total_matches_plane_forward_bitwise(
+        case in case_strategy(),
+        w in 0..=9usize,
+    ) {
+        // Rolling rows over profile lookups vs retained planes over a full
+        // emission table: same cells, same order, same bits. Half-widths
+        // 0..=8, and 9 stands for the full table.
+        let band = (w <= 8).then_some(w);
+        let (pwm, window, params) = case;
+        let (n, m) = (pwm.len(), window.len());
+        let emit = pwm.emission_table(&window, &params);
+        let plane = (n + 1) * (m + 1);
+        let (mut fm, mut fx, mut fy) = (vec![0.0; plane], vec![0.0; plane], vec![0.0; plane]);
+        let reference = forward_planes(
+            emit.view(),
+            &params,
+            &mut fm,
+            &mut fx,
+            &mut fy,
+            band.map(|w| diagonal_bounds(n, m, w)),
+        );
+        let mut profile = Vec::new();
+        pwm.fill_profile(&params, &mut profile);
+        let codes: Vec<u8> = window.iter().map(|&y| base_code(y)).collect();
+        let mut scratch = PhmmScratch::new();
+        let total = scratch.forward_total(&profile, &codes, &params, band);
+        prop_assert_eq!(
+            total.to_bits(),
+            reference.to_bits(),
+            "forward_total {} vs forward_planes {}",
+            total,
+            reference
+        );
+        // The posterior pass recomputes the same forward.
+        let posterior = scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, band);
+        prop_assert_eq!(posterior.to_bits(), reference.to_bits());
+    }
+
+    #[test]
+    fn profile_entries_equal_blended_emission(
+        pwm in (1..=24usize).prop_flat_map(pwm_strategy),
+        params in params_strategy(),
+    ) {
+        let mut profile = Vec::new();
+        pwm.fill_profile(&params, &mut profile);
+        prop_assert_eq!(profile.len(), pwm.len());
+        for (i, row) in profile.iter().enumerate() {
+            for y in BASES.iter().map(|&b| Some(b)).chain([None]) {
+                prop_assert_eq!(
+                    row[usize::from(base_code(y))].to_bits(),
+                    pwm.blended_emission(i, y, &params).to_bits(),
+                    "row {} symbol {:?}",
+                    i,
+                    y
+                );
             }
         }
     }

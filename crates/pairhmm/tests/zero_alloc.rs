@@ -1,9 +1,10 @@
 //! Steady-state allocation audit for the fused scratch kernel.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
-//! warmup alignment per configuration, repeated `posterior_columns` /
-//! `scaled_log_total` calls on a reused [`pairhmm::PhmmScratch`] must
-//! perform **zero** heap allocations — the core promise of the
+//! warmup alignment per configuration, repeated `forward_total` /
+//! `posterior_columns_profiled` / `posterior_columns` / `scaled_log_total`
+//! calls on a reused [`pairhmm::PhmmScratch`] (and refilling a reused
+//! emission profile) must perform **zero** heap allocations — the core promise of the
 //! scratch-arena design. This lives in its own integration-test binary so
 //! the global allocator hook and the single-threaded counter discipline
 //! (one `#[test]` only) cannot interfere with other tests.
@@ -69,7 +70,7 @@ fn allocation_count() -> u64 {
 fn fused_kernel_is_allocation_free_in_steady_state() {
     use genome::alphabet::BASES;
     use pairhmm::params::PhmmParams;
-    use pairhmm::pwm::Pwm;
+    use pairhmm::pwm::{base_code, Pwm};
     use pairhmm::PhmmScratch;
 
     let params = PhmmParams::default();
@@ -86,16 +87,27 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
     let pwm = Pwm::from_rows(rows);
     let window: Vec<_> = (0..n).map(|j| Some(BASES[(j * 7 + 3) % 4])).collect();
 
+    let codes: Vec<u8> = window.iter().map(|&y| base_code(y)).collect();
+
     let mut scratch = PhmmScratch::new();
+    let mut profile = Vec::new();
     let mut sink = 0.0f64;
 
     // Warmup: grow every buffer for each configuration exercised below.
+    pwm.fill_profile(&params, &mut profile);
+    sink += scratch.forward_total(&profile, &codes, &params, Some(4));
+    sink += scratch.forward_total(&profile, &codes, &params, None);
+    sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
     sink += scratch.posterior_columns(&pwm, &window, &params, None);
     sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
     sink += scratch.scaled_log_total(&pwm, &window, &params);
 
     let before = allocation_count();
     for _ in 0..100 {
+        pwm.fill_profile(&params, &mut profile);
+        sink += scratch.forward_total(&profile, &codes, &params, Some(4));
+        sink += scratch.forward_total(&profile, &codes, &params, None);
+        sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
         sink += scratch.posterior_columns(&pwm, &window, &params, None);
         sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
         sink += scratch.scaled_log_total(&pwm, &window, &params);
@@ -108,7 +120,7 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         after - before,
         0,
         "steady-state scratch alignments must not allocate \
-         ({} allocations over 300 alignments)",
+         ({} allocations over 600 alignments)",
         after - before
     );
 }

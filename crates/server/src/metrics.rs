@@ -27,7 +27,8 @@ pub struct StatsSnapshot {
     pub reads_processed: u64,
     /// Processed reads that produced at least one alignment.
     pub reads_mapped: u64,
-    /// Candidate alignments scored by the Pair-HMM.
+    /// Candidate placements scored by the Pair-HMM forward pass, before the
+    /// `min_weight` cut.
     pub candidates_evaluated: u64,
     /// Posterior columns deposited into session accumulators.
     pub deposit_columns: u64,

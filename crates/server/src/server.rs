@@ -487,8 +487,17 @@ fn batcher_loop(shared: &Arc<Shared>) {
     loop {
         // Fill the buffer: block briefly for the first chunk, then take
         // whatever else is already queued (opportunistic coalescing).
+        // Reads left over from the last round are dispatched without
+        // waiting: blocking for more input while holding them would idle
+        // the workers and stall those reads' sessions for up to the whole
+        // timeout.
         if !closed && buffer.len() < max_buffer {
-            match shared.ingress.pop_timeout(Duration::from_millis(50)) {
+            let wait = if buffer.is_empty() {
+                Duration::from_millis(50)
+            } else {
+                Duration::ZERO
+            };
+            match shared.ingress.pop_timeout(wait) {
                 PopOutcome::Item(chunk) => {
                     absorb(&mut buffer, chunk);
                     while buffer.len() < max_buffer {
@@ -604,9 +613,9 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
         let (mut candidates, mut columns) = (0u64, 0u64);
         for item in batch.items {
             engine.map_read_with(&item.read, &mut scratch);
+            candidates += scratch.scored() as u64;
             let mapped = !scratch.is_empty();
             for aln in scratch.alignments() {
-                candidates += 1;
                 columns += aln.columns.len() as u64;
                 item.session
                     .deposit(aln.window_start, aln.score, aln.columns);

@@ -1,6 +1,7 @@
 //! Overload behaviour: bounded queues shed with typed `Busy`, slow
 //! workers surface `Timeout` on finalize, a stalled client cannot wedge
-//! the batcher — and the server stays correct and live throughout.
+//! the batcher, buffered reads never wait on an empty ingress queue — and
+//! the server stays correct and live throughout.
 
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
@@ -218,6 +219,44 @@ fn stalled_client_does_not_wedge_the_batcher() {
     }
     joined.join().expect("join thread");
     drop(staller);
+}
+
+/// Reads the batcher holds beyond one round of cuts (`workers ×
+/// batch_size`) go out in the next round at once: with ingress empty, the
+/// batcher must not wait for more input while it still buffers reads the
+/// idle workers could map. Here each session's 3-read chunk takes three
+/// one-read rounds, so waiting out the 50 ms input timeout before each
+/// leftover round would hold every session back by at least 100 ms.
+#[test]
+fn leftover_reads_dispatch_without_waiting_for_input() {
+    let (reference, reads) = fixture(1_500, 3.0, 7);
+    let handle = start(
+        reference,
+        GnumapConfig::default(),
+        ServerConfig {
+            workers: 1,
+            batch_size: 1,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let sessions = 10;
+    let started = Instant::now();
+    for chunk in reads.chunks_exact(3).take(sessions) {
+        let session = client.open_session(SessionConfig::default()).expect("open");
+        assert_eq!(client.submit_reads(session, chunk).expect("submit"), 3);
+        let result = client.finalize(session, 60_000).expect("finalize");
+        assert_eq!(result.reads_processed, 3);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100) * sessions as u32 / 2,
+        "{sessions} three-read sessions took {elapsed:?}: leftover reads waited for input"
+    );
+    handle.shutdown();
+    handle.join();
 }
 
 /// Typed errors for bad session ids.
