@@ -2,14 +2,16 @@
 //!
 //! Measures the layers of the alignment hot path — emission-table build,
 //! forward, forward+backward+marginal, and the end-to-end single-thread
-//! mapping pipeline — and writes the numbers to `BENCH_phmm.json` so the
-//! perf trajectory is recorded in-repo across kernel changes.
+//! mapping pipeline — and appends the numbers, keyed by git revision, to
+//! the `history` array of `BENCH_phmm.json`, so the perf trajectory is
+//! recorded in-repo across kernel changes.
 //!
 //! The `*_band4_*` entries time the kernels in the shape production runs
 //! them (`MappingConfig::default()`: 62-bp read, 62-column window, band
 //! half-width 4): the emission-profile build done once per read
-//! orientation, the rolling-row `forward_total` every candidate gets, and
-//! the fused `posterior_columns_profiled` only surviving candidates get.
+//! orientation, the lockstep `forward_totals` every candidate gets (four
+//! candidates per call, reported per candidate), and the fused
+//! `posterior_columns_profiled` only surviving candidates get.
 //!
 //! Usage: `bench_phmm [--quick] [--out PATH]`
 //!
@@ -26,9 +28,10 @@ use gnumap_core::pipeline::accumulate_reads;
 use gnumap_core::GnumapConfig;
 use gnumap_core::MappingEngine;
 use pairhmm::forward::forward;
+use pairhmm::kernel::LANES;
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
-use pairhmm::pwm::Pwm;
+use pairhmm::pwm::{base_code, ProfileRow, Pwm};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -80,6 +83,37 @@ fn kernel_fixture(len: usize, seed: u64) -> (SequencedRead, Vec<Option<Base>>, P
     let read = SequencedRead::new("bench", read_seq, quals).unwrap();
     let window: Vec<Option<Base>> = genome_seq.iter().collect();
     (read, window, params)
+}
+
+/// The checked-out git revision (`-dirty` with uncommitted changes), or
+/// `none` outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "none".to_string())
+}
+
+/// The entries of a report this binary wrote: one JSON object per line
+/// inside its `history` array. `None` if `text` is not such a report.
+fn history_entries(text: &str) -> Option<Vec<String>> {
+    let mut lines = text.lines().map(str::trim);
+    if lines.next()? != "{" || lines.next()? != "\"history\": [" {
+        return None;
+    }
+    let entries: Vec<String> = lines
+        .take_while(|line| *line != "]")
+        .map(|line| line.trim_end_matches(',').to_string())
+        .collect();
+    entries
+        .iter()
+        .all(|e| e.starts_with('{') && e.ends_with('}'))
+        .then_some(entries)
 }
 
 fn main() {
@@ -152,17 +186,31 @@ fn main() {
         iters,
     });
     pwm.fill_profile(&params, &mut profile);
-    let codes: Vec<u8> = win.iter().map(|&y| pairhmm::pwm::base_code(y)).collect();
-    let (per_sec, iters) = measure(window, 1, || {
-        black_box(phmm_scratch.forward_total(
-            black_box(&profile),
-            black_box(&codes),
+    let codes: Vec<u8> = win.iter().map(|&y| base_code(y)).collect();
+    // One chunk of LANES candidates, each its own read against its own
+    // window, scored in lockstep; counted per candidate.
+    let lanes: Vec<(Vec<ProfileRow>, Vec<u8>)> = (0..LANES as u64)
+        .map(|l| {
+            let (read, win, _) = kernel_fixture(62, 1 + l);
+            let mut profile = Vec::new();
+            Pwm::from_read(&read).fill_profile(&params, &mut profile);
+            (profile, win.iter().map(|&y| base_code(y)).collect())
+        })
+        .collect();
+    let lane_profiles: [&[ProfileRow]; LANES] = std::array::from_fn(|l| &lanes[l].0[..]);
+    let lane_codes: Vec<[u8; LANES]> = (0..codes.len())
+        .map(|j| std::array::from_fn(|l| lanes[l].1[j]))
+        .collect();
+    let (per_sec, iters) = measure(window, LANES as u64, || {
+        black_box(phmm_scratch.forward_totals(
+            black_box(lane_profiles),
+            black_box(&lane_codes),
             &params,
             band,
         ));
     });
     results.push(Measurement {
-        name: "forward_total_62bp_band4_per_sec",
+        name: "forward_totals_62bp_band4_per_sec",
         per_sec,
         iters,
     });
@@ -202,21 +250,41 @@ fn main() {
         iters,
     });
 
-    // --- Report. ---
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"e2e_reads\": {n_reads},\n"));
-    for (i, m) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        json.push_str(&format!("  \"{}\": {:.2}{}\n", m.name, m.per_sec, comma));
+    // --- Report: append this run to the history in `out_path`. ---
+    let mut entry = format!(
+        "{{\"rev\": \"{}\", \"unix_time\": {}, \"quick\": {quick}, \"e2e_reads\": {n_reads}",
+        git_rev(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs()),
+    );
+    for m in &results {
+        entry.push_str(&format!(", \"{}\": {:.2}", m.name, m.per_sec));
         eprintln!(
             "[bench_phmm] {:<34} {:>14.1} /s  ({} iters)",
             m.name, m.per_sec, m.iters
         );
     }
-    json.push_str("}\n");
+    entry.push('}');
+    let previous = match std::fs::read_to_string(&out_path) {
+        Ok(text) => history_entries(&text).unwrap_or_else(|| {
+            panic!("{out_path} holds no `history` array; refusing to overwrite it")
+        }),
+        Err(_) => Vec::new(),
+    };
+    let mut json = String::from("{\n  \"history\": [\n");
+    for line in previous.iter().chain([&entry]) {
+        json.push_str("    ");
+        json.push_str(line);
+        json.push_str(",\n");
+    }
+    json.truncate(json.len() - 2);
+    json.push_str("\n  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write benchmark report");
-    eprintln!("[bench_phmm] wrote {out_path}");
+    eprintln!(
+        "[bench_phmm] appended run {} to {out_path}",
+        previous.len() + 1
+    );
 
     // CI smoke: all throughputs must be non-zero finite numbers.
     for m in &results {

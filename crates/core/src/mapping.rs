@@ -12,17 +12,25 @@
 //! A read is mapped in three phases. **Score:** every candidate on both
 //! strands gets only its Pair-HMM forward total, computed from the read's
 //! emission profile (built once per orientation) and a byte-code genome
-//! window. **Prune:** the totals are normalised into posterior weights and
-//! candidates below `min_weight` are dropped. **Posterior:** only the
-//! survivors get the forward planes, the backward pass and their per-column
-//! evidence. A weight depends on forward totals alone, and the posterior
-//! recomputes the same forward bit for bit, so this equals running the full
-//! forward–backward on every candidate — at a fraction of the cost when,
-//! as is typical, most candidates are pruned.
+//! window. Both strands' candidates are pooled and scored four at a time
+//! by one lockstep forward ([`PhmmScratch::forward_totals`]), each lane
+//! with its own strand's profile and window; a short last chunk repeats
+//! its last candidate in the spare lanes and discards their totals. A
+//! lane's total has the bits the candidate would get scored on its own,
+//! so the chunking is invisible in the results. **Prune:** the totals are
+//! normalised into posterior weights and candidates below `min_weight` are
+//! dropped. **Posterior:** only the survivors get the forward planes, the
+//! backward pass and their per-column evidence. A weight depends on forward
+//! totals alone, and the posterior recomputes the same forward bit for bit,
+//! so this equals running the full forward–backward on every candidate —
+//! at a fraction of the cost when, as is typical, most candidates are
+//! pruned.
 
+use genome::alphabet::Base;
 use genome::index::{IndexConfig, KmerIndex};
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
+use pairhmm::kernel::LANES;
 use pairhmm::marginal::ColumnPosterior;
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::{base_code, ProfileRow, Pwm, N_CODE};
@@ -51,7 +59,9 @@ pub struct MappingConfig {
     /// Candidate locations with posterior weight below this are dropped
     /// (and the rest renormalised).
     pub min_weight: f64,
-    /// Hard cap on candidate placements evaluated per read.
+    /// Hard cap on candidate placements evaluated per read *orientation*:
+    /// a read scores at most `max_candidates` placements on the forward
+    /// strand and as many again on the reverse strand. Zero scores none.
     pub max_candidates: usize,
 }
 
@@ -88,8 +98,11 @@ pub struct AlignScratch {
     /// Emission profiles of `pwms`, built once per read and shared by all
     /// of that orientation's candidates.
     profiles: [Vec<ProfileRow>; 2],
-    /// Genome window as profile codes, refilled per candidate.
+    /// Genome window as profile codes, refilled per surviving candidate.
     codes: Vec<u8>,
+    /// [`LANES`] genome windows interleaved by column, refilled per chunk
+    /// of candidates scored together.
+    lane_codes: Vec<[u8; LANES]>,
     /// Sorted, deduplicated candidate starts for one oriented read.
     starts: Vec<usize>,
     /// Column arena: every candidate given a posterior appends its
@@ -261,6 +274,9 @@ impl<'g> MappingEngine<'g> {
     fn candidates_into(&self, oriented: &SequencedRead, starts: &mut Vec<usize>) {
         starts.clear();
         for (qoff, gpos) in self.index.seed_hits(&oriented.seq) {
+            if starts.len() >= self.config.max_candidates {
+                break;
+            }
             let gpos = gpos as usize;
             if gpos < qoff {
                 continue;
@@ -271,9 +287,6 @@ impl<'g> MappingEngine<'g> {
                     starts.insert(pos, start);
                 }
             }
-            if starts.len() >= self.config.max_candidates {
-                break;
-            }
         }
     }
 
@@ -283,11 +296,29 @@ impl<'g> MappingEngine<'g> {
     /// window_pad` and likelihoods stay comparable across a read's
     /// candidate locations — a requirement for unbiased posterior weights.
     fn fill_window(&self, start: usize, len: usize, codes: &mut Vec<u8>) {
+        codes.clear();
+        codes.extend(self.window_bases(start, len).iter().map(|&y| base_code(y)));
+        codes.resize(len, N_CODE);
+    }
+
+    /// [`Self::fill_window`] for [`LANES`] windows at once, lane `l` of
+    /// `codes[j]` holding column `j` of the window at `starts[l]`.
+    fn fill_lanes(&self, starts: [usize; LANES], len: usize, codes: &mut Vec<[u8; LANES]>) {
+        codes.clear();
+        codes.resize(len, [N_CODE; LANES]);
+        for (lane, start) in starts.into_iter().enumerate() {
+            for (cell, &y) in codes.iter_mut().zip(self.window_bases(start, len)) {
+                cell[lane] = base_code(y);
+            }
+        }
+    }
+
+    /// The genome bases of the window of `len` at `start`, cut short at
+    /// the genome end.
+    fn window_bases(&self, start: usize, len: usize) -> &[Option<Base>] {
         let bases = self.genome.as_slice();
         let end = (start + len).min(bases.len());
-        codes.clear();
-        codes.extend(bases[start.min(end)..end].iter().map(|&y| base_code(y)));
-        codes.resize(len, N_CODE);
+        &bases[start.min(end)..end]
     }
 
     /// Banded-DP half width of a window (the band widens with the pad).
@@ -309,37 +340,57 @@ impl<'g> MappingEngine<'g> {
     }
 
     /// Phase 1 — score. Seed both strands of `read` and give every
-    /// candidate placement only its Pair-HMM forward total
-    /// ([`PhmmScratch::forward_total`]: rolling rows, no planes, no
-    /// columns). Leaves every scored candidate in `scratch`, in
-    /// evaluation order (forward placements ascending, then reverse),
-    /// with its total in [`AlignmentView::score`] and no columns — zero
-    /// totals included, so [`AlignScratch::scored`] and
-    /// [`AlignScratch::len`] agree. [`Self::map_read_with`] and
-    /// [`Self::map_read_raw_with`] build on this; the genome-split driver
-    /// calls it directly, because its weight cut needs every shard's
-    /// totals first.
+    /// candidate placement only its Pair-HMM forward total. Leaves every
+    /// scored candidate in `scratch`, in evaluation order (forward
+    /// placements ascending, then reverse), with its total in
+    /// [`AlignmentView::score`] and no columns — zero totals included, so
+    /// [`AlignScratch::scored`] and [`AlignScratch::len`] agree.
+    /// [`Self::map_read_with`] and [`Self::map_read_raw_with`] build on
+    /// this; the genome-split driver calls it directly, because its
+    /// weight cut needs every shard's totals first.
+    ///
+    /// Both strands' candidates are pooled and scored [`LANES`] at a time
+    /// by [`PhmmScratch::forward_totals`] (rolling rows, no planes, no
+    /// columns), each lane with its own strand's profile. A short last
+    /// chunk repeats its last candidate in the spare lanes, whose totals
+    /// are discarded. Each lane's total has the bits a candidate scored
+    /// on its own would get, so chunking changes no result.
     pub(crate) fn score_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
         let rc = self.prepare(read, scratch);
-        let band = self.band();
         for (reverse, oriented) in [(false, read), (true, &rc)] {
             self.candidates_into(oriented, &mut scratch.starts);
-            let AlignScratch {
-                phmm,
-                profiles,
-                codes,
-                starts,
-                cands,
-                ..
-            } = scratch;
-            let profile = &profiles[usize::from(reverse)];
-            for &start in starts.iter() {
-                self.fill_window(start, oriented.len() + self.config.window_pad, codes);
-                let total = phmm.forward_total(profile, codes, &self.config.phmm, band);
-                cands.push(CandMeta::new(reverse, start, total));
-            }
+            scratch.cands.extend(
+                scratch
+                    .starts
+                    .iter()
+                    .map(|&start| CandMeta::new(reverse, start, 0.0)),
+            );
         }
         scratch.scored = scratch.cands.len();
+
+        let band = self.band();
+        let len = read.len() + self.config.window_pad;
+        let AlignScratch {
+            phmm,
+            profiles,
+            lane_codes,
+            cands,
+            ..
+        } = scratch;
+        for chunk in cands.chunks_mut(LANES) {
+            // Lanes past a short chunk's end repeat its last candidate.
+            let lanes: [(bool, usize); LANES] = std::array::from_fn(|l| {
+                let c = &chunk[l.min(chunk.len() - 1)];
+                (c.reverse, c.window_start)
+            });
+            self.fill_lanes(lanes.map(|(_, start)| start), len, lane_codes);
+            let lane_profiles = lanes.map(|(reverse, _)| &profiles[usize::from(reverse)][..]);
+            let totals = phmm.forward_totals(lane_profiles, lane_codes, &self.config.phmm, band);
+            for (c, total) in chunk.iter_mut().zip(totals) {
+                c.likelihood = total;
+                c.score = total;
+            }
+        }
     }
 
     /// Phase 3 — posterior. Forward planes + backward + marginal for every
@@ -607,6 +658,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Scored candidates per strand for `read` under `max_candidates`.
+    fn scored_per_strand(g: &DnaSeq, read: &SequencedRead, max_candidates: usize) -> [usize; 2] {
+        let engine = MappingEngine::new(
+            g,
+            MappingConfig {
+                max_candidates,
+                ..cfg(8)
+            },
+        );
+        let mut scratch = AlignScratch::new();
+        engine.score_read_with(read, &mut scratch);
+        let mut per_strand = [0; 2];
+        for a in scratch.alignments() {
+            per_strand[usize::from(a.reverse)] += 1;
+        }
+        assert_eq!(per_strand[0] + per_strand[1], scratch.scored());
+        per_strand
+    }
+
+    #[test]
+    fn candidate_cap_applies_per_strand_and_zero_scores_nothing() {
+        // Copies on both strands seed candidates on both strands of the
+        // read; the cap bounds each strand separately.
+        let unit = "ACGGTTCAGGCATTGCAAGCTTGGC";
+        let rc: DnaSeq = genome(unit).reverse_complement();
+        let g = genome(&format!("{unit}TT{unit}AATT{rc}GG{rc}CA"));
+        let read = SequencedRead::with_uniform_quality("r", genome(unit), 25);
+        let all = scored_per_strand(&g, &read, 64);
+        assert!(
+            all.iter().all(|&c| c >= 2),
+            "fixture seeds both strands: {all:?}"
+        );
+        for cap in [0, 1, 2] {
+            assert_eq!(scored_per_strand(&g, &read, cap), all.map(|c| c.min(cap)));
+        }
+        let capped_at_zero = MappingEngine::new(
+            &g,
+            MappingConfig {
+                max_candidates: 0,
+                ..cfg(8)
+            },
+        );
+        assert!(capped_at_zero.map_read(&read).is_empty());
     }
 
     #[test]

@@ -7,7 +7,15 @@
 
 mod common;
 
+use genome::alphabet::{Base, BASES};
+use genome::index::IndexConfig;
+use genome::read::SequencedRead;
+use genome::seq::DnaSeq;
 use gnumap_core::mapping::{AlignScratch, MappingConfig, MappingEngine};
+use pairhmm::kernel::LANES;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::iter::repeat_n;
 
 /// One alignment as `(window_start, reverse, score bits, column bits)`.
 type Flat = (usize, bool, u64, Vec<[u64; 5]>);
@@ -57,16 +65,21 @@ fn reference(raw: &AlignScratch, min_weight: f64) -> Vec<Flat> {
         .collect()
 }
 
-/// Compare both paths on every read; return (reads that hit the
-/// per-strand candidate cap, reads with survivors on both sides of the
-/// `min_weight` cut).
+/// Compare both paths on every read of the repeat-rich fixture; return
+/// (reads that hit the per-strand candidate cap, reads with survivors on
+/// both sides of the `min_weight` cut).
 fn check(config: MappingConfig) -> (usize, usize) {
     let (genome, copies) = common::repeat_genome(71);
     let reads = common::reads(&genome, &copies, 160, 72);
-    let engine = MappingEngine::new(&genome, config);
+    check_reads(&genome, &reads, config)
+}
+
+/// [`check`] on any genome and reads.
+fn check_reads(genome: &DnaSeq, reads: &[SequencedRead], config: MappingConfig) -> (usize, usize) {
+    let engine = MappingEngine::new(genome, config);
     let (mut scratch, mut raw) = (AlignScratch::new(), AlignScratch::new());
     let (mut capped, mut straddling) = (0, 0);
-    for read in &reads {
+    for read in reads {
         engine.map_read_with(read, &mut scratch);
         engine.map_read_raw_with(read, &mut raw);
         assert_eq!(
@@ -114,4 +127,135 @@ fn forward_first_matches_reference_with_padded_unbanded_windows() {
         window_pad: 3,
         ..MappingConfig::default()
     });
+}
+
+/// Forward and reverse-complement copies of each unit in the few-candidate
+/// fixture: every total from 1 to 2·`LANES`+1, with per-strand counts that
+/// are not multiples of `LANES`. The unit marked `END` has its last
+/// forward copy at the very end of the genome.
+const STRAND_COPIES: [(usize, usize); 9] = [
+    (1, 0),
+    (1, 1),
+    (2, 1),
+    (3, 1),
+    (3, 2),
+    (5, 1),
+    (2, 5),
+    (5, 3),
+    (6, 3),
+];
+const END: usize = 4;
+
+/// A repeat-rich genome in which unit `t` occurs `STRAND_COPIES[t]` times
+/// per strand (each copy with 0–2 substitutions); for each unit, the read
+/// of its first `READ_LEN` bases and that read's reverse complement; and
+/// each read's expected `(forward, reverse)` candidate counts. The
+/// genome ends with `END`'s last forward copy, cut right after the read's
+/// placement, so a padded window there runs past the genome end.
+fn few_candidate_fixture(seed: u64) -> (DnaSeq, Vec<SequencedRead>, Vec<(usize, usize)>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let units: Vec<Vec<Base>> = STRAND_COPIES
+        .iter()
+        .map(|_| random_bases(&mut rng, 80))
+        .collect();
+    let mut bases = random_bases(&mut rng, 300);
+    for (t, (unit, &(forward, reverse))) in units.iter().zip(&STRAND_COPIES).enumerate() {
+        let rc: Vec<Base> = unit.iter().rev().map(|b| b.complement()).collect();
+        let at_end = usize::from(t == END);
+        for copy in repeat_n(unit, forward - at_end).chain(repeat_n(&rc, reverse)) {
+            let mut copy = copy.clone();
+            for _ in 0..rng.random_range(0..3usize) {
+                let at = rng.random_range(0..copy.len());
+                copy[at] = copy[at].transition();
+            }
+            bases.extend(copy);
+            let spacer = rng.random_range(20..40usize);
+            bases.extend(random_bases(&mut rng, spacer));
+        }
+    }
+    bases.extend(&units[END][..common::READ_LEN]);
+
+    let (mut reads, mut counts) = (Vec::new(), Vec::new());
+    for (t, (unit, &(forward, reverse))) in units.iter().zip(&STRAND_COPIES).enumerate() {
+        let seq = DnaSeq::from_bases(unit[..common::READ_LEN].iter().copied());
+        let quals: Vec<u8> = (0..common::READ_LEN)
+            .map(|_| rng.random_range(12..41u32) as u8)
+            .collect();
+        let read = SequencedRead::new(format!("u{t}"), seq, quals).expect("equal lengths");
+        reads.push(read.reverse_complement());
+        counts.push((reverse, forward));
+        reads.push(read);
+        counts.push((forward, reverse));
+    }
+    (DnaSeq::from_bases(bases), reads, counts)
+}
+
+fn random_bases(rng: &mut ChaCha8Rng, len: usize) -> Vec<Base> {
+    (0..len)
+        .map(|_| BASES[rng.random_range(0..4usize)])
+        .collect()
+}
+
+#[test]
+fn lockstep_chunks_match_reference_for_few_candidates() {
+    // Reads with 1..=2·LANES+1 candidates: chunks that mix both strands,
+    // short last chunks padded with a repeated lane, and padded windows
+    // that run past the genome end, once between two live lanes of a chunk
+    // and once as the only live lane. Seeds of 16 keep chance hits in the
+    // random background out of the counts.
+    let (genome, reads, expected) = few_candidate_fixture(81);
+    let index = IndexConfig {
+        k: 16,
+        ..IndexConfig::default()
+    };
+    let configs = [
+        MappingConfig {
+            index,
+            ..MappingConfig::default()
+        },
+        MappingConfig {
+            index,
+            band: None,
+            window_pad: 3,
+            ..MappingConfig::default()
+        },
+    ];
+    for config in configs {
+        let (_, straddling) = check_reads(&genome, &reads, config);
+        assert!(straddling > 0, "weights must straddle min_weight");
+
+        let engine = MappingEngine::new(&genome, config);
+        let mut raw = AlignScratch::new();
+        // Candidates whose window runs past the genome end, and those of
+        // them with a live lane on both sides in their chunk.
+        let (mut past_end, mut inside) = (0, 0);
+        for (read, &(forward, reverse)) in reads.iter().zip(&expected) {
+            engine.map_read_raw_with(read, &mut raw);
+            assert_eq!(raw.scored(), forward + reverse, "read {}", read.id);
+            assert_eq!(raw.len(), raw.scored(), "read {}", read.id);
+            let fwd = raw.alignments().filter(|a| !a.reverse).count();
+            assert_eq!(
+                (fwd, raw.len() - fwd),
+                (forward, reverse),
+                "read {}",
+                read.id
+            );
+            let window = read.len() + config.window_pad;
+            for (slot, a) in raw.alignments().enumerate() {
+                if a.window_start + window > genome.len() {
+                    past_end += 1;
+                    let lane = slot % LANES;
+                    inside += usize::from(lane > 0 && lane + 1 < LANES && slot + 1 < raw.len());
+                }
+            }
+        }
+        // END's read and its reverse complement both reach the end copy.
+        let padded = usize::from(config.window_pad > 0);
+        assert_eq!((past_end, inside), (2 * padded, padded));
+    }
+    let totals: Vec<usize> = expected.iter().map(|(f, r)| f + r).collect();
+    assert!((1..=2 * LANES + 1).all(|c| totals.contains(&c)));
+    assert!(expected
+        .iter()
+        .all(|(f, r)| f % LANES != 0 || r % LANES != 0));
 }

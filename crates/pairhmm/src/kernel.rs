@@ -1,7 +1,7 @@
 //! Flat, vectorization-friendly DP kernels shared by the full and banded
 //! forward/backward passes.
 //!
-//! The recursions are restructured into per-row sweeps (see DESIGN.md §8):
+//! The recursions are restructured into per-row sweeps (see DESIGN.md §5c):
 //!
 //! * **Forward, sweep 1** — `f_M(i, ·)` and `f_GX(i, ·)` depend only on row
 //!   `i−1`, so the whole row is a branch-free elementwise loop over equal
@@ -27,10 +27,23 @@
 //!
 //! The mapping hot path builds no emission table: `p*(i, j)` is looked up
 //! in the read's emission profile by the window's genome code, only for
-//! in-band cells. [`forward_row`] takes its row's in-band emissions as an
-//! iterator, so the scoring forward does that lookup inside the sweep; the
-//! posterior pass fills only the in-band cells of its table with
-//! [`gather_row`] (cells outside the band are never read).
+//! in-band cells. The posterior pass fills only the in-band cells of its
+//! table with [`gather_row`] (cells outside the band are never read) and
+//! runs [`forward_row`] over them. The scoring forward
+//! [`forward_row_lanes`] does the lookup inside its sweep, for [`LANES`]
+//! candidates at once.
+//!
+//! **Lockstep lanes.** Within one alignment the `f_GY` carry is a serial
+//! chain of dependent multiply–adds, so a single band-4 row leaves the FP
+//! units mostly idle. [`forward_row_lanes`] runs [`LANES`] independent
+//! alignments side by side instead — the inter-task parallelism of
+//! GPU Pair-HMM kernels — with each DP cell an `[f64; LANES]` and lane
+//! `l` holding candidate `l`. Every lane operation is an elementwise
+//! `zip` over the lane arrays, which LLVM turns into packed vector ops, so
+//! the lanes' carries overlap instead of queueing. A lane evaluates
+//! exactly the per-cell expressions of [`forward_row`] on its own
+//! operands, and no operation ever combines two lanes, so each lane's
+//! values have the bits a scalar pass on that candidate would produce.
 
 use crate::emission::Emission;
 use crate::params::PhmmParams;
@@ -101,15 +114,14 @@ fn validate_planes(emit: Emission<'_>, planes: [&[f64]; 3]) -> (usize, usize, us
 
 /// Compute one forward row `i` from row `i−1`, two-sweep. `mp`/`xp`/`yp`
 /// are row `i−1`; `mc`/`xc`/`yc` are row `i` (each of length `m + 1`);
-/// `erow` yields the in-band emissions `p*(i, j)` for `j = j_min ..=
-/// j_max`, read from a table row or looked up in a profile row. Writes
-/// zero sentinels one cell left and right of the band so stale buffers
-/// need no pre-clearing.
+/// `erow` holds the in-band emissions `p*(i, j)` for `j = j_min ..=
+/// j_max`. Writes zero sentinels one cell left and right of the band so
+/// stale buffers need no pre-clearing.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_row(
     params: &PhmmParams,
-    erow: impl IntoIterator<Item = f64>,
+    erow: &[f64],
     mp: &[f64],
     xp: &[f64],
     yp: &[f64],
@@ -149,7 +161,7 @@ pub(crate) fn forward_row(
         .zip(&yp[j_min - 1..j_max])
         .zip(&mp[j_min..=j_max])
         .zip(&xp[j_min..=j_max]);
-    for (((((((mv, xv), e), &mpd), &xpd), &ypd), &mps), &xps) in it {
+    for (((((((mv, xv), &e), &mpd), &xpd), &ypd), &mps), &xps) in it {
         *mv = e * (t_mm * mpd + t_gm * (xpd + ypd));
         *xv = q * (t_mg * mps + t_gg * xps);
     }
@@ -160,6 +172,96 @@ pub(crate) fn forward_row(
     for (yv, &mcl) in yc[j_min..=j_max].iter_mut().zip(&mc[j_min - 1..j_max]) {
         carry = q * (t_mg * mcl + t_gg * carry);
         *yv = carry;
+    }
+}
+
+/// Candidates [`forward_row_lanes`] scores in lockstep, one per lane.
+pub const LANES: usize = 4;
+
+/// One DP cell of [`LANES`] independent alignments, lane `l` holding
+/// candidate `l`'s value.
+pub type Lanes = [f64; LANES];
+
+/// Compute forward row `i` of [`LANES`] independent alignments from row
+/// `i−1`, in one fused sweep. `prev` and `cur` are the `[f_M, f_GX, f_GY]`
+/// rows `i−1` and `i` (each of length `m + 1`); `prows` holds each lane's
+/// profile row `i` and `codes` each lane's genome codes for columns `j_min
+/// ..= j_max`. Per lane, every cell is the expression of [`forward_row`]
+/// on the same operands, so each lane's values carry its bits: the sweep
+/// only runs `f_GY(i, j)` in the same pass as `f_M(i, j)` and `f_GX(i, j)`,
+/// reading `f_M(i, j−1)` from the cell just computed. The lanes have no
+/// data dependencies on each other, so their `f_GY` carries — serial in
+/// `j` within a lane — overlap in the FP pipeline instead of waiting on
+/// each other.
+#[inline]
+pub(crate) fn forward_row_lanes(
+    params: &PhmmParams,
+    prows: [&ProfileRow; LANES],
+    codes: &[[u8; LANES]],
+    prev: [&[Lanes]; 3],
+    cur: [&mut [Lanes]; 3],
+    (j_min, j_max): (usize, usize),
+    m: usize,
+) {
+    let &PhmmParams {
+        t_mm,
+        t_mg,
+        t_gm,
+        t_gg,
+        q,
+        ..
+    } = params;
+    let [mp, xp, yp] = prev;
+    let [mc, xc, yc] = cur;
+    debug_assert_eq!(codes.len(), j_max + 1 - j_min);
+
+    // Zero sentinels bounding the band in the (possibly stale) row.
+    for row in [&mut *mc, &mut *xc, &mut *yc] {
+        row[j_min - 1] = [0.0; LANES];
+        if j_max < m {
+            row[j_max + 1] = [0.0; LANES];
+        }
+    }
+
+    // f_M(i, j−1) and f_GY(i, j−1), starting from the left sentinels.
+    let mut m_left = [0.0; LANES];
+    let mut carry = [0.0; LANES];
+    let it = mc[j_min..=j_max]
+        .iter_mut()
+        .zip(xc[j_min..=j_max].iter_mut())
+        .zip(yc[j_min..=j_max].iter_mut())
+        .zip(codes)
+        .zip(&mp[j_min - 1..j_max])
+        .zip(&xp[j_min - 1..j_max])
+        .zip(&yp[j_min - 1..j_max])
+        .zip(&mp[j_min..=j_max])
+        .zip(&xp[j_min..=j_max]);
+    for ((((((((mv, xv), yv), code), mpd), xpd), ypd), mps), xps) in it {
+        // p*(i, j) per lane, looked up by that lane's genome code.
+        let mut e = [0.0; LANES];
+        for ((e, prow), &c) in e.iter_mut().zip(prows).zip(code) {
+            *e = prow[code_index(c)];
+        }
+        //   f_M(i,j)  = p*(i,j)·[T_MM·f_M(i−1,j−1) + T_GM·(f_GX + f_GY)(i−1,j−1)]
+        let mut f_m = [0.0; LANES];
+        for ((((v, e), mpd), xpd), ypd) in f_m.iter_mut().zip(e).zip(mpd).zip(xpd).zip(ypd) {
+            *v = e * (t_mm * mpd + t_gm * (xpd + ypd));
+        }
+        //   f_GX(i,j) = q·[T_MG·f_M(i−1,j) + T_GG·f_GX(i−1,j)]
+        let mut f_x = [0.0; LANES];
+        for ((v, mps), xps) in f_x.iter_mut().zip(mps).zip(xps) {
+            *v = q * (t_mg * mps + t_gg * xps);
+        }
+        //   f_GY(i,j) = q·[T_MG·f_M(i,j−1) + T_GG·f_GY(i,j−1)]
+        for (c, mcl) in carry.iter_mut().zip(m_left) {
+            *c = q * (t_mg * mcl + t_gg * *c);
+        }
+        // Whole-cell stores, and f_M(i, j) carried in registers: reading
+        // it back from the row would stall on store forwarding.
+        *mv = f_m;
+        *xv = f_x;
+        *yv = carry;
+        m_left = f_m;
     }
 }
 
@@ -192,7 +294,7 @@ pub fn forward_planes(
         let (yp, yc) = fy[base..base + 2 * stride].split_at_mut(stride);
         forward_row(
             params,
-            emit.row(i - 1)[j_min - 1..j_max].iter().copied(),
+            &emit.row(i - 1)[j_min - 1..j_max],
             mp,
             xp,
             yp,

@@ -24,13 +24,17 @@
 //!   benchmark replays; the mapping path fills only in-band cells from the
 //!   profile.
 //! * [`kernel`]   — the flat-plane, vectorization-structured forward and
-//!   backward recursions (full-table and banded via one `Band` parameter).
+//!   backward recursions (full-table and banded via one `Band` parameter),
+//!   and the lockstep forward row that scores [`kernel::LANES`] candidates
+//!   at once, one per vector lane.
 //! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena
 //!   (zero steady-state allocations) with the two production entry
-//!   points: `forward_total`, the rolling-row forward every candidate gets,
-//!   and `posterior_columns_profiled`, forward planes plus the fused
+//!   points: `forward_totals`, the rolling-row forward every candidate
+//!   gets, four candidates of a read per call in lockstep lanes, and
+//!   `posterior_columns_profiled`, forward planes plus the fused
 //!   backward+marginal streaming pass, run only for candidates that
-//!   survive the posterior weight cut.
+//!   survive the posterior weight cut. A lane's total has the bits of the
+//!   posterior pass's total for that candidate.
 //! * [`matrix`]   — dense `f64` DP matrices.
 //! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI Step 2.
 //! * [`marginal`] — posterior cell probabilities and per-column `z` vectors.

@@ -65,19 +65,7 @@ pub fn scaled_forward_into(
         // references the *current* row (i, j-1), already at this row's
         // scale: both scales agree once the row is normalised, because
         // f_Y(i, j) only feeds from row i and row i-1 values.
-        kernel::forward_row(
-            params,
-            emit.row(i - 1).iter().copied(),
-            mp,
-            xp,
-            yp,
-            mc,
-            xc,
-            yc,
-            1,
-            m,
-            m,
-        );
+        kernel::forward_row(params, emit.row(i - 1), mp, xp, yp, mc, xc, yc, 1, m, m);
 
         // Renormalise the completed row across all three states.
         let row_max = mc

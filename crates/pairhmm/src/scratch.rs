@@ -3,25 +3,31 @@
 //! [`PhmmScratch`] owns every buffer one posterior alignment needs — an
 //! `N × M` emission buffer, the three retained forward planes, six rolling
 //! backward rows, the per-column `z`-vector accumulator, and a scale vector for the
-//! rescaled forward variant. Buffers grow monotonically and are reused
-//! across a thread's whole read batch, so after the first few alignments
-//! warm them up the steady-state loop performs **zero heap allocations per
-//! read × window pair**.
+//! rescaled forward variant — plus the lane-interleaved rolling rows of the
+//! scoring forward. Buffers grow monotonically and are reused across a
+//! thread's whole read batch, so after the first few alignments warm them
+//! up the steady-state loop performs **zero heap allocations per read ×
+//! window pair**.
 //!
 //! The mapping hot path scores a read's candidates in two steps, both fed
 //! by the read's emission profile ([`crate::pwm::ProfileRow`] per read row)
-//! and a window of genome codes ([`crate::pwm::base_code`]):
+//! and windows of genome codes ([`crate::pwm::base_code`]):
 //!
-//! * [`PhmmScratch::forward_total`] — the forward total alone, over two
-//!   rolling rows per state, looking up each row's in-band emissions as
-//!   the row is computed. No planes, no emission table. Every candidate
-//!   gets this; the total is all the posterior weight needs.
+//! * [`PhmmScratch::forward_totals`] — the forward totals alone of
+//!   [`LANES`] candidates at once, in lockstep: two rolling rows per state
+//!   whose cells are `[f64; LANES]`, one lane per candidate, each lane with
+//!   its own profile and its own window (`codes[j][lane]`). Each row's
+//!   in-band emissions are looked up as the row is computed. No planes, no
+//!   emission table. Every candidate gets this; the total is all the
+//!   posterior weight needs.
 //! * [`PhmmScratch::posterior_columns_profiled`] — only for candidates that
 //!   survive the weight cut: the in-band emission cells, the forward into
 //!   retained planes, then the streaming backward fused with the marginals.
 //!
-//! Both run the same [`kernel::forward_row`] on the same emission values,
-//! so their totals agree bit for bit.
+//! The two forwards evaluate the same per-cell expressions
+//! ([`kernel::forward_row_lanes`] per lane, [`kernel::forward_row`]) on the
+//! same emission values in the same order, and the lanes never mix, so a
+//! lane's total and the posterior pass's total agree bit for bit.
 //!
 //! The fused pass never materialises the backward tables: it streams two
 //! rolling backward rows (`i+1` and `i`) from the bottom of the DP upward,
@@ -33,7 +39,7 @@
 //! in `tests/fused_bitident.rs`.
 
 use crate::emission::Emission;
-use crate::kernel::{self, Band};
+use crate::kernel::{self, Band, Lanes, LANES};
 use crate::marginal::ColumnPosterior;
 use crate::params::PhmmParams;
 use crate::pwm::{base_code, ProfileRow, Pwm};
@@ -46,8 +52,6 @@ pub struct PhmmScratch {
     /// only its in-band cells.
     emit: Vec<f64>,
     /// Retained forward planes, `(N+1) × (M+1)` row-major.
-    /// [`forward_total`](Self::forward_total) uses their first two rows
-    /// as its rolling rows.
     fm: Vec<f64>,
     fx: Vec<f64>,
     fy: Vec<f64>,
@@ -63,6 +67,11 @@ pub struct PhmmScratch {
     scale: Vec<f64>,
     /// Column posterior accumulator, length `M` after a call.
     cols: Vec<ColumnPosterior>,
+    /// Rolling forward rows of [`forward_totals`](Self::forward_totals),
+    /// `2 × (M+1)` lane cells per state.
+    lm: Vec<Lanes>,
+    lx: Vec<Lanes>,
+    ly: Vec<Lanes>,
     /// Profile and genome codes built by the `Option<Base>` entry point
     /// [`posterior_columns`](Self::posterior_columns).
     profile: Vec<ProfileRow>,
@@ -72,9 +81,9 @@ pub struct PhmmScratch {
 /// Grow `v` to at least `len` without ever shrinking (keeps capacity hot
 /// across differently sized windows).
 #[inline]
-fn ensure(v: &mut Vec<f64>, len: usize) {
+fn ensure<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
-        v.resize(len, 0.0);
+        v.resize(len, T::default());
     }
 }
 
@@ -92,54 +101,72 @@ impl PhmmScratch {
         &self.cols
     }
 
-    /// Forward total likelihood of a read against one window: the read's
-    /// emission profile (one row per read position, see
-    /// [`Pwm::fill_profile`]) against the window's genome codes
-    /// ([`base_code`]). Runs [`kernel::forward_row`] over two rolling rows
-    /// per state, looking up only each row's in-band emissions, so it
-    /// keeps no planes and builds no emission table. The result has the
-    /// same bits as the total of [`posterior_columns_profiled`] and of
-    /// [`kernel::forward_planes`] on the same inputs.
+    /// Forward totals of [`LANES`] candidates of one read at once, in
+    /// lockstep: lane `l` aligns `profiles[l]` (one row per read position,
+    /// see [`Pwm::fill_profile`]) against the genome codes `codes[j][l]`
+    /// ([`base_code`]). All lanes share the read length `n` (the profiles'
+    /// length), the window length `m` (`codes.len()`) and the band; each
+    /// lane has its own profile, so a chunk may mix both orientations of a
+    /// read. Runs [`kernel::forward_row_lanes`] over two rolling rows per
+    /// state of `[f64; LANES]` cells, looking up only each row's in-band
+    /// emissions, so it keeps no planes and builds no emission table. Lane
+    /// `l`'s result has the same bits as the total of
+    /// [`posterior_columns_profiled`] and of [`kernel::forward_planes`] on
+    /// lane `l`'s inputs.
     ///
     /// [`posterior_columns_profiled`]: Self::posterior_columns_profiled
-    pub fn forward_total(
+    pub fn forward_totals(
         &mut self,
-        profile: &[ProfileRow],
-        codes: &[u8],
+        profiles: [&[ProfileRow]; LANES],
+        codes: &[[u8; LANES]],
         params: &PhmmParams,
         band: Option<usize>,
-    ) -> f64 {
-        let n = profile.len();
+    ) -> Lanes {
+        let n = profiles[0].len();
         let m = codes.len();
         assert!(n >= 1, "read must be non-empty");
         assert!(m >= 1, "window must be non-empty");
+        assert!(
+            profiles.iter().all(|p| p.len() == n),
+            "lanes must share one read length"
+        );
         let band: Band = band.map(|w| kernel::diagonal_bounds(n, m, w));
         let stride = m + 1;
-        for p in [&mut self.fm, &mut self.fx, &mut self.fy] {
+        for p in [&mut self.lm, &mut self.lx, &mut self.ly] {
             ensure(p, 2 * stride);
         }
 
         // Border row 0: zero over the range row 1 reads, with f_M(0,0) = 1
         // — as in `kernel::forward_planes`.
         let (_, hi0) = kernel::row_range(band, 1, m);
-        for p in [&mut self.fm, &mut self.fx, &mut self.fy] {
-            p[..=hi0].fill(0.0);
+        for p in [&mut self.lm, &mut self.lx, &mut self.ly] {
+            p[..=hi0].fill([0.0; LANES]);
         }
-        self.fm[0] = 1.0;
+        self.lm[0] = [1.0; LANES];
 
-        for (i, prow) in (1..=n).zip(profile) {
+        for i in 1..=n {
             let (j_min, j_max) = kernel::row_range(band, i, m);
-            // p*(i, j) for j in [j_min, j_max], looked up by genome code.
-            let erow = codes[j_min - 1..j_max]
-                .iter()
-                .map(|&c| prow[kernel::code_index(c)]);
-            let (mp, mc) = rolling(&mut self.fm, stride, i);
-            let (xp, xc) = rolling(&mut self.fx, stride, i);
-            let (yp, yc) = rolling(&mut self.fy, stride, i);
-            kernel::forward_row(params, erow, mp, xp, yp, mc, xc, yc, j_min, j_max, m);
+            let (mp, mc) = rolling(&mut self.lm, stride, i);
+            let (xp, xc) = rolling(&mut self.lx, stride, i);
+            let (yp, yc) = rolling(&mut self.ly, stride, i);
+            kernel::forward_row_lanes(
+                params,
+                profiles.map(|p| &p[i - 1]),
+                &codes[j_min - 1..j_max],
+                [mp, xp, yp],
+                [mc, xc, yc],
+                (j_min, j_max),
+                m,
+            );
         }
+        // Per lane (f_M + f_GX) + f_GY at (n, m), summed in the order of
+        // `kernel::forward_planes`.
         let end = (n % 2) * stride + m;
-        self.fm[end] + self.fx[end] + self.fy[end]
+        let mut totals = self.lm[end];
+        for ((t, x), y) in totals.iter_mut().zip(self.lx[end]).zip(self.ly[end]) {
+            *t = *t + x + y;
+        }
+        totals
     }
 
     /// Full fused posterior alignment of one read (PWM) against one
@@ -173,13 +200,13 @@ impl PhmmScratch {
     }
 
     /// Full fused posterior alignment from a read's emission profile and a
-    /// window of genome codes (the inputs of
-    /// [`forward_total`](Self::forward_total)): in-band emission gather →
+    /// window of genome codes (one lane's inputs of
+    /// [`forward_totals`](Self::forward_totals)): in-band emission gather →
     /// forward into retained planes → streaming backward fused with
     /// `z`-vector accumulation. `pwm` supplies the read rows the `z`
     /// vectors are weighted by; `profile` must be its
     /// [`Pwm::fill_profile`]. Returns the total likelihood, bit-identical
-    /// to [`forward_total`](Self::forward_total)'s.
+    /// to that lane's total from [`forward_totals`](Self::forward_totals).
     pub fn posterior_columns_profiled(
         &mut self,
         pwm: &Pwm,
@@ -400,7 +427,7 @@ impl PhmmScratch {
 /// Rows `i − 1` (read) and `i` (written) of a two-row rolling buffer:
 /// row `i` lives in slot `i mod 2`.
 #[inline]
-fn rolling(buf: &mut [f64], stride: usize, i: usize) -> (&[f64], &mut [f64]) {
+fn rolling<T>(buf: &mut [T], stride: usize, i: usize) -> (&[T], &mut [T]) {
     let (even, odd) = buf[..2 * stride].split_at_mut(stride);
     if i % 2 == 1 {
         (even, odd)

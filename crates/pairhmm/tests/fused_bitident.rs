@@ -5,16 +5,17 @@
 //! reuse — and the banded DP must collapse to the full DP bitwise when the
 //! band covers every cell. The scaled-forward scratch entry must likewise
 //! reproduce [`pairhmm::scaling::scaled_forward`] exactly on reads long
-//! enough to trigger rescaling. The scoring pass
-//! [`pairhmm::PhmmScratch::forward_total`] (emission profile + genome codes,
-//! rolling rows) must return the bits of the plane forward's total, and the
+//! enough to trigger rescaling. The lockstep scoring pass
+//! [`pairhmm::PhmmScratch::forward_totals`] (emission profiles + lane-
+//! interleaved genome codes, rolling rows) must return, in every live lane,
+//! the bits of the plane forward's total on that lane's inputs, and the
 //! profile it reads must equal the blended emission cell for cell.
 
 use genome::alphabet::{Base, BASES};
-use pairhmm::kernel::{diagonal_bounds, forward_planes};
+use pairhmm::kernel::{diagonal_bounds, forward_planes, LANES};
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
-use pairhmm::pwm::{base_code, Pwm};
+use pairhmm::pwm::{base_code, ProfileRow, Pwm};
 use pairhmm::scaling::scaled_forward;
 use pairhmm::PhmmScratch;
 use proptest::prelude::*;
@@ -55,6 +56,43 @@ type Case = (Pwm, Vec<Option<Base>>, PhmmParams);
 fn case_strategy() -> impl Strategy<Value = Case> {
     (1..=24usize, 1..=64usize)
         .prop_flat_map(|(n, m)| (pwm_strategy(n), window_strategy(m), params_strategy()))
+}
+
+/// Two random PWMs of one read length, [`LANES`] windows of one length,
+/// and which of the two PWMs each lane aligns.
+type LaneCase = (Pwm, Pwm, Vec<Vec<Option<Base>>>, Vec<usize>, PhmmParams);
+
+fn lane_case_strategy() -> impl Strategy<Value = LaneCase> {
+    (1..=24usize, 1..=64usize).prop_flat_map(|(n, m)| {
+        (
+            pwm_strategy(n),
+            pwm_strategy(n),
+            proptest::collection::vec(window_strategy(m), LANES),
+            proptest::collection::vec(0..2usize, LANES),
+            params_strategy(),
+        )
+    })
+}
+
+/// Total of [`forward_planes`] over `pwm`'s full emission table.
+fn plane_forward(
+    pwm: &Pwm,
+    window: &[Option<Base>],
+    params: &PhmmParams,
+    band: Option<usize>,
+) -> f64 {
+    let (n, m) = (pwm.len(), window.len());
+    let emit = pwm.emission_table(window, params);
+    let plane = (n + 1) * (m + 1);
+    let (mut fm, mut fx, mut fy) = (vec![0.0; plane], vec![0.0; plane], vec![0.0; plane]);
+    forward_planes(
+        emit.view(),
+        params,
+        &mut fm,
+        &mut fx,
+        &mut fy,
+        band.map(|w| diagonal_bounds(n, m, w)),
+    )
 }
 
 /// Compare the fused pass against the materialized one, bit for bit.
@@ -136,42 +174,62 @@ proptest! {
     }
 
     #[test]
-    fn forward_total_matches_plane_forward_bitwise(
-        case in case_strategy(),
+    fn forward_totals_lanes_match_plane_forward_bitwise(
+        case in lane_case_strategy(),
+        live in 1..=LANES,
         w in 0..=9usize,
     ) {
-        // Rolling rows over profile lookups vs retained planes over a full
-        // emission table: same cells, same order, same bits. Half-widths
-        // 0..=8, and 9 stands for the full table.
+        // Lockstep rolling rows over profile lookups vs retained planes
+        // over each lane's own emission table: same cells, same order,
+        // same bits, whatever the other lanes hold. Half-widths 0..=8, and
+        // 9 stands for the full table. Lanes from `live` on are padding
+        // that repeats the last live lane, as the mapping engine pads a
+        // short last chunk.
         let band = (w <= 8).then_some(w);
-        let (pwm, window, params) = case;
-        let (n, m) = (pwm.len(), window.len());
-        let emit = pwm.emission_table(&window, &params);
-        let plane = (n + 1) * (m + 1);
-        let (mut fm, mut fx, mut fy) = (vec![0.0; plane], vec![0.0; plane], vec![0.0; plane]);
-        let reference = forward_planes(
-            emit.view(),
-            &params,
-            &mut fm,
-            &mut fx,
-            &mut fy,
-            band.map(|w| diagonal_bounds(n, m, w)),
-        );
-        let mut profile = Vec::new();
-        pwm.fill_profile(&params, &mut profile);
-        let codes: Vec<u8> = window.iter().map(|&y| base_code(y)).collect();
+        let (pwm_a, pwm_b, windows, which, params) = case;
+        let pwms = [pwm_a, pwm_b];
+        let profiles = pwms.each_ref().map(|pwm| {
+            let mut profile = Vec::new();
+            pwm.fill_profile(&params, &mut profile);
+            profile
+        });
+        let lane = |l: usize| l.min(live - 1);
+        let lane_profiles: [&[ProfileRow]; LANES] =
+            std::array::from_fn(|l| &profiles[which[lane(l)]][..]);
+        let codes: Vec<[u8; LANES]> = (0..windows[0].len())
+            .map(|j| std::array::from_fn(|l| base_code(windows[lane(l)][j])))
+            .collect();
+
         let mut scratch = PhmmScratch::new();
-        let total = scratch.forward_total(&profile, &codes, &params, band);
-        prop_assert_eq!(
-            total.to_bits(),
-            reference.to_bits(),
-            "forward_total {} vs forward_planes {}",
-            total,
-            reference
-        );
-        // The posterior pass recomputes the same forward.
-        let posterior = scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, band);
-        prop_assert_eq!(posterior.to_bits(), reference.to_bits());
+        // Stale rows from an unbanded pass must not leak into this one.
+        scratch.forward_totals(lane_profiles, &codes, &params, None);
+        let totals = scratch.forward_totals(lane_profiles, &codes, &params, band);
+        for (l, total) in totals.iter().enumerate().take(live) {
+            let pwm = &pwms[which[l]];
+            let reference = plane_forward(pwm, &windows[l], &params, band);
+            prop_assert_eq!(
+                total.to_bits(),
+                reference.to_bits(),
+                "lane {} of {}: forward_totals {} vs forward_planes {}",
+                l,
+                live,
+                total,
+                reference
+            );
+            // The posterior pass recomputes the same forward.
+            let lane_codes: Vec<u8> = windows[l].iter().map(|&y| base_code(y)).collect();
+            let posterior = scratch.posterior_columns_profiled(
+                pwm,
+                &profiles[which[l]],
+                &lane_codes,
+                &params,
+                band,
+            );
+            prop_assert_eq!(posterior.to_bits(), reference.to_bits());
+        }
+        for total in &totals[live..] {
+            prop_assert_eq!(total.to_bits(), totals[live - 1].to_bits());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the fused scratch kernel.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
-//! warmup alignment per configuration, repeated `forward_total` /
+//! warmup alignment per configuration, repeated `forward_totals` /
 //! `posterior_columns_profiled` / `posterior_columns` / `scaled_log_total`
 //! calls on a reused [`pairhmm::PhmmScratch`] (and refilling a reused
 //! emission profile) must perform **zero** heap allocations — the core promise of the
@@ -69,6 +69,7 @@ fn allocation_count() -> u64 {
 #[test]
 fn fused_kernel_is_allocation_free_in_steady_state() {
     use genome::alphabet::BASES;
+    use pairhmm::kernel::LANES;
     use pairhmm::params::PhmmParams;
     use pairhmm::pwm::{base_code, Pwm};
     use pairhmm::PhmmScratch;
@@ -88,6 +89,16 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
     let window: Vec<_> = (0..n).map(|j| Some(BASES[(j * 7 + 3) % 4])).collect();
 
     let codes: Vec<u8> = window.iter().map(|&y| base_code(y)).collect();
+    // The same window in every lane but the last, which reads it reversed.
+    let lane_codes: Vec<[u8; LANES]> = codes
+        .iter()
+        .zip(codes.iter().rev())
+        .map(|(&c, &r)| {
+            let mut lanes = [c; LANES];
+            lanes[LANES - 1] = r;
+            lanes
+        })
+        .collect();
 
     let mut scratch = PhmmScratch::new();
     let mut profile = Vec::new();
@@ -95,8 +106,8 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
 
     // Warmup: grow every buffer for each configuration exercised below.
     pwm.fill_profile(&params, &mut profile);
-    sink += scratch.forward_total(&profile, &codes, &params, Some(4));
-    sink += scratch.forward_total(&profile, &codes, &params, None);
+    sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, Some(4))[0];
+    sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, None)[LANES - 1];
     sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
     sink += scratch.posterior_columns(&pwm, &window, &params, None);
     sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
@@ -105,8 +116,8 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
     let before = allocation_count();
     for _ in 0..100 {
         pwm.fill_profile(&params, &mut profile);
-        sink += scratch.forward_total(&profile, &codes, &params, Some(4));
-        sink += scratch.forward_total(&profile, &codes, &params, None);
+        sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, Some(4))[0];
+        sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, None)[LANES - 1];
         sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
         sink += scratch.posterior_columns(&pwm, &window, &params, None);
         sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
@@ -120,7 +131,7 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         after - before,
         0,
         "steady-state scratch alignments must not allocate \
-         ({} allocations over 600 alignments)",
+         ({} allocations over 400 alignments and 200 lane chunks)",
         after - before
     );
 }
