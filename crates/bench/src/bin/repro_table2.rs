@@ -11,20 +11,11 @@
 use bench::{render_table, WorkloadSpec};
 use genome::index::{IndexConfig, KmerIndex};
 use genome::packed::PackedSeq;
-use gnumap_core::accum::{
-    AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, FixedAccumulator, GenomeAccumulator,
-    NormAccumulator,
-};
+use gnumap_core::accum::{AccumulatorMode, GenomeAccumulator};
 use gnumap_core::footprint::{human_bytes, FootprintModel, CHR_X_BASES, HUMAN_GENOME_BASES};
 
 fn measured_bytes(mode: AccumulatorMode, genome_len: usize, shared: usize) -> usize {
-    let acc_bytes = match mode {
-        AccumulatorMode::Norm => NormAccumulator::new(genome_len).heap_bytes(),
-        AccumulatorMode::CharDisc => CharDiscAccumulator::new(genome_len).heap_bytes(),
-        AccumulatorMode::CentDisc => CentDiscAccumulator::new(genome_len).heap_bytes(),
-        AccumulatorMode::Fixed => FixedAccumulator::new(genome_len).heap_bytes(),
-    };
-    acc_bytes + shared
+    gnumap_core::with_accumulator!(mode, |A| A::new(genome_len).heap_bytes()) + shared
 }
 
 fn main() {

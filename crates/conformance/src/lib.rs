@@ -9,8 +9,8 @@
 //!   log-space Pair-HMM forward/backward, a direct numerical-maximisation
 //!   LRT, a quadrature χ² CDF) checked against the production kernels on
 //!   randomized inputs within tight tolerances;
-//! * [`matrix`] — a differential runner that executes the serial, rayon,
-//!   read-split MPI, genome-split MPI and streaming drivers over seeded
+//! * [`matrix`] — a differential runner that executes the serial,
+//!   read-split MPI, genome-split MPI, streaming and server drivers over seeded
 //!   randomized workloads and asserts **bit-identical** `FixedAccumulator`
 //!   digests, SNP-call wires and mapped counts across the whole matrix;
 //! * [`faults`] — deterministic fault injection (failing/stuttering read

@@ -179,8 +179,7 @@ fn compare_drivers(
     fast: bool,
 ) {
     // Vary the parallel shape with the workload index so the sweep covers
-    // worker/rank/batch-size combinations without a full cross product.
-    let threads = [2, 3, 4][workload % 3];
+    // rank/worker/batch-size combinations without a full cross product.
     let ranks = [2, 3, 5][workload % 3];
 
     for driver in registry.all() {
@@ -192,18 +191,6 @@ fn compare_drivers(
         match driver.name() {
             // The reference row itself.
             "serial" => {}
-            "rayon" => {
-                ctx.threads = threads;
-                run_and_assert(
-                    out,
-                    workload,
-                    driver,
-                    &format!("rayon(threads {threads})"),
-                    &ctx,
-                    wl,
-                    reference,
-                );
-            }
             "read-split" | "genome-split" => {
                 ctx.threads = ranks;
                 run_and_assert(

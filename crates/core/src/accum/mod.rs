@@ -156,6 +156,38 @@ impl AccumulatorMode {
     }
 }
 
+/// Evaluate `$body` with the type alias `$A` bound to the accumulator type
+/// `$mode` selects: the one place an [`AccumulatorMode`] becomes a type.
+///
+/// ```
+/// use gnumap_core::accum::{AccumulatorMode, GenomeAccumulator};
+/// let bytes = gnumap_core::with_accumulator!(AccumulatorMode::Fixed, |A| A::new(10).heap_bytes());
+/// assert_eq!(bytes, 10 * AccumulatorMode::Fixed.bytes_per_base());
+/// ```
+#[macro_export]
+macro_rules! with_accumulator {
+    ($mode:expr, |$A:ident| $body:expr) => {
+        match $mode {
+            $crate::accum::AccumulatorMode::Norm => {
+                type $A = $crate::accum::NormAccumulator;
+                $body
+            }
+            $crate::accum::AccumulatorMode::CharDisc => {
+                type $A = $crate::accum::CharDiscAccumulator;
+                $body
+            }
+            $crate::accum::AccumulatorMode::CentDisc => {
+                type $A = $crate::accum::CentDiscAccumulator;
+                $body
+            }
+            $crate::accum::AccumulatorMode::Fixed => {
+                type $A = $crate::accum::FixedAccumulator;
+                $body
+            }
+        }
+    };
+}
+
 impl std::fmt::Display for AccumulatorMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())

@@ -35,15 +35,15 @@
 use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
 use crate::driver::{decode_calls, encode_calls, CallWireError};
-use crate::mapping::MappingEngine;
-use crate::observe::{Event, Observer, Stage, StageTimer};
+use crate::mapping::{AlignScratch, MappingEngine};
+use crate::observe::{Observer, RunTimer, Stage, StageTimer};
+use crate::pipeline::{deposit, BatchCounts};
 use crate::report::RunReport;
 use crate::snpcall::call_snps_with_offset;
 use genome::read::SequencedRead;
 use genome::region::Region;
 use genome::seq::DnaSeq;
 use mpisim::World;
-use std::time::Instant;
 
 /// Reads per normalisation round-trip. The paper's description implies the
 /// cross-rank score combination happens per read; batching 16 reads per
@@ -57,22 +57,13 @@ const BATCH: usize = 16;
 const MARGIN_TAG: u64 = 11;
 
 /// Run the genome-split decomposition on `ranks` simulated MPI ranks.
+///
+/// The observer gets one [`crate::observe::Event::Batch`] per rank (every
+/// rank scans all reads; scored owned candidates and deposited columns
+/// are counted per shard, so the ranks' candidate counts add up to the
+/// serial driver's, and the exact global mapped count is carried by rank
+/// 0's event), with stage timings taken on rank 0.
 pub fn run_genome_split<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    ranks: usize,
-) -> Result<RunReport, CallWireError> {
-    run_genome_split_observed::<A>(reference, reads, config, ranks, &Observer::disabled())
-}
-
-/// [`run_genome_split`] with structured observability: one
-/// [`Event::Batch`] per rank (every rank scans all reads; scored owned
-/// candidates and deposited columns are counted per shard, so the ranks'
-/// candidate counts add up to the serial driver's, and the exact global
-/// mapped count is carried by rank 0's event), stage timings taken on
-/// rank 0.
-pub fn run_genome_split_observed<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
@@ -80,12 +71,9 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
     observer: &Observer,
 ) -> Result<RunReport, CallWireError> {
     assert!(ranks >= 1, "need at least one rank");
-    observer.emit(|| Event::RunStart {
-        driver: "genome-split".into(),
-        accumulator: config.accumulator.name().into(),
-    });
-    let start = Instant::now();
+    let run = RunTimer::start(observer, "genome-split", config.accumulator);
     let world = World::new(ranks);
+    let disabled = Observer::disabled();
     let shards = Region::shards(reference.len(), ranks);
     let max_read_len = reads.iter().map(SequencedRead::len).max().unwrap_or(0);
     // A window can start pad bases before its placement and extend pad
@@ -93,28 +81,25 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
     let margin = max_read_len + 2 * config.mapping.window_pad;
 
     let (mut results, world_report) = world.run_with_report(|rank| {
-        let root = rank.id() == 0;
-        let stage = |s: Stage| root.then(|| StageTimer::start(observer, s));
-        let finish = |t: Option<StageTimer>| {
-            if let Some(t) = t {
-                t.finish(observer);
-            }
-        };
+        // Stage timings come from rank 0 only.
+        let stages = if rank.id() == 0 { observer } else { &disabled };
         let shard = shards[rank.id()];
         let slice_start = shard.start;
         let slice_end = (shard.end + margin).min(reference.len());
         let slice = reference.window(slice_start, slice_end);
 
         // Index only the local slice — the per-rank memory saving.
-        let timer = stage(Stage::Index);
+        let timer = StageTimer::start(stages, Stage::Index);
         let engine = MappingEngine::new(&slice, config.mapping);
-        finish(timer);
+        timer.finish(stages);
         let mut acc = A::new(slice.len());
-        let mut mapped_here = 0u64;
-        let (mut candidates_here, mut columns_here) = (0u64, 0u64);
-        let map_timer = stage(Stage::Map);
+        let mut counts = BatchCounts {
+            reads: reads.len() as u64,
+            ..BatchCounts::default()
+        };
+        let map_timer = StageTimer::start(stages, Stage::Map);
         // One scratch arena per rank, reused across every batch.
-        let mut scratch = crate::mapping::AlignScratch::new();
+        let mut scratch = AlignScratch::new();
 
         for batch in reads.chunks(BATCH) {
             // Phase 1: forward-score each read locally and keep only the
@@ -131,7 +116,7 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
                     if !shard.contains(slice_start + a.placement_start) {
                         continue;
                     }
-                    candidates_here += 1;
+                    counts.candidates += 1;
                     if a.score > 0.0 {
                         mine.push((a.reverse, a.placement_start, a.score));
                     }
@@ -187,7 +172,7 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
                 // on rank 0 alone gives the exact global mapped count (a
                 // cross-shard read is still one read).
                 if rank.id() == 0 && !kept.is_empty() {
-                    mapped_here += 1;
+                    counts.mapped += 1;
                 }
                 // Phase 3: columns only for owned candidates that survived
                 // the global cut, deposited with their global weights.
@@ -204,22 +189,16 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
                 }
                 engine.posterior_for(read, survivors.iter().map(|s| s.0), &mut scratch);
                 for (aln, &(_, weight)) in scratch.alignments().zip(&survivors) {
-                    columns_here += aln.columns.len() as u64;
-                    crate::pipeline::deposit(&mut acc, aln.window_start, weight, aln.columns);
+                    counts.columns += aln.columns.len() as u64;
+                    deposit(&mut acc, aln.window_start, weight, aln.columns);
                 }
             }
         }
-        finish(map_timer);
-        observer.emit(|| Event::Batch {
-            worker: rank.id() as u64,
-            reads: reads.len() as u64,
-            mapped: mapped_here,
-            candidates: candidates_here,
-            deposited_columns: columns_here,
-        });
+        map_timer.finish(stages);
+        counts.emit(observer, rank.id());
 
         // Hand the margin's evidence to the rank that owns it.
-        let reduce_timer = stage(Stage::Reduce);
+        let reduce_timer = StageTimer::start(stages, Stage::Reduce);
         if rank.id() + 1 < rank.size() {
             let own_len = shard.len();
             let mut margin_wire: Vec<f64> = Vec::new();
@@ -251,16 +230,16 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
                 shard_acc.add(idx, &c);
             }
         }
-        finish(reduce_timer);
-        let call_timer = stage(Stage::Call);
+        reduce_timer.finish(stages);
+        let call_timer = StageTimer::start(stages, Stage::Call);
         let calls = call_snps_with_offset(&shard_acc, reference, slice_start, &config.calling);
-        finish(call_timer);
+        call_timer.finish(stages);
         // Shards cover disjoint global ranges exactly once, so XORing the
         // per-shard digests (each keyed by global position) reproduces the
         // digest a serial full-genome accumulator would report.
         let shard_digest = shard_acc.digest_with_offset(slice_start);
         let call_wires = rank.gather(0, encode_calls(&calls));
-        let mapped_counts = rank.gather(0, mapped_here);
+        let mapped_counts = rank.gather(0, counts.mapped);
         let digest = rank.reduce(0, shard_digest, |a, b| a ^ b);
         let acc_bytes = rank.reduce(0, acc.heap_bytes() as u64, |a, b| a + b);
 
@@ -289,32 +268,24 @@ pub fn run_genome_split_observed<A: GenomeAccumulator>(
 
     let (call_wire, mapped_total, acc_bytes, digest) =
         results.swap_remove(0).expect("rank 0 returns the result")?;
-    let calls = decode_calls(&call_wire)?;
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: reads.len() as u64,
-        reads_mapped: mapped_total,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
-    Ok(RunReport {
-        calls,
+    let report = RunReport {
+        calls: decode_calls(&call_wire)?,
         reads_processed: reads.len(),
         reads_mapped: mapped_total as usize,
-        elapsed_secs,
         accumulator_bytes: acc_bytes,
         traffic: Some(world_report.traffic),
         rank_cpu_secs: world_report.rank_cpu_secs,
-        stream: None,
         accumulator_digest: Some(digest),
-    })
+        ..RunReport::default()
+    };
+    Ok(run.finish(observer, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accum::NormAccumulator;
-    use crate::pipeline::run_serial_with;
+    use crate::pipeline::run_serial;
 
     fn fixture() -> (
         DnaSeq,
@@ -326,12 +297,14 @@ mod tests {
 
     #[test]
     fn genome_split_matches_serial_calls() {
+        let quiet = Observer::disabled();
         let (reference, _, reads) = fixture();
         let cfg = GnumapConfig::default();
-        let serial = run_serial_with::<NormAccumulator>(&reference, &reads, &cfg);
+        let serial = run_serial::<NormAccumulator>(&reference, &reads, &cfg, &quiet);
         for ranks in [1usize, 2, 4] {
             let parallel =
-                run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
+                run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet)
+                    .unwrap();
             let serial_pos: Vec<(usize, genome::alphabet::Base)> =
                 serial.calls.iter().map(|c| (c.pos, c.allele)).collect();
             let parallel_pos: Vec<(usize, genome::alphabet::Base)> =
@@ -345,10 +318,12 @@ mod tests {
 
     #[test]
     fn per_rank_memory_shrinks_with_ranks() {
+        let quiet = Observer::disabled();
         let (reference, _, reads) = fixture();
         let cfg = GnumapConfig::default();
-        let one = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 1).unwrap();
-        let four = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
+        let one = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 1, &quiet).unwrap();
+        let four =
+            run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 4, &quiet).unwrap();
         // Total accumulator bytes are similar (sum over ranks), but each of
         // the 4 ranks holds ~1/4 + margin.
         let per_rank_four = four.accumulator_bytes / 4;
@@ -362,13 +337,14 @@ mod tests {
 
     #[test]
     fn genome_split_communicates_more_than_read_split() {
+        let quiet = Observer::disabled();
         // The Figure 4 mechanism: per-batch allreduces beat read-split's
         // single end-of-run reduction in message count.
         let (reference, _, reads) = fixture();
         let cfg = GnumapConfig::default();
-        let gs = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
+        let gs = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 4, &quiet).unwrap();
         let rs = crate::driver::read_split::run_read_split::<NormAccumulator>(
-            &reference, &reads, &cfg, 4,
+            &reference, &reads, &cfg, 4, &quiet,
         )
         .unwrap();
         let gs_msgs = gs.traffic.unwrap().messages;
@@ -393,7 +369,9 @@ mod tests {
             },
             ..GnumapConfig::default()
         };
-        let report = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 5).unwrap();
+        let report =
+            run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 5, &Observer::disabled())
+                .unwrap();
         let acc = crate::report::score_snp_calls(&report.calls, &truth);
         assert!(acc.true_positives >= 4, "{acc:?}");
         assert!(acc.false_positives <= 1, "{acc:?}");
@@ -404,9 +382,14 @@ mod tests {
         // Place the shard boundary near a planted SNP by using many ranks
         // on a small genome; every planted SNP must still be recovered.
         let (reference, truth, reads) = crate::pipeline::tests::fixture(3_000, 6, 14.0, 999);
-        let report =
-            run_genome_split::<NormAccumulator>(&reference, &reads, &GnumapConfig::default(), 6)
-                .unwrap();
+        let report = run_genome_split::<NormAccumulator>(
+            &reference,
+            &reads,
+            &GnumapConfig::default(),
+            6,
+            &Observer::disabled(),
+        )
+        .unwrap();
         let acc = crate::report::score_snp_calls(&report.calls, &truth);
         assert!(
             acc.true_positives >= 5,

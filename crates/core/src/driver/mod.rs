@@ -1,14 +1,10 @@
-//! Parallel drivers for the pipeline.
+//! The paper's two MPI decompositions, on the `mpisim` runtime.
 //!
-//! Four execution strategies over the same algorithm:
-//!
-//! * [`rayon_driver`] — shared-memory threads with deterministic
-//!   chunk-ordered reduction (the "shared memory platform" of the
-//!   abstract);
 //! * [`read_split`] — the paper's first MPI decomposition: every rank
 //!   holds the full genome + index + accumulator, reads are partitioned,
 //!   accumulators are reduced at the end ("each machine will process the
-//!   entire genome, then map a different portion of the reads");
+//!   entire genome, then map a different portion of the reads"), with a
+//!   star gather or (as an ablation) a ring allreduce;
 //! * [`genome_split`] — the paper's second MPI decomposition: the genome
 //!   (index + accumulator) is sharded, every read is scored on every
 //!   shard, and per-read normalising constants travel by allreduce ("the
@@ -17,14 +13,14 @@
 //!   final score"). Lower memory per rank, more communication — the
 //!   Figure 4 trade-off.
 //!
-//! The serial pipeline lives in [`crate::pipeline`]. A fourth parallel
-//! driver — the streaming batch pipeline with backpressure, sharded
-//! accumulators and checkpoint/resume — lives in the `exec` crate, which
-//! builds on the call-wire helpers and [`crate::report::StreamStats`]
-//! defined here.
+//! Each decomposition has one entry function taking an
+//! [`crate::observe::Observer`]. The serial pipeline lives in
+//! [`crate::pipeline`]. The shared-memory driver — the streaming batch
+//! pipeline with backpressure, a sharded accumulator and
+//! checkpoint/resume — lives in the `exec` crate, which builds on the
+//! call-wire helpers defined here and [`crate::report::StreamStats`].
 
 pub mod genome_split;
-pub mod rayon_driver;
 pub mod read_split;
 
 use crate::snpcall::SnpCall;

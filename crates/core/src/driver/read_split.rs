@@ -12,149 +12,52 @@
 //! rank — large but happening exactly once, which is why this mode scales
 //! almost linearly in Figure 4.
 
-use crate::accum::GenomeAccumulator;
+use crate::accum::{AccumulatorMode, GenomeAccumulator, NormAccumulator};
 use crate::config::GnumapConfig;
 use crate::driver::{decode_calls, encode_calls, CallWireError};
-use crate::mapping::MappingEngine;
-use crate::observe::{Event, Observer, Stage, StageTimer};
+use crate::mapping::{AlignScratch, MappingEngine};
+use crate::observe::{Observer, RunTimer, Stage, StageTimer};
+use crate::pipeline::{deposit, BatchCounts};
 use crate::report::RunReport;
 use crate::snpcall::call_snps;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use mpisim::World;
-use std::time::Instant;
+use mpisim::{Rank, World};
 
-/// Map one rank's strided read share into `acc`, counting candidates and
-/// deposited columns, and emit one [`Event::Batch`] for the rank.
-fn map_rank_share<A: GenomeAccumulator>(
-    engine: &MappingEngine<'_>,
-    reads: &[SequencedRead],
-    acc: &mut A,
-    rank_id: usize,
-    rank_count: usize,
-    observer: &Observer,
-) -> usize {
-    let mut mapped = 0u64;
-    let (mut share, mut candidates, mut columns) = (0u64, 0u64, 0u64);
-    // One scratch arena per rank, reused across its whole read share.
-    let mut scratch = crate::mapping::AlignScratch::new();
-    for read in reads.iter().skip(rank_id).step_by(rank_count) {
-        share += 1;
-        engine.map_read_with(read, &mut scratch);
-        candidates += scratch.scored() as u64;
-        if !scratch.is_empty() {
-            mapped += 1;
-        }
-        for aln in scratch.alignments() {
-            columns += aln.columns.len() as u64;
-            crate::pipeline::deposit(acc, aln.window_start, aln.score, aln.columns);
-        }
-    }
-    observer.emit(|| Event::Batch {
-        worker: rank_id as u64,
-        reads: share,
-        mapped,
-        candidates,
-        deposited_columns: columns,
-    });
-    mapped as usize
-}
-
-/// Run the read-split decomposition on `ranks` simulated MPI ranks.
+/// Run the read-split decomposition on `ranks` simulated MPI ranks, with
+/// a star gather of the accumulators at rank 0. The observer gets one
+/// [`crate::observe::Event::Batch`] per rank, with stage timings taken on
+/// rank 0 (every rank does the same index/map work, so rank 0 is
+/// representative).
 pub fn run_read_split<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
     ranks: usize,
-) -> Result<RunReport, CallWireError> {
-    run_read_split_observed::<A>(reference, reads, config, ranks, &Observer::disabled())
-}
-
-/// [`run_read_split`] with structured observability: one
-/// [`Event::Batch`] per rank, with stage timings taken on rank 0 (every
-/// rank does the same index/map work, so rank 0 is representative).
-pub fn run_read_split_observed<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    ranks: usize,
     observer: &Observer,
 ) -> Result<RunReport, CallWireError> {
-    assert!(ranks >= 1, "need at least one rank");
-    observer.emit(|| Event::RunStart {
-        driver: "read-split".into(),
-        accumulator: config.accumulator.name().into(),
-    });
-    let start = Instant::now();
-    let world = World::new(ranks);
-
-    let (mut results, world_report) = world.run_with_report(|rank| {
-        let root = rank.id() == 0;
-        let stage = |s: Stage| root.then(|| StageTimer::start(observer, s));
-        let finish = |t: Option<StageTimer>| {
-            if let Some(t) = t {
-                t.finish(observer);
+    let run = RunTimer::start(observer, "read-split", config.accumulator);
+    let len = reference.len();
+    let report = run_ranks(
+        reference,
+        reads,
+        config,
+        ranks,
+        observer,
+        |rank, acc: A, mapped| {
+            // "Communicate the state of their genome": gather accumulator
+            // wires at rank 0, which folds them in rank order.
+            let wires = rank.gather(0, acc.to_wire());
+            let mapped_counts = rank.gather(0, mapped);
+            let (wires, mapped_counts) = (wires?, mapped_counts?);
+            let mut total = A::new(len);
+            for wire in wires {
+                total.merge_wire(&wire);
             }
-        };
-        // Every rank indexes the whole genome (the duplicated preprocessing
-        // of the shared-genome mode).
-        let timer = stage(Stage::Index);
-        let engine = MappingEngine::new(reference, config.mapping);
-        finish(timer);
-        let mut acc = A::new(reference.len());
-
-        // Strided read partition: rank r maps reads r, r+n, r+2n, ...
-        let timer = stage(Stage::Map);
-        let mapped = map_rank_share(&engine, reads, &mut acc, rank.id(), rank.size(), observer);
-        finish(timer);
-        // "Communicate the state of their genome": gather accumulator
-        // wires at rank 0, which folds them in rank order.
-        let timer = stage(Stage::Reduce);
-        let wires = rank.gather(0, acc.to_wire());
-        let mapped_counts = rank.gather(0, mapped as u64);
-        if rank.id() == 0 {
-            let mut total_acc = A::new(reference.len());
-            for wire in wires.expect("root gathers") {
-                total_acc.merge_wire(&wire);
-            }
-            finish(timer);
-            let timer = stage(Stage::Call);
-            let calls = call_snps(&total_acc, reference, &config.calling);
-            finish(timer);
-            let mapped_total: u64 = mapped_counts.expect("root gathers").iter().sum();
-            Some((
-                encode_calls(&calls),
-                mapped_total,
-                total_acc.heap_bytes(),
-                total_acc.digest(),
-            ))
-        } else {
-            finish(timer);
-            None
-        }
-    });
-
-    let (call_wire, mapped_total, acc_bytes, digest) =
-        results.swap_remove(0).expect("rank 0 returns the result");
-    let calls = decode_calls(&call_wire)?;
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: reads.len() as u64,
-        reads_mapped: mapped_total,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
-    Ok(RunReport {
-        calls,
-        reads_processed: reads.len(),
-        reads_mapped: mapped_total as usize,
-        elapsed_secs,
-        accumulator_bytes: acc_bytes,
-        traffic: Some(world_report.traffic),
-        rank_cpu_secs: world_report.rank_cpu_secs,
-        stream: None,
-        accumulator_digest: Some(digest),
-    })
+            Some((total, mapped_counts.iter().sum()))
+        },
+    )?;
+    Ok(run.finish(observer, report))
 }
 
 /// Read-split with a **ring allreduce** for the accumulator reduction
@@ -164,91 +67,100 @@ pub fn run_read_split_observed<A: GenomeAccumulator>(
 /// through rank 0, so the root receives `(ranks−1) × 20 B/base`; the ring
 /// moves `≈ 2 × 20 B/base` through *every* rank regardless of rank count —
 /// the standard bandwidth-optimal alternative, included as an ablation of
-/// the reduction strategy.
+/// the reduction strategy. Events as for [`run_read_split`].
 pub fn run_read_split_ring(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    ranks: usize,
-) -> Result<RunReport, CallWireError> {
-    run_read_split_ring_observed(reference, reads, config, ranks, &Observer::disabled())
-}
-
-/// [`run_read_split_ring`] with structured observability (same event
-/// shape as [`run_read_split_observed`]).
-pub fn run_read_split_ring_observed(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
     ranks: usize,
     observer: &Observer,
 ) -> Result<RunReport, CallWireError> {
-    use crate::accum::NormAccumulator;
-    assert!(ranks >= 1, "need at least one rank");
-    observer.emit(|| Event::RunStart {
-        driver: "read-split-ring".into(),
-        accumulator: crate::accum::AccumulatorMode::Norm.name().into(),
-    });
-    let start = Instant::now();
-    let world = World::new(ranks);
+    let run = RunTimer::start(observer, "read-split-ring", AccumulatorMode::Norm);
+    let len = reference.len();
+    let report = run_ranks(
+        reference,
+        reads,
+        config,
+        ranks,
+        observer,
+        |rank, acc: NormAccumulator, mapped| {
+            // Every rank ends up with the fully reduced accumulator.
+            let reduced = rank.ring_allreduce(acc.to_wire(), |a, b| a + b);
+            let mapped_total = rank.allreduce(mapped, |a, b| a + b);
+            (rank.id() == 0).then(|| {
+                let mut total = NormAccumulator::new(len);
+                total.merge_wire(&reduced);
+                (total, mapped_total)
+            })
+        },
+    )?;
+    Ok(run.finish(observer, report))
+}
 
-    let (mut results, world_report) = world.run_with_report(|rank| {
-        let root = rank.id() == 0;
-        let stage = |s: Stage| root.then(|| StageTimer::start(observer, s));
-        let finish = |t: Option<StageTimer>| {
-            if let Some(t) = t {
-                t.finish(observer);
-            }
-        };
-        let timer = stage(Stage::Index);
+/// The rank body both read-split variants share: every rank indexes the
+/// whole genome, maps its strided read share into a full-genome
+/// accumulator, and hands it to `reduce`, which returns the reduced
+/// accumulator and global mapped count on rank 0 (and `None` elsewhere).
+/// Rank 0 then calls SNPs once.
+fn run_ranks<A: GenomeAccumulator>(
+    reference: &DnaSeq,
+    reads: &[SequencedRead],
+    config: &GnumapConfig,
+    ranks: usize,
+    observer: &Observer,
+    reduce: impl Fn(&mut Rank, A, u64) -> Option<(A, u64)> + Sync,
+) -> Result<RunReport, CallWireError> {
+    assert!(ranks >= 1, "need at least one rank");
+    let disabled = Observer::disabled();
+    let (mut results, world_report) = World::new(ranks).run_with_report(|rank| {
+        // Stage timings come from rank 0 only.
+        let stages = if rank.id() == 0 { observer } else { &disabled };
+        // Every rank indexes the whole genome (the duplicated
+        // preprocessing of the shared-genome mode).
+        let timer = StageTimer::start(stages, Stage::Index);
         let engine = MappingEngine::new(reference, config.mapping);
-        finish(timer);
-        let mut acc = NormAccumulator::new(reference.len());
-        let timer = stage(Stage::Map);
-        let mapped = map_rank_share(&engine, reads, &mut acc, rank.id(), rank.size(), observer);
-        finish(timer);
-        // Every rank ends up with the fully reduced accumulator.
-        let timer = stage(Stage::Reduce);
-        let reduced = rank.ring_allreduce(acc.to_wire(), |a, b| a + b);
-        let mapped_total = rank.allreduce(mapped as u64, |a, b| a + b);
-        finish(timer);
-        if rank.id() == 0 {
-            let mut total_acc = NormAccumulator::new(reference.len());
-            total_acc.merge_wire(&reduced);
-            let timer = stage(Stage::Call);
-            let calls = call_snps(&total_acc, reference, &config.calling);
-            finish(timer);
-            Some((
-                encode_calls(&calls),
-                mapped_total,
-                total_acc.heap_bytes(),
-                total_acc.digest(),
-            ))
-        } else {
-            None
+        timer.finish(stages);
+
+        // Strided read partition: rank r maps reads r, r+n, r+2n, ...,
+        // reusing one scratch arena across its whole share.
+        let timer = StageTimer::start(stages, Stage::Map);
+        let mut acc = A::new(reference.len());
+        let mut counts = BatchCounts::default();
+        let mut scratch = AlignScratch::new();
+        for read in reads.iter().skip(rank.id()).step_by(rank.size()) {
+            counts.map_read(&engine, read, &mut scratch, |start, weight, columns| {
+                deposit(&mut acc, start, weight, columns)
+            });
         }
+        counts.emit(observer, rank.id());
+        timer.finish(stages);
+
+        let timer = StageTimer::start(stages, Stage::Reduce);
+        let reduced = reduce(rank, acc, counts.mapped);
+        timer.finish(stages);
+        let (total, mapped_total) = reduced?;
+        let timer = StageTimer::start(stages, Stage::Call);
+        let calls = call_snps(&total, reference, &config.calling);
+        timer.finish(stages);
+        Some((
+            encode_calls(&calls),
+            mapped_total,
+            total.heap_bytes(),
+            total.digest(),
+        ))
     });
 
     let (call_wire, mapped_total, acc_bytes, digest) =
         results.swap_remove(0).expect("rank 0 returns the result");
-    let calls = decode_calls(&call_wire)?;
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: reads.len() as u64,
-        reads_mapped: mapped_total,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
     Ok(RunReport {
-        calls,
+        calls: decode_calls(&call_wire)?,
         reads_processed: reads.len(),
         reads_mapped: mapped_total as usize,
-        elapsed_secs,
         accumulator_bytes: acc_bytes,
         traffic: Some(world_report.traffic),
         rank_cpu_secs: world_report.rank_cpu_secs,
-        stream: None,
         accumulator_digest: Some(digest),
+        ..RunReport::default()
     })
 }
 
@@ -256,7 +168,7 @@ pub fn run_read_split_ring_observed(
 mod tests {
     use super::*;
     use crate::accum::{CharDiscAccumulator, NormAccumulator};
-    use crate::pipeline::run_serial_with;
+    use crate::pipeline::run_serial;
 
     fn fixture() -> (
         DnaSeq,
@@ -268,12 +180,13 @@ mod tests {
 
     #[test]
     fn read_split_matches_serial_for_norm() {
+        let quiet = Observer::disabled();
         let (reference, _, reads) = fixture();
         let cfg = GnumapConfig::default();
-        let serial = run_serial_with::<NormAccumulator>(&reference, &reads, &cfg);
+        let serial = run_serial::<NormAccumulator>(&reference, &reads, &cfg, &quiet);
         for ranks in [1usize, 2, 3, 5] {
             let parallel =
-                run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
+                run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet).unwrap();
             assert_eq!(
                 parallel.calls.len(),
                 serial.calls.len(),
@@ -291,10 +204,11 @@ mod tests {
 
     #[test]
     fn traffic_is_reported_and_scales_with_ranks() {
+        let quiet = Observer::disabled();
         let (reference, _, reads) = fixture();
         let cfg = GnumapConfig::default();
-        let two = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 2).unwrap();
-        let four = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
+        let two = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 2, &quiet).unwrap();
+        let four = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4, &quiet).unwrap();
         let t2 = two.traffic.unwrap();
         let t4 = four.traffic.unwrap();
         assert!(t4.payload_bytes > t2.payload_bytes, "{t2} vs {t4}");
@@ -304,11 +218,13 @@ mod tests {
 
     #[test]
     fn ring_reduction_matches_star_reduction() {
+        let quiet = Observer::disabled();
         let (reference, _, reads) = fixture();
         let cfg = GnumapConfig::default();
         for ranks in [1usize, 2, 4] {
-            let star = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
-            let ring = run_read_split_ring(&reference, &reads, &cfg, ranks).unwrap();
+            let star =
+                run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet).unwrap();
+            let ring = run_read_split_ring(&reference, &reads, &cfg, ranks, &quiet).unwrap();
             let star_keys: Vec<_> = star.calls.iter().map(|c| (c.pos, c.allele)).collect();
             let ring_keys: Vec<_> = ring.calls.iter().map(|c| (c.pos, c.allele)).collect();
             assert_eq!(ring_keys, star_keys, "ranks={ranks}");
@@ -319,9 +235,14 @@ mod tests {
     #[test]
     fn chardisc_read_split_still_finds_snps() {
         let (reference, truth, reads) = fixture();
-        let report =
-            run_read_split::<CharDiscAccumulator>(&reference, &reads, &GnumapConfig::default(), 3)
-                .unwrap();
+        let report = run_read_split::<CharDiscAccumulator>(
+            &reference,
+            &reads,
+            &GnumapConfig::default(),
+            3,
+            &Observer::disabled(),
+        )
+        .unwrap();
         let acc = crate::report::score_snp_calls(&report.calls, &truth);
         assert!(acc.true_positives >= 3, "{acc:?}");
     }

@@ -16,10 +16,14 @@
 //!    above background and reports SNPs against the reference, with
 //!    p-value or FDR cutoffs ([`snpcall`]).
 //!
-//! Four drivers run the pipeline ([`driver`]): serial, shared-memory
-//! (rayon), and the paper's two MPI decompositions (read-split and
-//! genome-split) on the `mpisim` runtime. All four produce identical calls
-//! for the NORM accumulator on the same input.
+//! Three drivers run the pipeline here: serial ([`pipeline`]) and the
+//! paper's two MPI decompositions, read-split and genome-split, on the
+//! `mpisim` runtime ([`driver`]). The shared-memory driver is the `exec`
+//! crate's streaming worker pool. Every driver has one run function taking
+//! an [`Observer`]; all but genome-split map reads through one per-read
+//! step ([`pipeline::BatchCounts::map_read`]), and all of them bracket the
+//! run with [`observe::RunTimer`]. They produce identical calls for the
+//! NORM accumulator on the same input.
 
 pub mod accum;
 pub mod config;

@@ -2,10 +2,12 @@
 //! threads through mapping, PHMM scoring, accumulation, and calling.
 //!
 //! The design goal is *zero cost when disabled*: an [`Observer`] is a
-//! single `Option<Arc<dyn EventSink>>`, [`Observer::emit`] takes a closure
-//! so no event is ever constructed (and nothing allocates) unless a sink
-//! is attached, and the hot read loop keeps its plain un-instrumented
-//! path when the observer is disabled. With a sink attached, drivers emit
+//! single `Option<Arc<dyn EventSink>>`, and [`Observer::emit`] takes a
+//! closure so no event is ever constructed (and nothing allocates) unless
+//! a sink is attached. The hot read loop's only instrumentation is a few
+//! integer adds per read ([`crate::pipeline::BatchCounts`]), which always
+//! run. Run start/end events come from [`RunTimer`] alone. With a sink
+//! attached, drivers emit
 //! a small vocabulary of [`Event`]s — per-stage wall/CPU timings,
 //! reads-per-batch, candidate counts, deposit volumes — which the CLI can
 //! spool to a JSON-lines trace file (`--trace-json`), the server folds
@@ -18,6 +20,8 @@
 //! Rust's shortest round-trip formatting; non-finite values are sanitised
 //! to `0.0` so the output is always valid JSON).
 
+use crate::accum::AccumulatorMode;
+use crate::report::RunReport;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -549,6 +553,39 @@ impl<W: std::io::Write + Send> EventSink for JsonLinesSink<W> {
         let mut w = self.writer.lock().expect("trace sink poisoned");
         // A full disk mid-trace must not take the run down with it.
         let _ = w.write_all(line.as_bytes());
+    }
+}
+
+/// Run bracket emitting [`Event::RunStart`] and [`Event::RunEnd`]: every
+/// driver goes through it, so the run events and the report's wall time
+/// come from one place and one clock reading.
+pub struct RunTimer {
+    start: Instant,
+}
+
+impl RunTimer {
+    /// Emit `RunStart` for `driver` and start the run clock.
+    pub fn start(observer: &Observer, driver: &str, accumulator: AccumulatorMode) -> RunTimer {
+        observer.emit(|| Event::RunStart {
+            driver: driver.into(),
+            accumulator: accumulator.name().into(),
+        });
+        RunTimer {
+            start: Instant::now(),
+        }
+    }
+
+    /// Stamp the run's wall time onto `report` and emit the matching
+    /// `RunEnd` carrying the report's counts.
+    pub fn finish(self, observer: &Observer, mut report: RunReport) -> RunReport {
+        report.elapsed_secs = self.start.elapsed().as_secs_f64();
+        observer.emit(|| Event::RunEnd {
+            reads_processed: report.reads_processed as u64,
+            reads_mapped: report.reads_mapped as u64,
+            calls: report.calls.len() as u64,
+            wall_secs: report.elapsed_secs,
+        });
+        report
     }
 }
 

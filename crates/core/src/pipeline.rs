@@ -1,105 +1,102 @@
 //! The serial end-to-end pipeline: index → map → accumulate → call.
 //!
 //! This is the reference implementation the parallel drivers must agree
-//! with; it is also what the per-rank workers of the read-split driver run
-//! internally.
+//! with. It also owns the per-read step that every driver but
+//! genome-split shares ([`BatchCounts::map_read`]): map one read, count
+//! it, deposit its evidence.
 
-use crate::accum::{
-    AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, FixedAccumulator, GenomeAccumulator,
-    NormAccumulator,
-};
+use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
 use crate::mapping::{AlignScratch, MappingEngine};
-use crate::observe::{Event, Observer, Stage, StageTimer};
+use crate::observe::{Event, Observer, RunTimer, Stage, StageTimer};
 use crate::report::RunReport;
 use crate::snpcall::call_snps;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use std::time::Instant;
+use pairhmm::marginal::ColumnPosterior;
 
 /// Reads per [`Event::Batch`] when a driver without natural batching (the
-/// serial pipeline, the per-rank MPI loops) runs under an enabled
-/// observer.
+/// serial pipeline) runs under an enabled observer.
 pub const OBSERVED_BATCH_READS: usize = 256;
 
+/// Tallies of the shared per-read step over one batch; one batch becomes
+/// one [`Event::Batch`]. Counting always runs: it is a few integer adds
+/// next to the mapping work of each read.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct BatchCounts {
+    /// Reads stepped.
+    pub reads: u64,
+    /// Reads that produced at least one alignment.
+    pub mapped: u64,
+    /// Candidate placements scored by the forward pass, before the
+    /// `min_weight` cut.
+    pub candidates: u64,
+    /// Posterior columns handed to the deposit callback.
+    pub columns: u64,
+}
+
+impl BatchCounts {
+    /// The shared per-read step: map `read` into `scratch`,
+    /// count it, and hand each alignment's `(window_start, weight,
+    /// columns)` to `deposit` straight out of the scratch — no owned
+    /// alignments are materialised. Returns whether the read mapped.
+    #[inline]
+    pub fn map_read(
+        &mut self,
+        engine: &MappingEngine<'_>,
+        read: &SequencedRead,
+        scratch: &mut AlignScratch,
+        mut deposit: impl FnMut(usize, f64, &[ColumnPosterior]),
+    ) -> bool {
+        engine.map_read_with(read, scratch);
+        let mapped = !scratch.is_empty();
+        self.reads += 1;
+        self.mapped += u64::from(mapped);
+        self.candidates += scratch.scored() as u64;
+        for aln in scratch.alignments() {
+            self.columns += aln.columns.len() as u64;
+            deposit(aln.window_start, aln.score, aln.columns);
+        }
+        mapped
+    }
+
+    /// Emit these counts as one [`Event::Batch`] for `worker` (a no-op
+    /// without a sink).
+    pub fn emit(&self, observer: &Observer, worker: usize) {
+        observer.emit(|| Event::Batch {
+            worker: worker as u64,
+            reads: self.reads,
+            mapped: self.mapped,
+            candidates: self.candidates,
+            deposited_columns: self.columns,
+        });
+    }
+}
+
 /// Map `reads` with `engine` and deposit their weighted evidence into
-/// `acc`. Returns the number of reads that produced at least one
+/// `acc`, emitting one [`Event::Batch`] per [`OBSERVED_BATCH_READS`]
+/// reads. Returns the number of reads that produced at least one
 /// alignment.
 pub fn accumulate_reads<A: GenomeAccumulator>(
     engine: &MappingEngine<'_>,
     reads: &[SequencedRead],
     acc: &mut A,
+    observer: &Observer,
 ) -> usize {
+    // One scratch arena, reused for every read.
     let mut scratch = AlignScratch::new();
-    accumulate_reads_with(engine, reads, acc, &mut scratch)
-}
-
-/// [`accumulate_reads`] with a caller-provided [`AlignScratch`], so a
-/// worker thread can reuse one arena across many batches. Alignments are
-/// deposited straight out of the scratch — no per-read `Vec` of owned
-/// alignments is ever materialised.
-pub fn accumulate_reads_with<A: GenomeAccumulator>(
-    engine: &MappingEngine<'_>,
-    reads: &[SequencedRead],
-    acc: &mut A,
-    scratch: &mut AlignScratch,
-) -> usize {
-    let mut mapped = 0usize;
-    for read in reads {
-        engine.map_read_with(read, scratch);
-        if !scratch.is_empty() {
-            mapped += 1;
+    let mut mapped = 0;
+    for batch in reads.chunks(OBSERVED_BATCH_READS) {
+        let mut counts = BatchCounts::default();
+        for read in batch {
+            counts.map_read(engine, read, &mut scratch, |start, weight, columns| {
+                deposit(acc, start, weight, columns)
+            });
         }
-        for aln in scratch.alignments() {
-            deposit(acc, aln.window_start, aln.score, aln.columns);
-        }
+        counts.emit(observer, 0);
+        mapped += counts.mapped as usize;
     }
     mapped
-}
-
-/// [`accumulate_reads_with`] plus per-batch [`Event::Batch`] emission.
-///
-/// When the observer is disabled this *is* the plain hot loop — same code
-/// path, no counters, no events — so instrumentation costs nothing unless
-/// a sink is attached. When enabled, reads are walked in
-/// [`OBSERVED_BATCH_READS`] slices (same read order, so deposit order and
-/// digests are unchanged) and each slice emits one event carrying read /
-/// mapped / candidate / deposited-column counts for `worker`.
-pub fn accumulate_reads_observed<A: GenomeAccumulator>(
-    engine: &MappingEngine<'_>,
-    reads: &[SequencedRead],
-    acc: &mut A,
-    scratch: &mut AlignScratch,
-    observer: &Observer,
-    worker: usize,
-) -> usize {
-    if !observer.is_enabled() {
-        return accumulate_reads_with(engine, reads, acc, scratch);
-    }
-    let mut mapped_total = 0usize;
-    for batch in reads.chunks(OBSERVED_BATCH_READS) {
-        let (mut mapped, mut candidates, mut columns) = (0u64, 0u64, 0u64);
-        for read in batch {
-            engine.map_read_with(read, scratch);
-            candidates += scratch.scored() as u64;
-            if !scratch.is_empty() {
-                mapped += 1;
-            }
-            for aln in scratch.alignments() {
-                columns += aln.columns.len() as u64;
-                deposit(acc, aln.window_start, aln.score, aln.columns);
-            }
-        }
-        observer.emit(|| Event::Batch {
-            worker: worker as u64,
-            reads: batch.len() as u64,
-            mapped,
-            candidates,
-            deposited_columns: columns,
-        });
-        mapped_total += mapped as usize;
-    }
-    mapped_total
 }
 
 /// Deposit one alignment's weighted columns into an accumulator, skipping
@@ -108,7 +105,7 @@ pub fn deposit<A: GenomeAccumulator>(
     acc: &mut A,
     window_start: usize,
     weight: f64,
-    columns: &[pairhmm::marginal::ColumnPosterior],
+    columns: &[ColumnPosterior],
 ) {
     // Clamp the column range once so the hot loop carries no per-column
     // bounds test.
@@ -126,99 +123,55 @@ pub fn deposit<A: GenomeAccumulator>(
     }
 }
 
-/// Run the whole pipeline serially with a specific accumulator type.
-pub fn run_serial_with<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-) -> RunReport {
-    run_serial_observed::<A>(reference, reads, config, &Observer::disabled())
-}
-
-/// [`run_serial_with`] with structured observability: per-stage wall/CPU
-/// timings, per-batch counters, and run start/end events.
-pub fn run_serial_observed<A: GenomeAccumulator>(
+/// Run the whole pipeline serially with accumulator type `A`, reporting
+/// stage timings, per-batch counters and run events to `observer`.
+pub fn run_serial<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
     observer: &Observer,
 ) -> RunReport {
-    observer.emit(|| Event::RunStart {
-        driver: "serial".into(),
-        accumulator: config.accumulator.name().into(),
-    });
-    let start = Instant::now();
+    let run = RunTimer::start(observer, "serial", config.accumulator);
     let timer = StageTimer::start(observer, Stage::Index);
     let engine = MappingEngine::new(reference, config.mapping);
     timer.finish(observer);
 
     let mut acc = A::new(reference.len());
-    let mut scratch = AlignScratch::new();
     let timer = StageTimer::start(observer, Stage::Map);
-    let mapped = accumulate_reads_observed(&engine, reads, &mut acc, &mut scratch, observer, 0);
+    let mapped = accumulate_reads(&engine, reads, &mut acc, observer);
     timer.finish(observer);
 
     let timer = StageTimer::start(observer, Stage::Call);
     let calls = call_snps(&acc, reference, &config.calling);
     timer.finish(observer);
 
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: reads.len() as u64,
-        reads_mapped: mapped as u64,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
-    RunReport {
+    let report = RunReport {
         calls,
         reads_processed: reads.len(),
         reads_mapped: mapped,
-        elapsed_secs,
         accumulator_bytes: acc.heap_bytes(),
-        traffic: None,
-        rank_cpu_secs: Vec::new(),
-        stream: None,
         accumulator_digest: Some(acc.digest()),
-    }
+        ..RunReport::default()
+    };
+    run.finish(observer, report)
 }
 
-/// Run the whole pipeline serially, dispatching on the configured
-/// accumulator mode.
+/// Run the whole pipeline serially, picking the accumulator type from the
+/// configured mode.
 pub fn run_pipeline(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
 ) -> RunReport {
-    run_pipeline_observed(reference, reads, config, &Observer::disabled())
-}
-
-/// [`run_pipeline`] with an observer.
-pub fn run_pipeline_observed(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    observer: &Observer,
-) -> RunReport {
-    match config.accumulator {
-        AccumulatorMode::Norm => {
-            run_serial_observed::<NormAccumulator>(reference, reads, config, observer)
-        }
-        AccumulatorMode::CharDisc => {
-            run_serial_observed::<CharDiscAccumulator>(reference, reads, config, observer)
-        }
-        AccumulatorMode::CentDisc => {
-            run_serial_observed::<CentDiscAccumulator>(reference, reads, config, observer)
-        }
-        AccumulatorMode::Fixed => {
-            run_serial_observed::<FixedAccumulator>(reference, reads, config, observer)
-        }
-    }
+    crate::with_accumulator!(config.accumulator, |A| {
+        run_serial::<A>(reference, reads, config, &Observer::disabled())
+    })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::accum::NormAccumulator;
+    use crate::accum::{AccumulatorMode, FixedAccumulator, NormAccumulator};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
@@ -329,14 +282,10 @@ pub(crate) mod tests {
         use std::sync::Arc;
         let (reference, _, reads) = fixture(3_000, 4, 10.0, 42);
         let cfg = GnumapConfig::default();
-        let plain = run_serial_with::<FixedAccumulator>(&reference, &reads, &cfg);
+        let plain = run_serial::<FixedAccumulator>(&reference, &reads, &cfg, &Observer::disabled());
         let sink = Arc::new(MemorySink::new());
-        let observed = run_serial_observed::<FixedAccumulator>(
-            &reference,
-            &reads,
-            &cfg,
-            &Observer::new(sink.clone()),
-        );
+        let observed =
+            run_serial::<FixedAccumulator>(&reference, &reads, &cfg, &Observer::new(sink.clone()));
         assert_eq!(observed.accumulator_digest, plain.accumulator_digest);
         assert_eq!(observed.reads_mapped, plain.reads_mapped);
 

@@ -79,7 +79,7 @@ impl StreamStats {
 }
 
 /// What one pipeline run produced and cost.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// SNPs called.
     pub calls: Vec<SnpCall>,

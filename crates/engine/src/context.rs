@@ -24,8 +24,8 @@ pub struct RunContext<'r> {
     /// their inputs; the seed travels here so traces and reports can
     /// identify the workload they came from.
     pub seed: u64,
-    /// Parallelism budget: rayon threads, MPI ranks, or stream/server
-    /// workers, depending on the driver.
+    /// Parallelism budget: MPI ranks or stream/server workers, depending
+    /// on the driver.
     pub threads: usize,
     /// Reads per micro-batch (stream and server drivers).
     pub batch_size: usize,
@@ -69,7 +69,7 @@ impl<'r> RunContext<'r> {
     /// The streaming-engine shape this context describes.
     pub fn stream_config(&self) -> StreamConfig {
         StreamConfig {
-            workers: self.threads.max(1),
+            workers: self.threads,
             batch_size: self.batch_size,
             chunk_size: self.chunk_size,
             channel_capacity: self.channel_capacity,
@@ -80,23 +80,14 @@ impl<'r> RunContext<'r> {
         }
     }
 
-    /// Reject out-of-range fields before handing them to a driver (the
-    /// underlying run functions assert; the engine returns typed errors).
+    /// Reject out-of-range fields before handing them to a driver, as a
+    /// typed error. The checks are [`StreamConfig::validate`]'s, run on
+    /// [`RunContext::stream_config`] (the threads budget is its
+    /// `workers`).
     pub fn validate(&self) -> Result<(), EngineError> {
-        for (value, what) in [
-            (self.threads, "threads"),
-            (self.batch_size, "batch_size"),
-            (self.chunk_size, "chunk_size"),
-            (self.batches_per_worker, "batches_per_worker"),
-            (self.shards, "shards"),
-        ] {
-            if value == 0 {
-                return Err(EngineError::InvalidContext(format!(
-                    "{what} must be at least 1"
-                )));
-            }
-        }
-        Ok(())
+        self.stream_config()
+            .validate()
+            .map_err(|e| EngineError::InvalidContext(e.to_string()))
     }
 }
 

@@ -43,7 +43,7 @@ impl Capabilities {
 /// Every adapter threads `ctx.observer` through, so structured events
 /// flow from any driver the same way.
 pub trait Driver: Send + Sync {
-    /// Canonical registry name (`serial`, `rayon`, `read-split`, ...).
+    /// Canonical registry name (`serial`, `read-split`, `stream`, ...).
     fn name(&self) -> &'static str;
 
     /// Alternate names the registry also resolves.

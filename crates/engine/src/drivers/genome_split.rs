@@ -5,11 +5,10 @@ use crate::contract::{check_preconditions, Capabilities, Driver};
 use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
-use gnumap_core::accum::{
-    AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, FixedAccumulator, NormAccumulator,
-};
-use gnumap_core::driver::genome_split::run_genome_split_observed;
+use gnumap_core::accum::AccumulatorMode;
+use gnumap_core::driver::genome_split::run_genome_split;
 use gnumap_core::report::RunReport;
+use gnumap_core::with_accumulator;
 
 /// The paper's second decomposition: the genome (index + accumulator) is
 /// sharded across ranks, every read is scored on every shard, and
@@ -55,36 +54,13 @@ impl Driver for GenomeSplitDriver {
     ) -> Result<RunReport, EngineError> {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
-        let report = match ctx.config.accumulator {
-            AccumulatorMode::Norm => run_genome_split_observed::<NormAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-            AccumulatorMode::CharDisc => run_genome_split_observed::<CharDiscAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-            AccumulatorMode::CentDisc => run_genome_split_observed::<CentDiscAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-            AccumulatorMode::Fixed => run_genome_split_observed::<FixedAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-        };
+        let report = with_accumulator!(ctx.config.accumulator, |A| run_genome_split::<A>(
+            ctx.reference,
+            &reads,
+            &ctx.config,
+            ctx.threads,
+            &ctx.observer,
+        ))?;
         deliver(report, sink)
     }
 }

@@ -1,12 +1,12 @@
-//! The seven driver adapters: one per execution mode.
+//! The six driver adapters: one per execution mode.
 //!
 //! Each adapter is a unit struct implementing [`crate::Driver`] over the
-//! corresponding run function; it validates the context, dispatches on
-//! the accumulator mode, threads the observer through, and delivers the
-//! calls to the sink. No pipeline logic lives here.
+//! one run function of its execution mode; it validates the context,
+//! picks the accumulator type with [`gnumap_core::with_accumulator`],
+//! threads the observer through, and delivers the calls to the sink. No
+//! pipeline logic lives here.
 
 mod genome_split;
-mod rayon;
 mod read_split;
 mod ring;
 mod serial;
@@ -14,7 +14,6 @@ mod server;
 mod stream;
 
 pub use genome_split::GenomeSplitDriver;
-pub use rayon::RayonDriver;
 pub use read_split::ReadSplitDriver;
 pub use ring::ReadSplitRingDriver;
 pub use serial::SerialDriver;

@@ -5,11 +5,10 @@ use crate::contract::{check_preconditions, Capabilities, Driver};
 use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
-use gnumap_core::accum::{
-    AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, FixedAccumulator, NormAccumulator,
-};
-use gnumap_core::driver::read_split::run_read_split_observed;
+use gnumap_core::accum::AccumulatorMode;
+use gnumap_core::driver::read_split::run_read_split;
 use gnumap_core::report::RunReport;
+use gnumap_core::with_accumulator;
 
 /// The paper's first decomposition: every rank holds the full genome and
 /// index, reads are partitioned across ranks, and accumulators gather at
@@ -55,36 +54,13 @@ impl Driver for ReadSplitDriver {
     ) -> Result<RunReport, EngineError> {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
-        let report = match ctx.config.accumulator {
-            AccumulatorMode::Norm => run_read_split_observed::<NormAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-            AccumulatorMode::CharDisc => run_read_split_observed::<CharDiscAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-            AccumulatorMode::CentDisc => run_read_split_observed::<CentDiscAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-            AccumulatorMode::Fixed => run_read_split_observed::<FixedAccumulator>(
-                ctx.reference,
-                &reads,
-                &ctx.config,
-                ctx.threads,
-                &ctx.observer,
-            )?,
-        };
+        let report = with_accumulator!(ctx.config.accumulator, |A| run_read_split::<A>(
+            ctx.reference,
+            &reads,
+            &ctx.config,
+            ctx.threads,
+            &ctx.observer,
+        ))?;
         deliver(report, sink)
     }
 }

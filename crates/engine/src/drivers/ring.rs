@@ -6,7 +6,7 @@ use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::driver::read_split::run_read_split_ring_observed;
+use gnumap_core::driver::read_split::run_read_split_ring;
 use gnumap_core::report::RunReport;
 
 /// Read partitioning with a ring allreduce instead of a star gather.
@@ -46,7 +46,7 @@ impl Driver for ReadSplitRingDriver {
     ) -> Result<RunReport, EngineError> {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
-        let report = run_read_split_ring_observed(
+        let report = run_read_split_ring(
             ctx.reference,
             &reads,
             &ctx.config,

@@ -6,8 +6,9 @@ use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::pipeline::run_pipeline_observed;
+use gnumap_core::pipeline::run_serial;
 use gnumap_core::report::RunReport;
+use gnumap_core::with_accumulator;
 
 /// Single-threaded pipeline: the reference implementation every parallel
 /// decomposition is measured against.
@@ -45,7 +46,9 @@ impl Driver for SerialDriver {
     ) -> Result<RunReport, EngineError> {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
-        let report = run_pipeline_observed(ctx.reference, &reads, &ctx.config, &ctx.observer);
+        let report = with_accumulator!(ctx.config.accumulator, |A| {
+            run_serial::<A>(ctx.reference, &reads, &ctx.config, &ctx.observer)
+        });
         deliver(report, sink)
     }
 }

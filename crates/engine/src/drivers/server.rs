@@ -6,9 +6,8 @@ use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::observe::{Event, Stage, StageTimer};
+use gnumap_core::observe::{RunTimer, Stage, StageTimer};
 use gnumap_core::report::RunReport;
-use std::time::Instant;
 
 /// Finalize deadline for a loopback run (generous; the server drains
 /// every submitted read before answering).
@@ -54,11 +53,7 @@ impl Driver for ServerDriver {
         check_preconditions(self, ctx)?;
         let reads = source.collect()?;
         let observer = &ctx.observer;
-        observer.emit(|| Event::RunStart {
-            driver: "server".into(),
-            accumulator: ctx.config.accumulator.name().into(),
-        });
-        let start = Instant::now();
+        let run = RunTimer::start(observer, self.name(), ctx.config.accumulator);
 
         // Index stage: server startup builds the k-mer index.
         let timer = StageTimer::start(observer, Stage::Index);
@@ -102,20 +97,10 @@ impl Driver for ServerDriver {
             calls: r.calls,
             reads_processed: r.reads_processed as usize,
             reads_mapped: r.reads_mapped as usize,
-            elapsed_secs: start.elapsed().as_secs_f64(),
-            accumulator_bytes: 0,
-            traffic: None,
-            rank_cpu_secs: Vec::new(),
-            stream: None,
             accumulator_digest: Some(r.digest),
+            ..RunReport::default()
         };
-        observer.emit(|| Event::RunEnd {
-            reads_processed: report.reads_processed as u64,
-            reads_mapped: report.reads_mapped as u64,
-            calls: report.calls.len() as u64,
-            wall_secs: report.elapsed_secs,
-        });
-        deliver(report, sink)
+        deliver(run.finish(observer, report), sink)
     }
 }
 

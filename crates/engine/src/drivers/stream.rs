@@ -5,16 +5,18 @@ use crate::contract::{check_preconditions, Capabilities, Driver};
 use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
-use exec::{run_stream_observed, MemoryStream};
+use exec::{run_stream, MemoryStream, ReadStream};
 use gnumap_core::accum::{AccumulatorMode, FixedAccumulator};
 use gnumap_core::report::RunReport;
 
 /// Work-stealing micro-batch pipeline over an unbounded source, with
-/// backpressure, a sharded shared accumulator, and checkpoint/resume.
-/// Always accumulates in fixed point — integer deposits commute, so any
-/// worker count, batch shape or checkpoint split is bit-identical to
-/// serial. `NORM` is accepted as a selection (fixed point quantizes the
-/// same normalized posteriors) and runs the identical fixed-point path.
+/// backpressure, a sharded shared accumulator, and checkpoint/resume —
+/// the shared-memory driver, so it also answers to `rayon`, `threads`
+/// and `shared`. Always accumulates in fixed point — integer deposits
+/// commute, so any worker count, batch shape or checkpoint split is
+/// bit-identical to serial. `NORM` is accepted as a selection (fixed
+/// point quantizes the same normalized posteriors) and runs the
+/// identical fixed-point path.
 pub struct StreamDriver;
 
 impl Driver for StreamDriver {
@@ -23,7 +25,7 @@ impl Driver for StreamDriver {
     }
 
     fn aliases(&self) -> &'static [&'static str] {
-        &["streaming"]
+        &["streaming", "rayon", "threads", "shared"]
     }
 
     fn description(&self) -> &'static str {
@@ -48,25 +50,16 @@ impl Driver for StreamDriver {
     ) -> Result<RunReport, EngineError> {
         check_preconditions(self, ctx)?;
         let sc = ctx.stream_config();
-        let report = match source {
-            ReadSource::Stream(stream) => run_stream_observed::<FixedAccumulator>(
-                ctx.reference,
-                stream,
-                &ctx.config,
-                &sc,
-                &ctx.observer,
-            )?,
+        let mut memory;
+        let stream: &mut dyn ReadStream = match source {
+            ReadSource::Stream(stream) => stream,
             ReadSource::Slice(reads) => {
-                let mut stream = MemoryStream::new(reads.to_vec());
-                run_stream_observed::<FixedAccumulator>(
-                    ctx.reference,
-                    &mut stream,
-                    &ctx.config,
-                    &sc,
-                    &ctx.observer,
-                )?
+                memory = MemoryStream::new(reads.to_vec());
+                &mut memory
             }
         };
+        let report =
+            run_stream::<FixedAccumulator>(ctx.reference, stream, &ctx.config, &sc, &ctx.observer)?;
         deliver(report, sink)
     }
 }

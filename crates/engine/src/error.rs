@@ -99,11 +99,11 @@ mod tests {
         let err = EngineError::UnknownDriver {
             name: "sreial".into(),
             suggestion: Some("serial".into()),
-            known: vec!["serial", "rayon"],
+            known: vec!["serial", "stream"],
         };
         let msg = err.to_string();
         assert!(msg.contains("unknown value \"sreial\""), "{msg}");
-        assert!(msg.contains("serial | rayon"), "{msg}");
+        assert!(msg.contains("serial | stream"), "{msg}");
         assert!(msg.contains("did you mean \"serial\"?"), "{msg}");
     }
 

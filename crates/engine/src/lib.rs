@@ -1,11 +1,11 @@
 //! Unified driver engine: one registry, one run contract.
 //!
-//! The pipeline grew six ways to execute the same map → accumulate → call
-//! algorithm — serial, shared-memory threads, two MPI decompositions, a
-//! ring-allreduce variant, a streaming batch engine, and a TCP daemon —
-//! each with its own entry-point signature and its own call sites in the
-//! CLI, the conformance matrix and the benchmarks. This crate collapses
-//! them onto a single contract:
+//! The pipeline has six ways to execute the same map → accumulate → call
+//! algorithm — serial, two MPI decompositions, a ring-allreduce variant,
+//! a streaming batch engine (also the shared-memory mode), and a TCP
+//! daemon — each with its own run function. This crate puts them behind
+//! a single contract, so the CLI, the conformance matrix and the
+//! benchmarks share one set of call sites:
 //!
 //! * [`Driver`] — `name()`, `capabilities()`, and
 //!   `run(&RunContext, ReadSource, &mut dyn CallSink) -> RunReport`;
@@ -18,7 +18,7 @@
 //! * [`DriverRegistry`] — the single source of truth for driver names,
 //!   with aliases, typo suggestions, and a generated capability table.
 //!
-//! The adapters are behaviour-preserving wrappers over the original run
+//! The adapters are behaviour-preserving wrappers over the run
 //! functions: with the fixed-point accumulator, every driver resolved
 //! from the registry produces the same accumulator digest and the same
 //! bit-identical call wire as the serial reference (the ring variant,

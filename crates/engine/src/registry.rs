@@ -8,8 +8,8 @@
 
 use crate::contract::Driver;
 use crate::drivers::{
-    GenomeSplitDriver, RayonDriver, ReadSplitDriver, ReadSplitRingDriver, SerialDriver,
-    ServerDriver, StreamDriver,
+    GenomeSplitDriver, ReadSplitDriver, ReadSplitRingDriver, SerialDriver, ServerDriver,
+    StreamDriver,
 };
 use crate::error::EngineError;
 
@@ -26,11 +26,10 @@ impl DriverRegistry {
         }
     }
 
-    /// The standard seven execution modes, in documentation order.
+    /// The standard six execution modes, in documentation order.
     pub fn standard() -> Self {
         let mut r = DriverRegistry::new();
         r.register(Box::new(SerialDriver));
-        r.register(Box::new(RayonDriver));
         r.register(Box::new(ReadSplitDriver));
         r.register(Box::new(ReadSplitRingDriver));
         r.register(Box::new(GenomeSplitDriver));
@@ -179,13 +178,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_registry_has_the_seven_modes() {
+    fn standard_registry_has_the_six_modes() {
         let r = DriverRegistry::standard();
         assert_eq!(
             r.names(),
             vec![
                 "serial",
-                "rayon",
                 "read-split",
                 "read-split-ring",
                 "genome-split",
@@ -198,7 +196,11 @@ mod tests {
     #[test]
     fn aliases_resolve_to_the_primary_driver() {
         let r = DriverRegistry::standard();
-        assert_eq!(r.get("threads").unwrap().name(), "rayon");
+        // The shared-memory names select the stream driver: a thread
+        // pool over one bit-exact accumulator.
+        for alias in ["rayon", "threads", "shared"] {
+            assert_eq!(r.get(alias).unwrap().name(), "stream", "{alias}");
+        }
         assert_eq!(r.get("ring").unwrap().name(), "read-split-ring");
         assert_eq!(r.get("mpi-genome").unwrap().name(), "genome-split");
         assert_eq!(r.get("loopback").unwrap().name(), "server");
@@ -213,7 +215,7 @@ mod tests {
                 suggestion, known, ..
             } => {
                 assert_eq!(suggestion.as_deref(), Some("stream"));
-                assert_eq!(known.len(), 7);
+                assert_eq!(known.len(), 6);
             }
             other => panic!("unexpected error: {other:?}"),
         }
@@ -243,7 +245,7 @@ mod tests {
         let r = DriverRegistry::standard();
         let table = r.driver_table();
         let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 2 + 7, "header + separator + one row each");
+        assert_eq!(lines.len(), 2 + 6, "header + separator + one row each");
         for line in &lines {
             assert_eq!(line.matches('|').count(), 8, "8 pipes per row: {line}");
         }

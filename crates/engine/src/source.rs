@@ -7,7 +7,7 @@ use std::borrow::Cow;
 
 /// Where a run's reads come from.
 ///
-/// Slice-based drivers (serial, rayon, the MPI decompositions, the
+/// Slice-based drivers (serial, the MPI decompositions, the
 /// loopback server) drain a stream source into memory before running;
 /// the streaming driver consumes a slice source through an in-memory
 /// adapter. Either way every driver accepts either variant, so the

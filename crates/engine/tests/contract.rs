@@ -7,8 +7,7 @@ use exec::MemoryStream;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::observe::MemorySink;
-use gnumap_core::observe::Observer;
+use gnumap_core::observe::{Event, MemorySink, Observer};
 use gnumap_core::GnumapConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -146,7 +145,7 @@ fn unsupported_accumulators_are_typed_errors() {
     let mut ctx = RunContext::new(&reference);
     ctx.config.accumulator = AccumulatorMode::CharDisc;
 
-    for name in ["rayon", "read-split-ring", "stream", "server"] {
+    for name in ["read-split-ring", "stream", "server"] {
         let driver = registry.get(name).unwrap();
         assert!(!driver.capabilities().supports(AccumulatorMode::CharDisc));
         let err = driver
@@ -177,7 +176,7 @@ fn every_driver_emits_run_events_through_the_context_observer() {
         };
         ctx.threads = 2;
         ctx.observer = Observer::new(sink.clone());
-        driver
+        let report = driver
             .run(&ctx, ReadSource::Slice(&reads), &mut VecSink::default())
             .unwrap_or_else(|e| panic!("{} failed: {e}", driver.name()));
         let events = sink.events();
@@ -193,6 +192,33 @@ fn every_driver_emits_run_events_through_the_context_observer() {
             "{}: no stage timings in {kinds:?}",
             driver.name()
         );
+        // The run ends with exactly the report's counts and wall time.
+        match events.last() {
+            Some(Event::RunEnd {
+                reads_processed,
+                reads_mapped,
+                calls,
+                wall_secs,
+            }) => {
+                assert_eq!(
+                    (*reads_processed, *reads_mapped, *calls),
+                    (
+                        report.reads_processed as u64,
+                        report.reads_mapped as u64,
+                        report.calls.len() as u64
+                    ),
+                    "{}: run_end counts differ from the report",
+                    driver.name()
+                );
+                assert_eq!(
+                    wall_secs.to_bits(),
+                    report.elapsed_secs.to_bits(),
+                    "{}: run_end wall time differs from the report",
+                    driver.name()
+                );
+            }
+            other => panic!("{}: last event {other:?}, not run_end", driver.name()),
+        }
     }
 }
 
@@ -203,7 +229,7 @@ fn invalid_context_is_rejected_before_running() {
     let mut ctx = RunContext::new(&reference);
     ctx.threads = 0;
     let err = registry
-        .get("rayon")
+        .get("stream")
         .unwrap()
         .run(&ctx, ReadSource::Slice(&reads), &mut VecSink::default())
         .expect_err("zero threads");

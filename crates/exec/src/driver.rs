@@ -41,7 +41,9 @@ use crossbeam::utils::Backoff;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
-use gnumap_core::observe::{Event, Observer, Stage, StageTimer};
+use gnumap_core::mapping::AlignScratch;
+use gnumap_core::observe::{Event, Observer, RunTimer, Stage, StageTimer};
+use gnumap_core::pipeline::BatchCounts;
 use gnumap_core::report::{RunReport, StreamStats};
 use gnumap_core::snpcall::call_snps;
 use gnumap_core::{GnumapConfig, MappingEngine};
@@ -101,51 +103,52 @@ impl Default for StreamConfig {
     }
 }
 
+impl StreamConfig {
+    /// Reject a shape the scheduler cannot run: every size and count must
+    /// be at least 1 (a zero window size, for one, would end the run
+    /// before its first read).
+    pub fn validate(&self) -> Result<(), ExecError> {
+        for (value, what) in [
+            (self.workers, "workers"),
+            (self.batch_size, "batch_size"),
+            (self.chunk_size, "chunk_size"),
+            (self.batches_per_worker, "batches_per_worker"),
+            (self.shards, "shards"),
+        ] {
+            if value == 0 {
+                return Err(ExecError::InvalidConfig(format!(
+                    "{what} must be at least 1"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One unit of worker work.
 struct Batch {
     reads: Vec<SequencedRead>,
 }
 
-/// Completion message from a worker.
-struct BatchDone {
-    reads: usize,
-    mapped: usize,
-}
-
 /// Run the streaming engine over `stream`, calling SNPs at end of input.
 ///
 /// With `A = FixedAccumulator` the returned calls are bit-identical to
-/// `run_serial_with::<FixedAccumulator>` on the same reads, for any
-/// worker count, batch size, chunking or checkpoint/resume split.
+/// `run_serial::<FixedAccumulator>` on the same reads, for any worker
+/// count, batch size, chunking or checkpoint/resume split. The observer
+/// gets one [`Event::Batch`] per stolen micro-batch (tagged with the
+/// stealing worker's index), an [`Event::Checkpoint`] for every
+/// checkpoint record written, and stage timings taken on the scheduler
+/// thread. A shape [`StreamConfig::validate`] rejects is an
+/// [`ExecError::InvalidConfig`].
 pub fn run_stream<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    stream: &mut dyn ReadStream,
-    config: &GnumapConfig,
-    sc: &StreamConfig,
-) -> Result<RunReport, ExecError> {
-    run_stream_observed::<A>(reference, stream, config, sc, &Observer::disabled())
-}
-
-/// [`run_stream`] with structured observability: one [`Event::Batch`] per
-/// stolen micro-batch (tagged with the stealing worker's index), an
-/// [`Event::Checkpoint`] for every checkpoint record written, and stage
-/// timings taken on the scheduler thread. The disabled-observer path is
-/// the exact un-instrumented worker loop.
-pub fn run_stream_observed<A: GenomeAccumulator>(
     reference: &DnaSeq,
     stream: &mut dyn ReadStream,
     config: &GnumapConfig,
     sc: &StreamConfig,
     observer: &Observer,
 ) -> Result<RunReport, ExecError> {
-    assert!(sc.workers >= 1, "need at least one worker");
-    assert!(sc.batch_size >= 1, "batches must hold at least one read");
-    assert!(sc.chunk_size >= 1, "chunks must hold at least one read");
-    observer.emit(|| Event::RunStart {
-        driver: "stream".into(),
-        accumulator: config.accumulator.name().into(),
-    });
-    let start = Instant::now();
+    sc.validate()?;
+    let run = RunTimer::start(observer, "stream", config.accumulator);
 
     // ---- resume --------------------------------------------------------
     let sharded = ShardedAccumulator::<A>::new(reference.len(), sc.shards);
@@ -179,7 +182,7 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
 
     // ---- plumbing ------------------------------------------------------
     let (chunk_tx, chunk_rx) = channel::bounded::<Vec<SequencedRead>>(sc.channel_capacity);
-    let (done_tx, done_rx) = channel::unbounded::<BatchDone>();
+    let (done_tx, done_rx) = channel::unbounded::<BatchCounts>();
     let injector = Injector::<Batch>::new();
     let shutdown = AtomicBool::new(false);
     let source_stall_nanos = AtomicU64::new(0);
@@ -237,55 +240,24 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
                     let mut backoff = Backoff::new();
                     // Per-worker scratch arena, reused for every stolen
                     // batch this thread ever processes.
-                    let mut scratch = gnumap_core::mapping::AlignScratch::new();
+                    let mut scratch = AlignScratch::new();
                     loop {
                         match injector.steal() {
                             Steal::Success(batch) => {
                                 backoff.reset();
-                                let mut mapped = 0usize;
-                                if observer.is_enabled() {
-                                    let (mut candidates, mut columns) = (0u64, 0u64);
-                                    for read in &batch.reads {
-                                        engine.map_read_with(read, &mut scratch);
-                                        candidates += scratch.scored() as u64;
-                                        if !scratch.is_empty() {
-                                            mapped += 1;
-                                        }
-                                        for aln in scratch.alignments() {
-                                            columns += aln.columns.len() as u64;
-                                            sharded.deposit(
-                                                aln.window_start,
-                                                aln.score,
-                                                aln.columns,
-                                            );
-                                        }
-                                    }
-                                    observer.emit(|| Event::Batch {
-                                        worker: worker_index as u64,
-                                        reads: batch.reads.len() as u64,
-                                        mapped: mapped as u64,
-                                        candidates,
-                                        deposited_columns: columns,
-                                    });
-                                } else {
-                                    for read in &batch.reads {
-                                        engine.map_read_with(read, &mut scratch);
-                                        if !scratch.is_empty() {
-                                            mapped += 1;
-                                        }
-                                        for aln in scratch.alignments() {
-                                            sharded.deposit(
-                                                aln.window_start,
-                                                aln.score,
-                                                aln.columns,
-                                            );
-                                        }
-                                    }
+                                let mut counts = BatchCounts::default();
+                                for read in &batch.reads {
+                                    counts.map_read(
+                                        engine,
+                                        read,
+                                        &mut scratch,
+                                        |start, weight, columns| {
+                                            sharded.deposit(start, weight, columns)
+                                        },
+                                    );
                                 }
-                                let _ = done_tx.send(BatchDone {
-                                    reads: batch.reads.len(),
-                                    mapped,
-                                });
+                                counts.emit(observer, worker_index);
+                                let _ = done_tx.send(counts);
                             }
                             Steal::Retry => {}
                             Steal::Empty => {
@@ -351,8 +323,8 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
             let mut window_reads_done = 0usize;
             for _ in 0..window_batches {
                 let done = done_rx.recv().expect("workers outlive the scheduler");
-                mapped_total += done.mapped;
-                window_reads_done += done.reads;
+                mapped_total += done.mapped as usize;
+                window_reads_done += done.reads as usize;
             }
             debug_assert_eq!(window_reads_done, window_len);
             cursor += window_len;
@@ -435,24 +407,17 @@ pub fn run_stream_observed<A: GenomeAccumulator>(
     let timer = StageTimer::start(observer, Stage::Call);
     let calls = call_snps(&full, reference, &config.calling);
     timer.finish(observer);
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    observer.emit(|| Event::RunEnd {
-        reads_processed: cursor as u64,
-        reads_mapped: mapped_total as u64,
-        calls: calls.len() as u64,
-        wall_secs: elapsed_secs,
-    });
-    Ok(RunReport {
+    let report = RunReport {
         calls,
         reads_processed: cursor,
         reads_mapped: mapped_total,
-        elapsed_secs,
         accumulator_bytes,
-        traffic: None,
         rank_cpu_secs,
         stream: Some(stats),
         accumulator_digest: Some(full.digest()),
-    })
+        ..RunReport::default()
+    };
+    Ok(run.finish(observer, report))
 }
 
 #[cfg(test)]
@@ -497,6 +462,7 @@ mod tests {
             &mut stream,
             &GnumapConfig::default(),
             &StreamConfig::default(),
+            &Observer::disabled(),
         )
         .unwrap();
         assert_eq!(report.reads_processed, 0);
@@ -518,9 +484,14 @@ mod tests {
             chunk_size: 32,
             ..Default::default()
         };
-        let report =
-            run_stream::<FixedAccumulator>(&genome, &mut stream, &GnumapConfig::default(), &sc)
-                .unwrap();
+        let report = run_stream::<FixedAccumulator>(
+            &genome,
+            &mut stream,
+            &GnumapConfig::default(),
+            &sc,
+            &Observer::disabled(),
+        )
+        .unwrap();
         assert_eq!(report.reads_processed, n);
         assert!(report.reads_mapped > n * 9 / 10);
         assert_eq!(report.rank_cpu_secs.len(), 2);
@@ -537,11 +508,13 @@ mod tests {
 
     #[test]
     fn batch_size_and_worker_count_do_not_change_results() {
+        let quiet = Observer::disabled();
         let (genome, reads) = tiny_workload();
         let cfg = GnumapConfig::default();
         let baseline = {
             let mut s = MemoryStream::new(reads.clone());
-            run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &StreamConfig::default()).unwrap()
+            run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &StreamConfig::default(), &quiet)
+                .unwrap()
         };
         for (workers, batch_size, chunk_size) in [(2, 8, 16), (3, 31, 7), (4, 64, 500)] {
             let mut s = MemoryStream::new(reads.clone());
@@ -551,7 +524,7 @@ mod tests {
                 chunk_size,
                 ..Default::default()
             };
-            let r = run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &sc).unwrap();
+            let r = run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &sc, &quiet).unwrap();
             assert_eq!(
                 r.calls, baseline.calls,
                 "workers={workers} batch={batch_size} chunk={chunk_size}"
@@ -568,7 +541,14 @@ mod tests {
         let cfg = GnumapConfig::default();
         let plain = {
             let mut s = MemoryStream::new(reads.clone());
-            run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &StreamConfig::default()).unwrap()
+            run_stream::<FixedAccumulator>(
+                &genome,
+                &mut s,
+                &cfg,
+                &StreamConfig::default(),
+                &Observer::disabled(),
+            )
+            .unwrap()
         };
         let dir = std::env::temp_dir().join(format!("gnumap-obs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -585,7 +565,7 @@ mod tests {
         };
         let sink = Arc::new(MemorySink::new());
         let mut s = MemoryStream::new(reads.clone());
-        let observed = run_stream_observed::<FixedAccumulator>(
+        let observed = run_stream::<FixedAccumulator>(
             &genome,
             &mut s,
             &cfg,
@@ -624,6 +604,41 @@ mod tests {
     }
 
     #[test]
+    fn zero_shape_fields_are_invalid_config() {
+        let (genome, reads) = tiny_workload();
+        for field in [
+            "workers",
+            "batch_size",
+            "chunk_size",
+            "batches_per_worker",
+            "shards",
+        ] {
+            let mut sc = StreamConfig::default();
+            *match field {
+                "workers" => &mut sc.workers,
+                "batch_size" => &mut sc.batch_size,
+                "chunk_size" => &mut sc.chunk_size,
+                "batches_per_worker" => &mut sc.batches_per_worker,
+                _ => &mut sc.shards,
+            } = 0;
+            let mut stream = MemoryStream::new(reads[..50].to_vec());
+            let err = run_stream::<FixedAccumulator>(
+                &genome,
+                &mut stream,
+                &GnumapConfig::default(),
+                &sc,
+                &Observer::disabled(),
+            )
+            .unwrap_err();
+            match err {
+                ExecError::InvalidConfig(msg) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field}: expected InvalidConfig, got {other}"),
+            }
+        }
+        assert!(StreamConfig::default().validate().is_ok());
+    }
+
+    #[test]
     fn abort_hook_reports_cursor_at_a_barrier() {
         let (genome, reads) = tiny_workload();
         let mut stream = MemoryStream::new(reads);
@@ -634,9 +649,14 @@ mod tests {
             abort_after_batches: Some(3),
             ..Default::default()
         };
-        let err =
-            run_stream::<FixedAccumulator>(&genome, &mut stream, &GnumapConfig::default(), &sc)
-                .unwrap_err();
+        let err = run_stream::<FixedAccumulator>(
+            &genome,
+            &mut stream,
+            &GnumapConfig::default(),
+            &sc,
+            &Observer::disabled(),
+        )
+        .unwrap_err();
         match err {
             ExecError::Aborted { cursor } => {
                 assert!(cursor > 0, "abort fires after at least one window");

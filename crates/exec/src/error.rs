@@ -12,6 +12,8 @@ pub enum ExecError {
     Source(String),
     /// A checkpoint file failed validation.
     Checkpoint(String),
+    /// A [`crate::StreamConfig`] field is out of range.
+    InvalidConfig(String),
     /// A call wire failed to decode (kept for API parity with the MPI
     /// drivers; the in-process engine itself never ships call wires).
     Wire(CallWireError),
@@ -29,6 +31,7 @@ impl fmt::Display for ExecError {
             ExecError::Io(e) => write!(f, "i/o error: {e}"),
             ExecError::Source(msg) => write!(f, "read source: {msg}"),
             ExecError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
+            ExecError::InvalidConfig(msg) => write!(f, "invalid stream config: {msg}"),
             ExecError::Wire(e) => write!(f, "{e}"),
             ExecError::Aborted { cursor } => {
                 write!(f, "run aborted by kill hook at stream cursor {cursor}")

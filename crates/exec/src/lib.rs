@@ -30,7 +30,7 @@ pub mod sharded;
 pub mod stream;
 
 pub use checkpoint::Checkpoint;
-pub use driver::{run_stream, run_stream_observed, CheckpointPolicy, StreamConfig};
+pub use driver::{run_stream, CheckpointPolicy, StreamConfig};
 pub use error::ExecError;
 pub use sharded::ShardedAccumulator;
 pub use stream::{FastqStream, MemoryStream, ReadStream, SimReadStream};

@@ -4,14 +4,14 @@
 //! stream add up each read's `AlignScratch::scored()`, and genome-split's
 //! ranks each count the scored placements their shard owns.
 
-use exec::{run_stream_observed, MemoryStream, StreamConfig};
+use exec::{run_stream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
 use gnumap_core::accum::FixedAccumulator;
-use gnumap_core::driver::genome_split::run_genome_split_observed;
-use gnumap_core::driver::read_split::run_read_split_observed;
+use gnumap_core::driver::genome_split::run_genome_split;
+use gnumap_core::driver::read_split::run_read_split;
 use gnumap_core::mapping::{AlignScratch, MappingEngine};
 use gnumap_core::observe::{Event, MemorySink, Observer};
-use gnumap_core::pipeline::run_serial_observed;
+use gnumap_core::pipeline::run_serial;
 use gnumap_core::GnumapConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -80,10 +80,10 @@ fn every_driver_counts_scored_candidates_alike() {
     );
 
     let serial = candidates(|o| {
-        run_serial_observed::<FixedAccumulator>(&reference, &reads, &cfg, o);
+        run_serial::<FixedAccumulator>(&reference, &reads, &cfg, o);
     });
     let read_split = candidates(|o| {
-        run_read_split_observed::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
+        run_read_split::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
     });
     let stream = candidates(|o| {
         let sc = StreamConfig {
@@ -92,10 +92,10 @@ fn every_driver_counts_scored_candidates_alike() {
             ..StreamConfig::default()
         };
         let mut source = MemoryStream::new(reads.clone());
-        run_stream_observed::<FixedAccumulator>(&reference, &mut source, &cfg, &sc, o).unwrap();
+        run_stream::<FixedAccumulator>(&reference, &mut source, &cfg, &sc, o).unwrap();
     });
     let genome_split = candidates(|o| {
-        run_genome_split_observed::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
+        run_genome_split::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
     });
     assert_eq!(serial, scored, "serial");
     assert_eq!(read_split, scored, "read-split");

@@ -7,7 +7,8 @@
 use exec::{run_stream, CheckpointPolicy, ExecError, FastqStream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
 use gnumap_core::accum::FixedAccumulator;
-use gnumap_core::pipeline::run_serial_with;
+use gnumap_core::observe::Observer;
+use gnumap_core::pipeline::run_serial;
 use gnumap_core::{GnumapConfig, RunReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,7 +71,12 @@ fn serial_reference() -> &'static RunReport {
     static R: OnceLock<RunReport> = OnceLock::new();
     R.get_or_init(|| {
         let w = workload();
-        run_serial_with::<FixedAccumulator>(&w.reference, &w.reads, &GnumapConfig::default())
+        run_serial::<FixedAccumulator>(
+            &w.reference,
+            &w.reads,
+            &GnumapConfig::default(),
+            &Observer::disabled(),
+        )
     })
 }
 
@@ -118,8 +124,14 @@ fn stream_calls_match_serial_bit_exactly() {
             chunk_size,
             ..Default::default()
         };
-        let report = run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &sc)
-            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        let report = run_stream::<FixedAccumulator>(
+            &w.reference,
+            &mut stream,
+            &config,
+            &sc,
+            &Observer::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
         assert_eq!(
             report.calls, serial.calls,
             "calls diverged at workers={workers} batch={batch_size} chunk={chunk_size}"
@@ -149,6 +161,7 @@ fn fastq_streamed_run_matches_serial() {
         &mut stream,
         &GnumapConfig::default(),
         &small_windows(),
+        &Observer::disabled(),
     )
     .unwrap();
     assert_eq!(report.calls, serial.calls);
@@ -158,6 +171,7 @@ fn fastq_streamed_run_matches_serial() {
 
 #[test]
 fn checkpoint_kill_resume_matches_uninterrupted() {
+    let quiet = Observer::disabled();
     let w = workload();
     let serial = serial_reference();
     let config = GnumapConfig::default();
@@ -177,8 +191,9 @@ fn checkpoint_kill_resume_matches_uninterrupted() {
         ..small_windows()
     };
     let mut stream = MemoryStream::new(w.reads.clone());
-    let err = run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &killed_cfg)
-        .unwrap_err();
+    let err =
+        run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &killed_cfg, &quiet)
+            .unwrap_err();
     let killed_cursor = match err {
         ExecError::Aborted { cursor } => cursor,
         other => panic!("expected kill, got {other}"),
@@ -204,7 +219,8 @@ fn checkpoint_kill_resume_matches_uninterrupted() {
     };
     let mut stream = MemoryStream::new(w.reads.clone());
     let resumed =
-        run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &resume_cfg).unwrap();
+        run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &resume_cfg, &quiet)
+            .unwrap();
 
     assert_eq!(resumed.calls, serial.calls, "resumed calls diverged");
     assert_eq!(resumed.reads_processed, w.reads.len());
@@ -234,6 +250,7 @@ fn resume_without_checkpoint_file_starts_from_scratch() {
         &mut stream,
         &GnumapConfig::default(),
         &resume_cfg,
+        &Observer::disabled(),
     )
     .unwrap();
     assert_eq!(report.calls, serial.calls);

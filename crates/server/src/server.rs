@@ -36,6 +36,7 @@ use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
 use gnumap_core::config::GnumapConfig;
 use gnumap_core::mapping::{AlignScratch, MappingEngine};
+use gnumap_core::pipeline::BatchCounts;
 use gnumap_core::snpcall::call_snps;
 use mpisim::ThreadCpuTimer;
 use std::io;
@@ -610,17 +611,15 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
         if let Some(delay) = shared.cfg.worker_delay {
             thread::sleep(delay);
         }
-        let (mut candidates, mut columns) = (0u64, 0u64);
+        let mut counts = BatchCounts::default();
         for item in batch.items {
-            engine.map_read_with(&item.read, &mut scratch);
-            candidates += scratch.scored() as u64;
-            let mapped = !scratch.is_empty();
-            for aln in scratch.alignments() {
-                columns += aln.columns.len() as u64;
-                item.session
-                    .deposit(aln.window_start, aln.score, aln.columns);
-            }
-            item.session.complete_read(mapped);
+            let mapped =
+                counts.map_read(&engine, &item.read, &mut scratch, |start, weight, cols| {
+                    item.session.deposit(start, weight, cols)
+                });
+            // Count the read before completing it: completing the last
+            // read wakes `finalize`, and a `Stats` request right after it
+            // must already see this read.
             shared
                 .metrics
                 .reads_processed
@@ -631,15 +630,16 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
             shared
                 .metrics
                 .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);
+            item.session.complete_read(mapped);
         }
         shared
             .metrics
             .candidates_evaluated
-            .fetch_add(candidates, Ordering::Relaxed);
+            .fetch_add(counts.candidates, Ordering::Relaxed);
         shared
             .metrics
             .deposit_columns
-            .fetch_add(columns, Ordering::Relaxed);
+            .fetch_add(counts.columns, Ordering::Relaxed);
         shared
             .metrics
             .publish_worker_cpu(worker_id, timer.elapsed());

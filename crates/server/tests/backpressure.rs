@@ -7,7 +7,8 @@ use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::FixedAccumulator;
 use gnumap_core::config::GnumapConfig;
-use gnumap_core::pipeline::run_serial_with;
+use gnumap_core::observe::Observer;
+use gnumap_core::pipeline::run_serial;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use server::protocol::Request;
@@ -101,7 +102,8 @@ fn full_ingress_sheds_busy_and_recovers() {
     assert_eq!(stats.busy_rejections as usize, busy_seen);
 
     let result = client.finalize(session, 60_000).expect("finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &accepted, &config);
+    let serial =
+        run_serial::<FixedAccumulator>(&reference, &accepted, &config, &Observer::disabled());
     assert_eq!(
         Some(result.digest),
         serial.accumulator_digest,
@@ -148,7 +150,8 @@ fn slow_worker_triggers_finalize_timeout_then_retry_succeeds() {
 
     // Retry with a generous deadline: the session is closed but intact.
     let result = client.finalize(session, 60_000).expect("retried finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &reads[..take], &config);
+    let serial =
+        run_serial::<FixedAccumulator>(&reference, &reads[..take], &config, &Observer::disabled());
     assert_eq!(Some(result.digest), serial.accumulator_digest);
     assert_eq!(result.reads_processed as usize, take);
 
@@ -201,7 +204,8 @@ fn stalled_client_does_not_wedge_the_batcher() {
         .submit_reads(session, &reads[..take])
         .expect("submit");
     let result = client.finalize(session, 60_000).expect("finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &reads[..take], &config);
+    let serial =
+        run_serial::<FixedAccumulator>(&reference, &reads[..take], &config, &Observer::disabled());
     assert_eq!(Some(result.digest), serial.accumulator_digest);
 
     // The stalled connection gets reaped by the frame-stall cap, so

@@ -7,7 +7,8 @@ use genome::seq::DnaSeq;
 use gnumap_core::accum::FixedAccumulator;
 use gnumap_core::config::GnumapConfig;
 use gnumap_core::driver::encode_calls;
-use gnumap_core::pipeline::run_serial_with;
+use gnumap_core::observe::Observer;
+use gnumap_core::pipeline::run_serial;
 use gnumap_core::report::RunReport;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -128,7 +129,8 @@ fn concurrent_sessions_match_serial_driver() {
 
     for t in threads {
         let (part, result) = t.join().expect("client thread");
-        let serial = run_serial_with::<FixedAccumulator>(&reference, &part, &config);
+        let serial =
+            run_serial::<FixedAccumulator>(&reference, &part, &config, &Observer::disabled());
         assert_eq!(
             Some(result.digest),
             serial.accumulator_digest,
@@ -178,6 +180,7 @@ fn concurrent_sessions_match_serial_driver() {
 /// evidence.
 #[test]
 fn interleaved_sessions_on_one_connection_stay_isolated() {
+    let quiet = Observer::disabled();
     let (reference, reads) = fixture(3_000, 4, 8.0, 99);
     let config = GnumapConfig::default();
     let handle = start(
@@ -215,8 +218,8 @@ fn interleaved_sessions_on_one_connection_stay_isolated() {
     let result_a = client.finalize(a, 60_000).expect("finalize a");
     let result_b = client.finalize(b, 60_000).expect("finalize b");
 
-    let serial_a = run_serial_with::<FixedAccumulator>(&reference, left, &config);
-    let serial_b = run_serial_with::<FixedAccumulator>(&reference, right, &config);
+    let serial_a = run_serial::<FixedAccumulator>(&reference, left, &config, &quiet);
+    let serial_b = run_serial::<FixedAccumulator>(&reference, right, &config, &quiet);
     assert_eq!(Some(result_a.digest), serial_a.accumulator_digest);
     assert_eq!(Some(result_b.digest), serial_b.accumulator_digest);
     assert_ne!(
@@ -271,7 +274,8 @@ fn disconnect_mid_session_cleans_up() {
     let session = probe.open_session(SessionConfig::default()).expect("open");
     probe.submit_reads(session, &reads[..10]).expect("submit");
     let result = probe.finalize(session, 60_000).expect("finalize");
-    let serial = run_serial_with::<FixedAccumulator>(&reference, &reads[..10], &config);
+    let serial =
+        run_serial::<FixedAccumulator>(&reference, &reads[..10], &config, &Observer::disabled());
     assert_eq!(Some(result.digest), serial.accumulator_digest);
 
     handle.shutdown();

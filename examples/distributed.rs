@@ -13,6 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
 
 fn main() {
+    let quiet = Observer::disabled();
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let reference = simulate::generate_genome(
         &simulate::GenomeConfig {
@@ -55,9 +56,9 @@ fn main() {
         ranks
     );
 
-    let shared = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks)
+    let shared = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet)
         .expect("call wire intact");
-    let spread = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks)
+    let spread = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet)
         .expect("call wire intact");
 
     for (name, report, per_rank_note) in [

@@ -42,7 +42,7 @@ target/release/gnumap simulate --out-dir "$trace_dir" \
 target/release/gnumap drivers | grep -q '`serial`' || {
     echo "gnumap drivers does not list the serial driver"; exit 1;
 }
-for driver in serial rayon stream; do
+for driver in serial read-split read-split-ring genome-split stream server; do
     target/release/gnumap call --reference "$trace_dir/reference.fa" \
         --reads "$trace_dir/reads.fq" --out "$trace_dir/$driver.vcf" \
         --driver "$driver" --trace-json "$trace_dir/$driver.trace.jsonl" \

@@ -225,7 +225,7 @@ mod tests {
             &vcf_local,
             "--driver",
             "stream",
-            "--workers",
+            "--threads",
             "1",
         ])
         .unwrap();

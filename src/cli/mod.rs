@@ -151,7 +151,7 @@ USAGE:
   gnumap call        --reference ref.fa --reads reads.fq [--out calls.vcf]
                      [--ploidy monoploid|diploid] [--alpha A | --fdr Q]
                      [--accumulator norm|chardisc|centdisc|fixed]
-                     [--driver NAME] [--threads N] [--workers N]
+                     [--driver NAME] [--threads N]
                      [--batch-size N] [--shards N]
                      [--checkpoint-dir DIR] [--resume]
                      [--trace-json PATH]

@@ -2,10 +2,12 @@
 //! the local pipeline commands.
 //!
 //! `call` resolves its execution mode exclusively through
-//! [`engine::DriverRegistry`]: every registered driver (serial, rayon,
-//! the MPI decompositions, the streaming engine, the loopback server) is
+//! [`engine::DriverRegistry`]: every registered driver (serial, the MPI
+//! decompositions, the streaming engine, the loopback server) is
 //! selectable with `--driver`, unknown names get a typo suggestion, and
 //! `--trace-json` attaches a JSON-lines observer to any of them.
+//! `--threads N` is the one parallelism budget: threads, ranks or
+//! workers, whichever driver runs.
 
 use super::{parse_accumulator, parse_cutoff, parse_float_opt, parse_ploidy, read_reference, Args};
 use crate::core::observe::{JsonLinesSink, Observer};
@@ -29,11 +31,10 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let accumulator_s: String = args.get("accumulator", "norm".to_string())?;
     let threads: usize = args.get("threads", 1usize)?;
     let min_coverage: f64 = args.get("min-coverage", 3.0f64)?;
-    // `--threads N` (N > 1) without `--driver` keeps selecting the rayon
-    // driver, as it did before `--driver` existed.
-    let default_driver = if threads > 1 { "rayon" } else { "serial" };
+    // `--threads N` (N > 1) without `--driver` selects the shared-memory
+    // (stream) driver.
+    let default_driver = if threads > 1 { "stream" } else { "serial" };
     let driver_s: String = args.get("driver", default_driver.to_string())?;
-    let workers: usize = args.get("workers", 2usize)?;
     let batch_size: usize = args.get("batch-size", 64usize)?;
     let shards: usize = args.get("shards", 16usize)?;
     let checkpoint_dir = args.optional("checkpoint-dir");
@@ -89,9 +90,7 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         accumulator,
         ..Default::default()
     };
-    // Streaming drivers size their worker pool with --workers; everything
-    // else interprets the budget as threads/ranks via --threads.
-    ctx.threads = if caps.streaming { workers } else { threads };
+    ctx.threads = threads;
     ctx.batch_size = batch_size;
     ctx.shards = shards;
     ctx.checkpoint = match &checkpoint_dir {
@@ -410,6 +409,46 @@ mod tests {
         };
         assert_eq!(strip(&a), strip(&b), "threads must not change the calls");
 
+        // `--threads N` alone runs the stream driver with N workers, the
+        // same run as naming the driver.
+        let vcf4 = format!("{dirs}/calls_stream.vcf");
+        let msg = run_to_string(&[
+            "call",
+            "--reference",
+            &fa,
+            "--reads",
+            &fq,
+            "--out",
+            &vcf3,
+            "--threads",
+            "3",
+        ])
+        .unwrap();
+        assert!(msg.contains("stream: 3 workers"), "{msg}");
+        run_to_string(&[
+            "call",
+            "--reference",
+            &fa,
+            "--reads",
+            &fq,
+            "--out",
+            &vcf4,
+            "--driver",
+            "stream",
+            "--threads",
+            "3",
+        ])
+        .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&vcf3).unwrap(),
+            std::fs::read_to_string(&vcf4).unwrap(),
+            "--threads 3 differs from --driver stream --threads 3"
+        );
+        // `--workers` belongs to `serve`, not `call`.
+        let err = run_to_string(&["call", "--reference", &fa, "--reads", &fq, "--workers", "2"])
+            .unwrap_err();
+        assert!(err.contains("workers"), "{err}");
+
         // Mutually exclusive cutoffs are rejected.
         let err = run_to_string(&[
             "call",
@@ -474,7 +513,7 @@ mod tests {
             &vcf_stream,
             "--driver",
             "stream",
-            "--workers",
+            "--threads",
             "2",
             "--batch-size",
             "32",
@@ -587,7 +626,6 @@ mod tests {
         let table = run_to_string(&["drivers"]).unwrap();
         for name in [
             "serial",
-            "rayon",
             "read-split",
             "read-split-ring",
             "genome-split",

@@ -72,8 +72,8 @@ pub mod prelude {
     pub use genome::{Base, DnaSeq, SequencedRead};
     pub use gnumap_core::accum::{AccumulatorMode, GenomeAccumulator};
     pub use gnumap_core::driver::genome_split::run_genome_split;
-    pub use gnumap_core::driver::rayon_driver::run_rayon;
     pub use gnumap_core::driver::read_split::run_read_split;
+    pub use gnumap_core::observe::Observer;
     pub use gnumap_core::{
         call_snps, run_pipeline, score_snp_calls, GnumapConfig, MappingEngine, RunReport, SnpCall,
     };

@@ -1,11 +1,12 @@
-//! Decomposition-independence: the serial pipeline, the rayon driver and
-//! both simulated-MPI drivers must produce the same SNP calls on the same
-//! input (NORM accumulator, p-value cutoff) — the strongest evidence that
-//! the parallelisation is semantics-preserving, which is what lets the
-//! paper claim its speedups come "for free".
+//! Decomposition-independence: the serial pipeline, the shared-memory
+//! (stream) driver and both simulated-MPI drivers must produce the same
+//! SNP calls on the same input (NORM accumulator, p-value cutoff) — the
+//! strongest evidence that the parallelisation is semantics-preserving,
+//! which is what lets the paper claim its speedups come "for free".
 
 use gnumap_snp::core::accum::NormAccumulator;
-use gnumap_snp::core::pipeline::run_serial_with;
+use gnumap_snp::core::pipeline::run_serial;
+use gnumap_snp::engine::{self, DriverRegistry, NullSink, RunContext};
 use gnumap_snp::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,27 +57,41 @@ fn call_keys(calls: &[SnpCall]) -> Vec<(usize, Base)> {
 
 #[test]
 fn all_four_drivers_agree() {
+    let quiet = Observer::disabled();
     let (reference, reads) = workload();
     let cfg = GnumapConfig::default();
 
-    let serial = run_serial_with::<NormAccumulator>(&reference, &reads, &cfg);
+    let serial = run_serial::<NormAccumulator>(&reference, &reads, &cfg, &quiet);
     let serial_keys = call_keys(&serial.calls);
     assert!(
         !serial_keys.is_empty(),
         "fixture must produce at least one call"
     );
 
-    let rayon = run_rayon::<NormAccumulator>(&reference, &reads, &cfg, 3);
-    assert_eq!(call_keys(&rayon.calls), serial_keys, "rayon differs");
+    // The shared-memory names select the stream driver.
+    let mut ctx = RunContext::new(&reference);
+    ctx.threads = 3;
+    let shared = DriverRegistry::standard()
+        .get("shared")
+        .unwrap()
+        .run(&ctx, engine::ReadSource::Slice(&reads), &mut NullSink)
+        .unwrap();
+    assert_eq!(
+        call_keys(&shared.calls),
+        serial_keys,
+        "shared memory differs"
+    );
 
-    let read_split = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 3).unwrap();
+    let read_split =
+        run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 3, &quiet).unwrap();
     assert_eq!(
         call_keys(&read_split.calls),
         serial_keys,
         "read-split differs"
     );
 
-    let genome_split = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 3).unwrap();
+    let genome_split =
+        run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 3, &quiet).unwrap();
     assert_eq!(
         call_keys(&genome_split.calls),
         serial_keys,
@@ -86,24 +101,27 @@ fn all_four_drivers_agree() {
 
 #[test]
 fn rank_count_does_not_change_results() {
+    let quiet = Observer::disabled();
     let (reference, reads) = workload();
     let cfg = GnumapConfig::default();
-    let one = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 1).unwrap();
+    let one = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 1, &quiet).unwrap();
     let keys = call_keys(&one.calls);
     for ranks in [2usize, 4, 7] {
-        let r = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
+        let r = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet).unwrap();
         assert_eq!(call_keys(&r.calls), keys, "read-split ranks={ranks}");
-        let g = run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks).unwrap();
+        let g =
+            run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet).unwrap();
         assert_eq!(call_keys(&g.calls), keys, "genome-split ranks={ranks}");
     }
 }
 
 #[test]
 fn repeated_runs_are_bit_deterministic() {
+    let quiet = Observer::disabled();
     let (reference, reads) = workload();
     let cfg = GnumapConfig::default();
-    let a = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
-    let b = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4).unwrap();
+    let a = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4, &quiet).unwrap();
+    let b = run_read_split::<NormAccumulator>(&reference, &reads, &cfg, 4, &quiet).unwrap();
     assert_eq!(a.calls, b.calls, "same input, same ranks → identical calls");
     assert_eq!(a.reads_mapped, b.reads_mapped);
 }

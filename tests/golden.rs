@@ -14,7 +14,8 @@
 use gnumap_snp::cli::run_to_string;
 use gnumap_snp::conformance::workload::{build, WorkloadSpec};
 use gnumap_snp::core::accum::FixedAccumulator;
-use gnumap_snp::core::pipeline::run_serial_with;
+use gnumap_snp::core::observe::Observer;
+use gnumap_snp::core::pipeline::run_serial;
 use gnumap_snp::core::report::RunReport;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -80,7 +81,8 @@ fn run_report_snapshot() {
         read_length: 62,
         repeat_families: 0,
     });
-    let report = run_serial_with::<FixedAccumulator>(&wl.reference, &wl.reads, &wl.config);
+    let report =
+        run_serial::<FixedAccumulator>(&wl.reference, &wl.reads, &wl.config, &Observer::disabled());
     assert_golden("run_report.txt", &render_report(&report));
 }
 

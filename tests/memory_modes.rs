@@ -118,10 +118,16 @@ fn simulated_scaling_improves_with_ranks() {
         // Best of 3 to dodge scheduler interference on busy CI hosts.
         (0..3)
             .map(|_| {
-                run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks)
-                    .unwrap()
-                    .simulated_parallel_secs(&model)
-                    .expect("MPI driver reports rank CPU")
+                run_read_split::<NormAccumulator>(
+                    &reference,
+                    &reads,
+                    &cfg,
+                    ranks,
+                    &Observer::disabled(),
+                )
+                .unwrap()
+                .simulated_parallel_secs(&model)
+                .expect("MPI driver reports rank CPU")
             })
             .fold(f64::INFINITY, f64::min)
     };
