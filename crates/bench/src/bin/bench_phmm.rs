@@ -13,6 +13,12 @@
 //! candidates per call, reported per candidate), and the fused
 //! `posterior_columns_profiled` only surviving candidates get.
 //!
+//! The seed-index layer is timed on a 1 Mbp reference with the production
+//! index (`MappingConfig::default()`, k = 10): `index_build_1mbp_s` is
+//! seconds per `KmerIndex::build`, and `seed_hits_62bp_ns_per_read` is
+//! nanoseconds to walk every seed hit of a 62-bp read and of its reverse
+//! complement, as candidate generation does.
+//!
 //! Usage: `bench_phmm [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the workload and measurement windows to a smoke test
@@ -21,6 +27,7 @@
 
 use bench::WorkloadSpec;
 use genome::alphabet::Base;
+use genome::index::KmerIndex;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::{GenomeAccumulator, NormAccumulator};
@@ -38,10 +45,11 @@ use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// One measured quantity: name, unit, and items/second.
+/// One measured quantity: name, value in the unit its name ends with
+/// (`_per_sec`, `_s` or `_ns_per_read`), and iterations timed.
 struct Measurement {
     name: &'static str,
-    per_sec: f64,
+    value: f64,
     iters: u64,
 }
 
@@ -139,7 +147,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "emission_build_62bp_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
 
@@ -149,7 +157,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "forward_62bp_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
 
@@ -159,7 +167,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "fwd_bwd_marginal_62bp_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
 
@@ -171,7 +179,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "fused_scratch_62bp_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
 
@@ -183,7 +191,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "profile_build_62bp_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
     pwm.fill_profile(&params, &mut profile);
@@ -212,7 +220,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "forward_totals_62bp_band4_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
     let (per_sec, iters) = measure(window, 1, || {
@@ -226,7 +234,7 @@ fn main() {
     });
     results.push(Measurement {
         name: "posterior_columns_62bp_band4_per_sec",
-        per_sec,
+        value: per_sec,
         iters,
     });
 
@@ -252,7 +260,45 @@ fn main() {
     });
     results.push(Measurement {
         name: "pipeline_e2e_reads_per_sec",
-        per_sec,
+        value: per_sec,
+        iters,
+    });
+
+    // --- Seed index on 1 Mbp: build, then every hit of both strands. ---
+    let spec = WorkloadSpec {
+        genome_len: 1_000_000,
+        snp_count: 1,
+        coverage: if quick { 0.02 } else { 0.1 },
+        seed: 0x1d3,
+    };
+    let wl = spec.build();
+    let index_config = GnumapConfig::default().mapping.index;
+    let (per_sec, iters) = measure(window, 1, || {
+        black_box(KmerIndex::build(black_box(&wl.reference), index_config).unwrap());
+    });
+    results.push(Measurement {
+        name: "index_build_1mbp_s",
+        value: 1.0 / per_sec,
+        iters,
+    });
+    let index = KmerIndex::build(&wl.reference, index_config).unwrap();
+    let queries: Vec<[DnaSeq; 2]> = wl
+        .reads
+        .iter()
+        .map(|r| [r.seq.clone(), r.seq.reverse_complement()])
+        .collect();
+    let (per_sec, iters) = measure(window, queries.len() as u64, || {
+        let mut sum = 0u64;
+        for strands in &queries {
+            for seq in strands {
+                sum += index.seed_hits(seq).map(|(_, g)| u64::from(g)).sum::<u64>();
+            }
+        }
+        black_box(sum);
+    });
+    results.push(Measurement {
+        name: "seed_hits_62bp_ns_per_read",
+        value: 1e9 / per_sec,
         iters,
     });
 
@@ -265,10 +311,11 @@ fn main() {
             .map_or(0, |d| d.as_secs()),
     );
     for m in &results {
-        entry.push_str(&format!(", \"{}\": {:.2}", m.name, m.per_sec));
+        let decimals = if m.value < 1.0 { 6 } else { 2 };
+        entry.push_str(&format!(", \"{}\": {:.*}", m.name, decimals, m.value));
         eprintln!(
-            "[bench_phmm] {:<34} {:>14.1} /s  ({} iters)",
-            m.name, m.per_sec, m.iters
+            "[bench_phmm] {:<34} {:>14.*}  ({} iters)",
+            m.name, decimals, m.value, m.iters
         );
     }
     entry.push('}');
@@ -292,11 +339,11 @@ fn main() {
         previous.len() + 1
     );
 
-    // CI smoke: all throughputs must be non-zero finite numbers.
+    // CI smoke: every measurement must be a non-zero finite number.
     for m in &results {
         assert!(
-            m.per_sec.is_finite() && m.per_sec > 0.0,
-            "{} reported non-positive throughput",
+            m.value.is_finite() && m.value > 0.0,
+            "{} reported a non-positive value",
             m.name
         );
     }

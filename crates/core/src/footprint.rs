@@ -23,7 +23,7 @@ pub struct FootprintModel {
     /// Packed genome storage per base (2 bits + N mask bit = 0.375 B).
     pub genome_per_base: f64,
     /// k-mer index bytes per base: one `u32` position entry per indexed
-    /// base plus amortised hash-table overhead.
+    /// base plus the amortised directory and key arrays.
     pub index_per_base: f64,
     /// Fixed overhead independent of genome size (codebooks, tables).
     pub fixed_bytes: usize,
@@ -31,8 +31,12 @@ pub struct FootprintModel {
 
 impl FootprintModel {
     /// The model for an accumulator mode with default index settings
-    /// (stride 1, ~6 bytes/base of index: 4-byte position + ~2 bytes of
-    /// amortised table entry at typical k-mer dispersion).
+    /// (stride 1, 6 bytes/base of index). The constant was fitted to the
+    /// hash-map index (4-byte position + ~2 bytes of amortised table entry)
+    /// and is kept so the recorded Table II projections still hold; the
+    /// flat index costs 4 B/base of positions plus a directory and key set
+    /// that at k = 10 stay under ~16 MB (about 0.1 B/base at chrX size),
+    /// so 6.0 slightly overstates it.
     pub fn for_mode(mode: AccumulatorMode) -> FootprintModel {
         let fixed = match mode {
             // Centroid codebook + 256×256 sum table.

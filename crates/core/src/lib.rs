@@ -3,7 +3,7 @@
 //! This crate wires the substrates together into the three-step system of
 //! paper Figure 1:
 //!
-//! 1. **Seed** — the genomic k-mer hash table proposes candidate mapping
+//! 1. **Seed** — the genomic k-mer seed index proposes candidate mapping
 //!    regions for each read ([`mapping`]).
 //! 2. **Align** — the quality-extended Pair-HMM computes each candidate's
 //!    likelihood and marginal per-column base probabilities; the read's

@@ -227,6 +227,10 @@ pub struct MappingEngine<'g> {
 
 impl<'g> MappingEngine<'g> {
     /// Build the index over `genome` and wrap it with the configuration.
+    ///
+    /// Panics when [`IndexConfig::validate`] rejects `config.index` for
+    /// this genome; drivers reach here only after `RunContext::validate`
+    /// has returned that rejection as a typed error.
     pub fn new(genome: &'g DnaSeq, config: MappingConfig) -> MappingEngine<'g> {
         let index = KmerIndex::build(genome, config.index).expect("valid index config");
         MappingEngine {

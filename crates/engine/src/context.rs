@@ -83,10 +83,18 @@ impl<'r> RunContext<'r> {
     /// Reject out-of-range fields before handing them to a driver, as a
     /// typed error. The checks are [`StreamConfig::validate`]'s, run on
     /// [`RunContext::stream_config`] (the threads budget is its
-    /// `workers`).
+    /// `workers`), and [`IndexConfig::validate`]'s for the seed index over
+    /// the reference.
+    ///
+    /// [`IndexConfig::validate`]: genome::index::IndexConfig::validate
     pub fn validate(&self) -> Result<(), EngineError> {
         self.stream_config()
             .validate()
+            .map_err(|e| EngineError::InvalidContext(e.to_string()))?;
+        self.config
+            .mapping
+            .index
+            .validate(self.reference.len())
             .map_err(|e| EngineError::InvalidContext(e.to_string()))
     }
 }
@@ -112,5 +120,36 @@ mod tests {
         ctx.shards = 0;
         let err = ctx.validate().unwrap_err();
         assert!(err.to_string().contains("shards"), "{err}");
+    }
+
+    /// The error for a context whose index config was edited by `f`.
+    fn index_error(f: fn(&mut genome::index::IndexConfig)) -> String {
+        let reference: DnaSeq = "ACGTACGT".parse().unwrap();
+        let mut ctx = RunContext::new(&reference);
+        f(&mut ctx.config.mapping.index);
+        match ctx.validate() {
+            Err(EngineError::InvalidContext(msg)) => msg,
+            other => panic!("expected InvalidContext, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_k_is_rejected() {
+        assert!(index_error(|c| c.k = 0).contains("k-mer length 0"));
+    }
+
+    #[test]
+    fn k_above_32_is_rejected() {
+        assert!(index_error(|c| c.k = 33).contains("k-mer length 33"));
+    }
+
+    #[test]
+    fn zero_stride_is_rejected() {
+        assert!(index_error(|c| c.stride = 0).contains("stride"));
+    }
+
+    #[test]
+    fn zero_max_occurrences_is_rejected() {
+        assert!(index_error(|c| c.max_occurrences = 0).contains("max_occurrences"));
     }
 }

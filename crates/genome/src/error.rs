@@ -22,6 +22,12 @@ pub enum GenomeError {
     OutOfBounds { pos: usize, len: usize },
     /// A k-mer length that cannot be 2-bit packed into a u64 (k > 32 or 0).
     BadKmerLength(usize),
+    /// An index sampling stride of zero.
+    ZeroIndexStride,
+    /// An index occurrence cutoff of zero (every k-mer would be masked).
+    ZeroMaxOccurrences,
+    /// A genome too long for the index's `u32` positions.
+    GenomeTooLong(usize),
 }
 
 impl fmt::Display for GenomeError {
@@ -48,6 +54,15 @@ impl fmt::Display for GenomeError {
             GenomeError::BadKmerLength(k) => {
                 write!(f, "k-mer length {k} unsupported (must be in 1..=32)")
             }
+            GenomeError::ZeroIndexStride => write!(f, "index stride must be at least 1"),
+            GenomeError::ZeroMaxOccurrences => {
+                write!(f, "index max_occurrences must be at least 1")
+            }
+            GenomeError::GenomeTooLong(len) => write!(
+                f,
+                "genome of {len} bases is too long to index (at most {} bases)",
+                u32::MAX
+            ),
         }
     }
 }

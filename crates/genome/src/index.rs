@@ -1,9 +1,9 @@
-//! The genomic k-mer hash index (paper Section V, step 1).
+//! The genomic k-mer seed index (paper Section V, step 1).
 //!
-//! GNUMAP's first stage builds a hash table from every k-mer of the
-//! reference to the genome positions where it occurs; read k-mers are then
-//! looked up to find candidate mapping regions. Two practical details from
-//! real mappers are modelled:
+//! GNUMAP's first stage indexes every k-mer of the reference by the genome
+//! positions where it occurs; read k-mers are then looked up to find
+//! candidate mapping regions. Two practical details from real mappers are
+//! modelled:
 //!
 //! * **Repeat masking by occurrence cutoff** — k-mers occurring more than
 //!   `max_occurrences` times are dropped from the index (their hit lists
@@ -12,6 +12,17 @@
 //! * **Sampling stride** — for memory accounting we optionally index only
 //!   every `stride`-th genome position.
 //!
+//! The index is flat (compressed sparse rows), not hashed: one `positions`
+//! array holds every retained hit, grouped by k-mer and ascending within a
+//! k-mer; `keys` and `starts` hold the distinct retained k-mers and their
+//! offsets into `positions`; and a directory addressed by a k-mer's leading
+//! `p` bases holds each prefix bucket's range of `keys`. The directory has
+//! `4^p + 1` entries with `p = min(k, ⌈log₄ n⌉)` for `n` sampled positions,
+//! so it grows with the genome rather than with `4^k`: on 1 Mbp at k = 10,
+//! `p = k` and a bucket holds at most one key; when `k > p`, a lookup
+//! binary-searches the few keys of its bucket. Building is a counting sort
+//! over the prefixes, with no hashing and no per-k-mer allocation.
+//!
 //! The index is position-addressed (not canonicalised): strand handling is
 //! done by the caller, which queries with both the read and its reverse
 //! complement, as GNUMAP does.
@@ -19,7 +30,6 @@
 use crate::error::GenomeError;
 use crate::kmer::KmerIter;
 use crate::seq::DnaSeq;
-use std::collections::HashMap;
 
 /// Configuration for building a [`KmerIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +52,45 @@ impl Default for IndexConfig {
     }
 }
 
-/// Hash index from packed k-mer to the sorted genome positions where it
+impl IndexConfig {
+    /// Check that an index over a genome of `genome_len` bases can be built
+    /// with this configuration: `k` in 1..=32, a nonzero stride and
+    /// occurrence cutoff, and positions that fit in `u32`.
+    pub fn validate(&self, genome_len: usize) -> Result<(), GenomeError> {
+        if self.k == 0 || self.k > 32 {
+            return Err(GenomeError::BadKmerLength(self.k));
+        }
+        if self.stride == 0 {
+            return Err(GenomeError::ZeroIndexStride);
+        }
+        if self.max_occurrences == 0 {
+            return Err(GenomeError::ZeroMaxOccurrences);
+        }
+        if genome_len > u32::MAX as usize {
+            return Err(GenomeError::GenomeTooLong(genome_len));
+        }
+        Ok(())
+    }
+}
+
+/// Flat index from packed k-mer to the ascending genome positions where it
 /// starts.
 #[derive(Debug, Clone)]
 pub struct KmerIndex {
     config: IndexConfig,
     genome_len: usize,
-    map: HashMap<u64, Vec<u32>>,
+    /// Bits to shift a packed k-mer right to get its directory bucket
+    /// (`2 * (k - p)`).
+    shift: u32,
+    /// `dir[b]..dir[b + 1]` is the range of `keys` whose leading `p` bases
+    /// are bucket `b`.
+    dir: Vec<u32>,
+    /// Distinct retained k-mers, ascending.
+    keys: Vec<u64>,
+    /// `starts[i]..starts[i + 1]` is the range of `positions` of `keys[i]`.
+    starts: Vec<u32>,
+    /// Every retained hit, grouped by k-mer, ascending within a k-mer.
+    positions: Vec<u32>,
     /// Number of distinct k-mers dropped by the occurrence cutoff.
     masked_kmers: usize,
 }
@@ -56,29 +98,80 @@ pub struct KmerIndex {
 impl KmerIndex {
     /// Build the index over a reference sequence.
     pub fn build(genome: &DnaSeq, config: IndexConfig) -> Result<KmerIndex, GenomeError> {
-        assert!(config.stride >= 1, "stride must be at least 1");
-        assert!(
-            config.max_occurrences >= 1,
-            "max_occurrences must be at least 1"
-        );
-        assert!(
-            genome.len() <= u32::MAX as usize,
-            "positions are stored as u32"
-        );
-        let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (pos, kmer) in KmerIter::new(genome, config.k)? {
-            if pos % config.stride != 0 {
-                continue;
-            }
-            map.entry(kmer.packed()).or_default().push(pos as u32);
+        config.validate(genome.len())?;
+        let k = config.k;
+        let sampled = |&(pos, _): &(usize, _)| pos % config.stride == 0;
+        // Sampled window starts, counting windows with an N: an upper bound
+        // on the positions indexed, which sizes the directory.
+        let n = match genome.len().checked_sub(k) {
+            Some(last) => last / config.stride + 1,
+            None => 0,
+        };
+        let mut p = 0;
+        while p < k && 4usize.pow(p as u32) < n {
+            p += 1;
         }
-        let before = map.len();
-        map.retain(|_, v| v.len() <= config.max_occurrences);
-        let masked_kmers = before - map.len();
+        let shift = 2 * (k - p) as u32;
+        let buckets = 1usize << (2 * p);
+        let bucket = |kmer: u64| kmer.checked_shr(shift).unwrap_or(0) as usize;
+
+        // Counting sort by prefix: count, prefix-sum, scatter. After the
+        // scatter `dir[b]` is the end of bucket b's entries.
+        let mut dir = vec![0u32; buckets + 1];
+        for (_, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
+            dir[bucket(kmer.packed()) + 1] += 1;
+        }
+        let mut total = 0;
+        for slot in &mut dir {
+            total += *slot;
+            *slot = total;
+        }
+        let mut entries = vec![(0u64, 0u32); dir[buckets] as usize];
+        for (pos, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
+            let slot = &mut dir[bucket(kmer.packed())];
+            entries[*slot as usize] = (kmer.packed(), pos as u32);
+            *slot += 1;
+        }
+
+        // Sort each bucket by k-mer (positions break ties, so the order is
+        // the stable one), then compact runs of equal k-mers into keys,
+        // applying the occurrence cutoff.
+        let mut keys = Vec::new();
+        let mut starts = vec![0u32];
+        let mut positions = Vec::with_capacity(entries.len());
+        let mut masked_kmers = 0;
+        let mut lo = 0;
+        for slot in &mut dir[..buckets] {
+            let hi = *slot as usize;
+            *slot = keys.len() as u32;
+            let bucket_entries = &mut entries[lo..hi];
+            if shift > 0 {
+                bucket_entries.sort_unstable();
+            }
+            for run in bucket_entries.chunk_by(|a, b| a.0 == b.0) {
+                if run.len() > config.max_occurrences {
+                    masked_kmers += 1;
+                    continue;
+                }
+                keys.push(run[0].0);
+                positions.extend(run.iter().map(|&(_, pos)| pos));
+                starts.push(positions.len() as u32);
+            }
+            lo = hi;
+        }
+        dir[buckets] = keys.len() as u32;
+        drop(entries);
+        keys.shrink_to_fit();
+        starts.shrink_to_fit();
+        positions.shrink_to_fit();
         Ok(KmerIndex {
             config,
             genome_len: genome.len(),
-            map,
+            shift,
+            dir,
+            keys,
+            starts,
+            positions,
             masked_kmers,
         })
     }
@@ -96,12 +189,22 @@ impl KmerIndex {
     /// Genome start positions of a packed k-mer (empty for unknown or
     /// masked k-mers). Positions are in increasing order.
     pub fn lookup(&self, packed_kmer: u64) -> &[u32] {
-        self.map.get(&packed_kmer).map_or(&[], Vec::as_slice)
+        let b = packed_kmer.checked_shr(self.shift).unwrap_or(0) as usize;
+        let Some(&[lo, hi, ..]) = self.dir.get(b..) else {
+            return &[];
+        };
+        match self.keys[lo as usize..hi as usize].binary_search(&packed_kmer) {
+            Ok(i) => {
+                let key = lo as usize + i;
+                &self.positions[self.starts[key] as usize..self.starts[key + 1] as usize]
+            }
+            Err(_) => &[],
+        }
     }
 
     /// Number of distinct k-mers retained.
     pub fn distinct_kmers(&self) -> usize {
-        self.map.len()
+        self.keys.len()
     }
 
     /// Number of distinct k-mers dropped by the repeat cutoff.
@@ -111,23 +214,21 @@ impl KmerIndex {
 
     /// Total number of stored positions.
     pub fn total_positions(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.positions.len()
     }
 
-    /// Approximate heap footprint in bytes: hash-table entries plus the
-    /// position vectors. Feeds the Table II memory model.
+    /// Number of prefix-directory entries (`4^p + 1`).
+    pub fn directory_len(&self) -> usize {
+        self.dir.len()
+    }
+
+    /// Heap footprint in bytes: the capacities of the directory, key,
+    /// offset and position arrays. Feeds the Table II memory model.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        // HashMap stores (K, V) pairs plus ~1 byte/bucket of control metadata
-        // at <= 7/8 load factor; approximate with capacity * (entry + 1).
-        let entry = size_of::<u64>() + size_of::<Vec<u32>>() + 1;
-        let table = self.map.capacity() * entry;
-        let positions: usize = self
-            .map
-            .values()
-            .map(|v| v.capacity() * size_of::<u32>())
-            .sum();
-        table + positions
+        (self.dir.capacity() + self.starts.capacity() + self.positions.capacity())
+            * size_of::<u32>()
+            + self.keys.capacity() * size_of::<u64>()
     }
 
     /// For each k-mer of `query`, look up its genomic hit list and emit
@@ -232,5 +333,55 @@ mod tests {
         assert_eq!(idx.lookup(packed("AC")), &[0]);
         assert_eq!(idx.lookup(packed("GT")), &[3]);
         assert_eq!(idx.distinct_kmers(), 2);
+    }
+
+    #[test]
+    fn directory_is_sized_to_the_genome() {
+        // 15 kbp has under 4^7 windows, so p = 7 whatever k is.
+        let genome: DnaSeq = (0..15_000)
+            .map(|i: usize| Some(Base::from_index((i.wrapping_mul(2_654_435_761) >> 7) & 3)))
+            .collect();
+        for k in [10, 16, 32] {
+            let idx = KmerIndex::build(&genome, cfg(k)).unwrap();
+            assert!(idx.directory_len() <= 4usize.pow(7) + 1, "k = {k}");
+        }
+        // Short genomes and small k address the directory by the whole k-mer.
+        let idx = KmerIndex::build(&genome, cfg(4)).unwrap();
+        assert_eq!(idx.directory_len(), 4usize.pow(4) + 1);
+        let idx = KmerIndex::build(&seq("ACG"), cfg(5)).unwrap();
+        assert_eq!(idx.directory_len(), 2);
+        assert_eq!(idx.lookup(packed("ACGTA")), &[] as &[u32]);
+    }
+
+    #[test]
+    fn out_of_range_words_miss() {
+        let idx = KmerIndex::build(&seq("ACGTACGT"), cfg(4)).unwrap();
+        assert_eq!(idx.lookup(u64::MAX), &[] as &[u32]);
+        assert_eq!(idx.lookup(1 << 8), &[] as &[u32]);
+    }
+
+    #[test]
+    fn bad_configs_are_typed_errors() {
+        let g = seq("ACGTACGT");
+        let with = |f: fn(&mut IndexConfig)| {
+            let mut c = IndexConfig::default();
+            f(&mut c);
+            KmerIndex::build(&g, c).unwrap_err()
+        };
+        assert!(matches!(
+            with(|c| c.stride = 0),
+            GenomeError::ZeroIndexStride
+        ));
+        assert!(matches!(
+            with(|c| c.max_occurrences = 0),
+            GenomeError::ZeroMaxOccurrences
+        ));
+        assert!(matches!(with(|c| c.k = 0), GenomeError::BadKmerLength(0)));
+        assert!(matches!(with(|c| c.k = 33), GenomeError::BadKmerLength(33)));
+        assert!(matches!(
+            IndexConfig::default().validate(u32::MAX as usize + 1),
+            Err(GenomeError::GenomeTooLong(_))
+        ));
+        assert!(IndexConfig::default().validate(u32::MAX as usize).is_ok());
     }
 }

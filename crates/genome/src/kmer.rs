@@ -1,9 +1,11 @@
 //! 2-bit packed k-mers and rolling k-mer extraction.
 //!
-//! GNUMAP seeds candidate mapping locations by hashing every k-mer of the
+//! GNUMAP seeds candidate mapping locations by indexing every k-mer of the
 //! genome (paper default k = 10). A k-mer of length ≤ 32 packs into a `u64`
-//! (two bits per base, most-significant = first base), which doubles as its
-//! hash-table key.
+//! (two bits per base, most-significant = first base), so packed order is
+//! lexicographic order and the leading bases are the high bits: the seed
+//! index addresses its directory with those high bits and binary-searches
+//! the packed words.
 
 use crate::alphabet::Base;
 use crate::error::GenomeError;
@@ -33,7 +35,7 @@ impl Kmer {
         })
     }
 
-    /// The packed word (also used as the index key).
+    /// The packed word (also the seed index's lookup key).
     #[inline]
     pub fn packed(self) -> u64 {
         self.packed

@@ -3,8 +3,9 @@
 //! This crate provides the data-layer foundation the paper's mapper is built
 //! on: the four-letter DNA alphabet (plus `N`), owned and packed sequence
 //! types, FASTA/FASTQ parsing and serialisation, Phred quality handling,
-//! 2-bit k-mer encoding, and the genomic k-mer hash index (paper Section V,
-//! step 1: "create a genomic hash table of k-mers, default k = 10").
+//! 2-bit k-mer encoding, and the genomic k-mer seed index (paper Section V,
+//! step 1: "create a genomic hash table of k-mers, default k = 10"), built
+//! as a flat prefix-directory index rather than a hash table.
 //!
 //! Everything here is deliberately free of probability logic — the Pair-HMM
 //! lives in the `pairhmm` crate and consumes these types.

@@ -9,6 +9,7 @@ use genome::packed::PackedSeq;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Random DNA sequence with occasional Ns.
 fn dna(max_len: usize) -> impl Strategy<Value = DnaSeq> {
@@ -92,34 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn index_lookup_positions_are_real_occurrences(
-        seq in dna_concrete(20, 200),
-        k in 4usize..9,
-    ) {
-        let index = KmerIndex::build(
-            &seq,
-            IndexConfig { k, max_occurrences: 1_000, stride: 1 },
-        ).unwrap();
-        // Every stored position must reproduce its k-mer.
-        for (pos, kmer) in KmerIter::new(&seq, k).unwrap() {
-            let hits = index.lookup(kmer.packed());
-            prop_assert!(hits.contains(&(pos as u32)),
-                "position {pos} missing from its own k-mer's hit list");
-        }
-        // And lookups never point at non-occurrences.
-        for (_, kmer) in KmerIter::new(&seq, k).unwrap() {
-            for &hit in index.lookup(kmer.packed()) {
-                let window = seq.window(hit as usize, hit as usize + k);
-                let mut packed = 0u64;
-                for b in window.iter() {
-                    packed = (packed << 2) | b.unwrap().code() as u64;
-                }
-                prop_assert_eq!(packed, kmer.packed());
-            }
-        }
-    }
-
-    #[test]
     fn hamming_triangle_inequality(
         a in dna_concrete(10, 40),
     ) {
@@ -134,6 +107,110 @@ proptest! {
         let d_ac = a.hamming(&c);
         let d_cb = c.hamming(&b);
         prop_assert!(d_ab <= d_ac + d_cb);
+    }
+}
+
+/// The straightforward seed index, as an oracle for the flat one: a hash
+/// map with one `Vec` of positions per k-mer, filled position by position,
+/// then the occurrence cutoff.
+struct HashIndex {
+    map: HashMap<u64, Vec<u32>>,
+    masked: usize,
+}
+
+impl HashIndex {
+    fn build(genome: &DnaSeq, config: IndexConfig) -> HashIndex {
+        let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (pos, kmer) in KmerIter::new(genome, config.k).unwrap() {
+            if pos % config.stride == 0 {
+                map.entry(kmer.packed()).or_default().push(pos as u32);
+            }
+        }
+        let before = map.len();
+        map.retain(|_, v| v.len() <= config.max_occurrences);
+        let masked = before - map.len();
+        HashIndex { map, masked }
+    }
+
+    fn lookup(&self, kmer: u64) -> &[u32] {
+        self.map.get(&kmer).map_or(&[], Vec::as_slice)
+    }
+
+    fn seed_hits(&self, query: &DnaSeq, k: usize) -> Vec<(usize, u32)> {
+        KmerIter::new(query, k)
+            .unwrap()
+            .flat_map(|(qoff, kmer)| self.lookup(kmer.packed()).iter().map(move |&g| (qoff, g)))
+            .collect()
+    }
+}
+
+/// Repetitive DNA with N runs: single bases, homopolymer runs, copies of
+/// an earlier stretch (so k-mers recur and the cutoff bites) and N runs.
+fn repetitive_dna(max_pieces: usize) -> impl Strategy<Value = DnaSeq> {
+    proptest::collection::vec((0u8..10, 1usize..12, 0usize..1_000), 0..max_pieces).prop_map(
+        |pieces| {
+            let mut seq = DnaSeq::new();
+            for (code, len, from) in pieces {
+                match code {
+                    0..=3 => seq.push(Some(Base::from_index(code as usize))),
+                    4..=6 => {
+                        let base = Base::from_index(usize::from(code - 4));
+                        (0..len).for_each(|_| seq.push(Some(base)));
+                    }
+                    7 | 8 if !seq.is_empty() => {
+                        let from = from % seq.len();
+                        let copy = seq.window(from, from + 4 * len);
+                        copy.iter().for_each(|b| seq.push(b));
+                    }
+                    _ => (0..len).for_each(|_| seq.push(None)),
+                }
+            }
+            seq
+        },
+    )
+}
+
+// The flat index against the hash-map oracle: every lookup, every seed-hit
+// sequence and every count must agree, for the direct directory (p = k)
+// and the bucket search (k > p) alike.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_index_matches_hash_map_oracle(
+        genome in repetitive_dna(200),
+        k in 1usize..=32,
+        stride in 1usize..=4,
+        occurrences in 1usize..8,
+        words in proptest::collection::vec(0u64..u64::MAX, 0..24),
+        query in dna(80),
+    ) {
+        // Small cutoffs that mask often, and the production one.
+        let max_occurrences = if occurrences < 6 { occurrences } else { 1024 };
+        let config = IndexConfig { k, max_occurrences, stride };
+        let index = KmerIndex::build(&genome, config).unwrap();
+        let oracle = HashIndex::build(&genome, config);
+        prop_assert_eq!(index.distinct_kmers(), oracle.map.len());
+        prop_assert_eq!(index.masked_kmers(), oracle.masked);
+        prop_assert_eq!(
+            index.total_positions(),
+            oracle.map.values().map(Vec::len).sum::<usize>()
+        );
+        for (_, kmer) in KmerIter::new(&genome, k).unwrap() {
+            prop_assert_eq!(index.lookup(kmer.packed()), oracle.lookup(kmer.packed()));
+        }
+        let mask = u64::MAX >> (64 - 2 * k);
+        for word in words {
+            // Both in-range words (mostly absent) and out-of-range ones.
+            prop_assert_eq!(index.lookup(word & mask), oracle.lookup(word & mask));
+            prop_assert_eq!(index.lookup(word), oracle.lookup(word));
+        }
+        // Queries drawn at random and cut from the genome itself.
+        let from = genome.len() / 3;
+        for q in [query, genome.window(from, from + 70)] {
+            let hits: Vec<(usize, u32)> = index.seed_hits(&q).collect();
+            prop_assert_eq!(hits, oracle.seed_hits(&q, k));
+        }
     }
 }
 

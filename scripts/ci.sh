@@ -55,6 +55,24 @@ for driver in serial read-split read-split-ring genome-split stream server; do
     }
 done
 
+echo "==> index smoke: index-stats on the direct and bucket-search paths"
+# 300 kbp gives a 4^10 prefix directory: k = 10 addresses it by the whole
+# k-mer, k = 16 binary-searches within a bucket.
+index_dir="target/index-smoke"
+rm -rf "$index_dir"
+mkdir -p "$index_dir"
+target/release/gnumap simulate --out-dir "$index_dir" \
+    --genome-len 300000 --snps 1 --coverage 0.1 --seed 10 >/dev/null
+for k in 10 16; do
+    stats="$(target/release/gnumap index-stats \
+        --reference "$index_dir/reference.fa" --k "$k")"
+    distinct="$(sed -n 's/^ *distinct k-mers *: *//p' <<<"$stats")"
+    stored="$(sed -n 's/^ *stored positions *: *//p' <<<"$stats")"
+    [[ -n "$distinct" && -n "$stored" && "$stored" -ge "$distinct" ]] || {
+        echo "index-stats at k = $k is inconsistent:"; echo "$stats"; exit 1;
+    }
+done
+
 echo "==> serve smoke: loopback server round trip + clean drain"
 smoke_dir="target/serve-smoke"
 rm -rf "$smoke_dir"

@@ -6,12 +6,14 @@ use gnumap_snp::core::accum::{
     AccumulatorMode, CentDiscAccumulator, CharDiscAccumulator, GenomeAccumulator, NormAccumulator,
 };
 use gnumap_snp::core::driver::read_split::run_read_split;
+use gnumap_snp::core::observe::{Event, MemorySink};
 use gnumap_snp::core::report::CommModel;
 use gnumap_snp::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
 use simulate::{GenomeConfig, SnpCatalogConfig};
+use std::sync::Arc;
 
 fn workload(
     len: usize,
@@ -107,36 +109,60 @@ fn centdisc_accuracy_collapses_but_chardisc_does_not() {
     );
 }
 
-/// Figure 4/5 machinery: per-rank CPU shrinks with more ranks (read-split
-/// divides the mapping work), so the simulated parallel time improves.
+/// Figure 4/5 machinery: read-split divides the mapping work, so the
+/// busiest of 4 ranks does well under 60% of one rank's work. Work is
+/// counted exactly from each rank's `Event::Batch` (mapped reads, scored
+/// candidates, deposited columns) instead of timed, so the check does not
+/// depend on how loaded the host is.
 #[test]
 fn simulated_scaling_improves_with_ranks() {
     let (reference, _, reads) = workload(15_000, 5, 10.0, 32);
     let cfg = GnumapConfig::default();
     let model = CommModel::default();
-    let best = |ranks: usize| -> f64 {
-        // Best of 3 to dodge scheduler interference on busy CI hosts.
-        (0..3)
-            .map(|_| {
-                run_read_split::<NormAccumulator>(
-                    &reference,
-                    &reads,
-                    &cfg,
-                    ranks,
-                    &Observer::disabled(),
-                )
-                .unwrap()
-                .simulated_parallel_secs(&model)
-                .expect("MPI driver reports rank CPU")
-            })
-            .fold(f64::INFINITY, f64::min)
+    // Per rank: [mapped reads, scored candidates, deposited columns].
+    let work = |ranks: usize| -> Vec<[u64; 3]> {
+        let sink = Arc::new(MemorySink::new());
+        let report = run_read_split::<NormAccumulator>(
+            &reference,
+            &reads,
+            &cfg,
+            ranks,
+            &Observer::new(sink.clone()),
+        )
+        .unwrap();
+        assert_eq!(report.rank_cpu_secs.len(), ranks);
+        assert!(report.simulated_parallel_secs(&model).is_some());
+        let mut per_rank = vec![[0; 3]; ranks];
+        for event in sink.take() {
+            if let Event::Batch {
+                worker,
+                mapped,
+                candidates,
+                deposited_columns,
+                ..
+            } = event
+            {
+                let rank = &mut per_rank[worker as usize];
+                rank[0] += mapped;
+                rank[1] += candidates;
+                rank[2] += deposited_columns;
+            }
+        }
+        per_rank
     };
-    let t1 = best(1);
-    let t4 = best(4);
-    assert!(
-        t4 < t1 * 0.6,
-        "4 ranks should beat 1 rank by well over 40%: {t1:.3}s vs {t4:.3}s"
-    );
+    let one = work(1);
+    let four = work(4);
+    for (i, what) in ["mapped reads", "candidates", "columns"].iter().enumerate() {
+        let t1 = one[0][i];
+        let t4 = four.iter().map(|rank| rank[i]).max().unwrap();
+        let total: u64 = four.iter().map(|rank| rank[i]).sum();
+        assert!(t1 > 0, "{what}: one rank did no work");
+        assert_eq!(total, t1, "{what}: the ranks must partition the work");
+        assert!(
+            (t4 as f64) < t1 as f64 * 0.6,
+            "{what}: 4 ranks should beat 1 rank by well over 40%: {t1} vs busiest {t4}"
+        );
+    }
 }
 
 /// The communication model itself.
