@@ -1,7 +1,7 @@
 //! Criterion microbenches for the flat k-mer seed index (build + query) and
-//! the LRT SNP-statistic throughput. On the 200 kbp reference the prefix
-//! directory has 4^9 + 1 entries, so the build group's k = 8 addresses it
-//! by the whole k-mer while k = 10 and 12 binary-search within a bucket.
+//! the LRT SNP-statistic throughput. On the 200 kbp reference ⌈log₄ n⌉ = 9,
+//! so the build group's k = 8 gets a direct 4^8 + 1 directory (p = k), while
+//! k = 10 and 12 share a 4^9 + 1 directory and binary-search within a bucket.
 
 use bench::WorkloadSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

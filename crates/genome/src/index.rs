@@ -217,11 +217,6 @@ impl KmerIndex {
         self.positions.len()
     }
 
-    /// Number of prefix-directory entries (`4^p + 1`).
-    pub fn directory_len(&self) -> usize {
-        self.dir.len()
-    }
-
     /// Heap footprint in bytes: the capacities of the directory, key,
     /// offset and position arrays. Feeds the Table II memory model.
     pub fn heap_bytes(&self) -> usize {
@@ -343,13 +338,13 @@ mod tests {
             .collect();
         for k in [10, 16, 32] {
             let idx = KmerIndex::build(&genome, cfg(k)).unwrap();
-            assert!(idx.directory_len() <= 4usize.pow(7) + 1, "k = {k}");
+            assert!(idx.dir.len() <= 4usize.pow(7) + 1, "k = {k}");
         }
         // Short genomes and small k address the directory by the whole k-mer.
         let idx = KmerIndex::build(&genome, cfg(4)).unwrap();
-        assert_eq!(idx.directory_len(), 4usize.pow(4) + 1);
+        assert_eq!(idx.dir.len(), 4usize.pow(4) + 1);
         let idx = KmerIndex::build(&seq("ACG"), cfg(5)).unwrap();
-        assert_eq!(idx.directory_len(), 2);
+        assert_eq!(idx.dir.len(), 2);
         assert_eq!(idx.lookup(packed("ACGTA")), &[] as &[u32]);
     }
 

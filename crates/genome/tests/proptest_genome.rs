@@ -93,6 +93,34 @@ proptest! {
     }
 
     #[test]
+    fn index_lookup_positions_are_real_occurrences(
+        seq in dna_concrete(20, 200),
+        k in 4usize..9,
+    ) {
+        let index = KmerIndex::build(
+            &seq,
+            IndexConfig { k, max_occurrences: 1_000, stride: 1 },
+        ).unwrap();
+        // Every stored position must reproduce its k-mer.
+        for (pos, kmer) in KmerIter::new(&seq, k).unwrap() {
+            let hits = index.lookup(kmer.packed());
+            prop_assert!(hits.contains(&(pos as u32)),
+                "position {pos} missing from its own k-mer's hit list");
+        }
+        // And lookups never point at non-occurrences.
+        for (_, kmer) in KmerIter::new(&seq, k).unwrap() {
+            for &hit in index.lookup(kmer.packed()) {
+                let window = seq.window(hit as usize, hit as usize + k);
+                let mut packed = 0u64;
+                for b in window.iter() {
+                    packed = (packed << 2) | b.unwrap().code() as u64;
+                }
+                prop_assert_eq!(packed, kmer.packed());
+            }
+        }
+    }
+
+    #[test]
     fn hamming_triangle_inequality(
         a in dna_concrete(10, 40),
     ) {
