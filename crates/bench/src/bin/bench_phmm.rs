@@ -10,14 +10,19 @@
 //! them (`MappingConfig::default()`: 62-bp read, 62-column window, band
 //! half-width 4): the emission-profile build done once per read
 //! orientation, the lockstep `forward_totals` every candidate gets (four
-//! candidates per call, reported per candidate), and the fused
-//! `posterior_columns_profiled` only surviving candidates get.
+//! candidates per call, reported per candidate, with an early-stop rule
+//! armed that never fires, so the figure includes the cost of its bound
+//! checks), and the fused `posterior_columns_profiled` only surviving
+//! candidates get.
 //!
 //! The seed-index layer is timed on a 1 Mbp reference with the production
 //! index (`MappingConfig::default()`, k = 10): `index_build_1mbp_s` is
 //! seconds per `KmerIndex::build`, and `seed_hits_62bp_ns_per_read` is
 //! nanoseconds to walk every seed hit of a 62-bp read and of its reverse
-//! complement, as candidate generation does.
+//! complement, as candidate generation does. On the same reference and
+//! reads, `map_read_1mbp_ns_per_read` is nanoseconds per read of the
+//! production `MappingEngine::map_read_with`, and `abandoned_frac_1mbp` the
+//! fraction of its scored candidates whose forward stopped early.
 //!
 //! Usage: `bench_phmm [--quick] [--out PATH]`
 //!
@@ -31,10 +36,12 @@ use genome::index::KmerIndex;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::{GenomeAccumulator, NormAccumulator};
+use gnumap_core::mapping::AlignScratch;
 use gnumap_core::observe::Observer;
 use gnumap_core::pipeline::accumulate_reads;
 use gnumap_core::GnumapConfig;
 use gnumap_core::MappingEngine;
+use pairhmm::bound::{fill_suffix_bounds, StopRule};
 use pairhmm::forward::forward;
 use pairhmm::kernel::LANES;
 use pairhmm::marginal::PosteriorAlignment;
@@ -46,7 +53,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// One measured quantity: name, value in the unit its name ends with
-/// (`_per_sec`, `_s` or `_ns_per_read`), and iterations timed.
+/// (`_per_sec`, `_s`, `_ns_per_read` or `_frac`), and iterations timed.
 struct Measurement {
     name: &'static str,
     value: f64,
@@ -198,17 +205,23 @@ fn main() {
     let codes: Vec<u8> = win.iter().map(|&y| base_code(y)).collect();
     // One chunk of LANES candidates, each its own read against its own
     // window, scored in lockstep; counted per candidate.
-    let lanes: Vec<(Vec<ProfileRow>, Vec<u8>)> = (0..LANES as u64)
+    let lanes: Vec<(Vec<ProfileRow>, Vec<f64>, Vec<u8>)> = (0..LANES as u64)
         .map(|l| {
             let (read, win, _) = kernel_fixture(62, 1 + l);
-            let mut profile = Vec::new();
+            let (mut profile, mut suffix) = (Vec::new(), Vec::new());
             Pwm::from_read(&read).fill_profile(&params, &mut profile);
-            (profile, win.iter().map(|&y| base_code(y)).collect())
+            fill_suffix_bounds(&profile, params.q, &mut suffix);
+            (profile, suffix, win.iter().map(|&y| base_code(y)).collect())
         })
         .collect();
     let lane_profiles: [&[ProfileRow]; LANES] = std::array::from_fn(|l| &lanes[l].0[..]);
+    // Bounds are never negative, so this rule checks but never stops.
+    let never = StopRule {
+        suffix: std::array::from_fn(|l| &lanes[l].1[..]),
+        below: 0.0,
+    };
     let lane_codes: Vec<[u8; LANES]> = (0..codes.len())
-        .map(|j| std::array::from_fn(|l| lanes[l].1[j]))
+        .map(|j| std::array::from_fn(|l| lanes[l].2[j]))
         .collect();
     let (per_sec, iters) = measure(window, LANES as u64, || {
         black_box(phmm_scratch.forward_totals(
@@ -216,6 +229,7 @@ fn main() {
             black_box(&lane_codes),
             &params,
             band,
+            Some(never),
         ));
     });
     results.push(Measurement {
@@ -300,6 +314,32 @@ fn main() {
         name: "seed_hits_62bp_ns_per_read",
         value: 1e9 / per_sec,
         iters,
+    });
+
+    // --- Production mapping of the same reads on the same reference. ---
+    let engine = MappingEngine::new(&wl.reference, GnumapConfig::default().mapping);
+    let mut scratch = AlignScratch::new();
+    let (per_sec, iters) = measure(window, wl.reads.len() as u64, || {
+        for read in &wl.reads {
+            engine.map_read_with(black_box(read), &mut scratch);
+        }
+        black_box(scratch.len());
+    });
+    results.push(Measurement {
+        name: "map_read_1mbp_ns_per_read",
+        value: 1e9 / per_sec,
+        iters,
+    });
+    let (mut scored, mut abandoned) = (0, 0);
+    for read in &wl.reads {
+        engine.map_read_with(read, &mut scratch);
+        scored += scratch.scored();
+        abandoned += scratch.abandoned();
+    }
+    results.push(Measurement {
+        name: "abandoned_frac_1mbp",
+        value: abandoned as f64 / scored as f64,
+        iters: 1,
     });
 
     // --- Report: append this run to the history in `out_path`. ---

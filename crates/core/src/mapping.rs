@@ -17,7 +17,14 @@
 //! with its own strand's profile and window; a short last chunk repeats
 //! its last candidate in the spare lanes and discards their totals. A
 //! lane's total has the bits the candidate would get scored on its own,
-//! so the chunking is invisible in the results. **Prune:** the totals are
+//! so the chunking is invisible in the results. In
+//! [`MappingEngine::map_read_with`] the candidates are scored best-voted
+//! first (votes are the seed hits on a candidate's diagonal), and a chunk
+//! stops early once every lane's likelihood bound is below
+//! [`ABANDON_RATIO`] of the best total so far and provably below the
+//! `min_weight` cut. A per-read certificate then proves that the abandoned
+//! candidates cannot change the bits of the grand total; when it cannot,
+//! they are rescored in full (DESIGN.md §5e). **Prune:** the totals are
 //! normalised into posterior weights and candidates below `min_weight` are
 //! dropped. **Posterior:** only the survivors get the forward planes, the
 //! backward pass and their per-column evidence. A weight depends on forward
@@ -30,11 +37,21 @@ use genome::alphabet::Base;
 use genome::index::{IndexConfig, KmerIndex};
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
+use pairhmm::bound::{fill_suffix_bounds, LaneTotals, StopRule};
 use pairhmm::kernel::LANES;
 use pairhmm::marginal::ColumnPosterior;
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::{base_code, ProfileRow, Pwm, N_CODE};
 use pairhmm::scratch::PhmmScratch;
+use std::cmp::Reverse;
+
+/// Scoring stops on a candidate once its likelihood is provably below this
+/// fraction of the best total its read has so far: 2⁻⁶⁴, 2⁻¹⁰ of the
+/// half-ulp (at least 2⁻⁵⁴ of the value) that decides how an f64 sum
+/// rounds. Such terms change the bits of a read's grand total only near a
+/// rounding tie, which the certificate in [`MappingEngine::map_read_with`]
+/// catches.
+pub const ABANDON_RATIO: f64 = f64::EPSILON / 4096.0;
 
 /// Configuration of the mapping engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,11 +117,17 @@ pub struct AlignScratch {
     profiles: [Vec<ProfileRow>; 2],
     /// Genome window as profile codes, refilled per surviving candidate.
     codes: Vec<u8>,
+    /// Suffix products of `profiles` ([`fill_suffix_bounds`]), which bound
+    /// a candidate's total from a partial forward.
+    suffix: [Vec<f64>; 2],
     /// [`LANES`] genome windows interleaved by column, refilled per chunk
     /// of candidates scored together.
     lane_codes: Vec<[u8; LANES]>,
-    /// Sorted, deduplicated candidate starts for one oriented read.
-    starts: Vec<usize>,
+    /// Sorted, deduplicated candidate starts for one oriented read, each
+    /// with its seed votes (the seed hits on its diagonal).
+    starts: Vec<(usize, u32)>,
+    /// Indices into `cands` in the order they are scored.
+    order: Vec<u32>,
     /// Column arena: every candidate given a posterior appends its
     /// columns here.
     cols: Vec<ColumnPosterior>,
@@ -112,14 +135,23 @@ pub struct AlignScratch {
     cands: Vec<CandMeta>,
     /// Candidates the most recent read scored with the forward pass.
     scored: usize,
+    /// Candidates of the most recent read whose forward stopped early.
+    abandoned: usize,
+    /// Whether the most recent read rescored its abandoned candidates.
+    fallbacks: usize,
 }
 
 /// One candidate inside an [`AlignScratch`].
 struct CandMeta {
     window_start: usize,
     placement_start: usize,
-    /// Forward total likelihood from the scoring phase.
+    /// Seed hits on the candidate's diagonal.
+    votes: u32,
+    /// Forward total likelihood from the scoring phase; an upper bound on
+    /// it while `abandoned`.
     likelihood: f64,
+    /// Whether scoring stopped before the last row.
+    abandoned: bool,
     /// Raw likelihood after `map_read_raw_with`; posterior weight after
     /// `map_read_with`.
     score: f64,
@@ -130,11 +162,13 @@ struct CandMeta {
 
 impl CandMeta {
     /// A scored candidate at placement `start`, with no columns yet.
-    fn new(reverse: bool, start: usize, likelihood: f64) -> CandMeta {
+    fn new(reverse: bool, start: usize, votes: u32, likelihood: f64) -> CandMeta {
         CandMeta {
             window_start: start,
             placement_start: start,
+            votes,
             likelihood,
+            abandoned: false,
             score: likelihood,
             reverse,
             col_off: 0,
@@ -186,6 +220,20 @@ impl AlignScratch {
         self.scored
     }
 
+    /// Candidates of the most recent read whose forward stopped early
+    /// because their likelihood bound proved them negligible (rescored in
+    /// full when the read fell back). Zero after every entry point but
+    /// [`MappingEngine::map_read_with`].
+    pub fn abandoned(&self) -> usize {
+        self.abandoned
+    }
+
+    /// 1 when the most recent read could not certify its grand total with
+    /// candidates abandoned and rescored them in full, else 0.
+    pub fn fallbacks(&self) -> usize {
+        self.fallbacks
+    }
+
     /// Number of alignments currently held.
     pub fn len(&self) -> usize {
         self.cands.len()
@@ -200,6 +248,8 @@ impl AlignScratch {
         self.cols.clear();
         self.cands.clear();
         self.scored = 0;
+        self.abandoned = 0;
+        self.fallbacks = 0;
     }
 }
 
@@ -223,6 +273,41 @@ pub struct MappingEngine<'g> {
     genome: &'g DnaSeq,
     index: KmerIndex,
     config: MappingConfig,
+    /// Fraction of a read's best total below which a candidate may be
+    /// abandoned; zero disables abandoning.
+    abandon_ratio: f64,
+}
+
+/// The `abandon_ratio` of an engine with `config`: [`ABANDON_RATIO`], or
+/// less when `min_weight` is smaller, so that every abandoned candidate
+/// provably fails the `min_weight` cut. Zero, which abandons nothing, for
+/// `min_weight = 0` and for parameters the likelihood bound does not hold
+/// for.
+fn abandon_ratio(config: &MappingConfig) -> f64 {
+    // The cut divides and compares in f64; 1 − 2⁻⁵¹ absorbs the rounding
+    // of that division and of this product.
+    let cut = config.min_weight * (1.0 - 2.0 * f64::EPSILON);
+    if config.phmm.validate().is_ok() && cut > 0.0 {
+        ABANDON_RATIO.min(cut)
+    } else {
+        0.0
+    }
+}
+
+/// Whether the abandoned candidates of a read provably leave the bits of
+/// its grand total unchanged: the total summed in candidate order, as full
+/// scoring sums it. Each term is `(likelihood, abandoned)`, where an
+/// abandoned likelihood is an upper bound on the candidate's total. Sums
+/// once with abandoned terms at 0 and once at their bounds: round-to-nearest
+/// addition is monotone in every term, so the full-scoring sum lies between
+/// the two, and equal sums pin it.
+fn total_certified(terms: impl Iterator<Item = (f64, bool)> + Clone) -> bool {
+    let low: f64 = terms
+        .clone()
+        .map(|(t, abandoned)| if abandoned { 0.0 } else { t })
+        .sum();
+    let high: f64 = terms.map(|(t, _)| t).sum();
+    low == high
 }
 
 impl<'g> MappingEngine<'g> {
@@ -233,11 +318,7 @@ impl<'g> MappingEngine<'g> {
     /// has returned that rejection as a typed error.
     pub fn new(genome: &'g DnaSeq, config: MappingConfig) -> MappingEngine<'g> {
         let index = KmerIndex::build(genome, config.index).expect("valid index config");
-        MappingEngine {
-            genome,
-            index,
-            config,
-        }
+        MappingEngine::with_index(genome, index, config)
     }
 
     /// Construct around an existing index (used by the genome-split driver
@@ -251,6 +332,7 @@ impl<'g> MappingEngine<'g> {
             genome,
             index,
             config,
+            abandon_ratio: abandon_ratio(&config),
         }
     }
 
@@ -271,11 +353,12 @@ impl<'g> MappingEngine<'g> {
 
     /// Candidate placement starts for one oriented read: deduplicated
     /// diagonals from the seed hits, collected into `starts` in increasing
-    /// genome order. A sorted-insert vector replaces the obvious
-    /// `BTreeSet` so the buffer can be reused across reads; the insert
-    /// sequence, the dedup behaviour, the `max_candidates` cut-off and the
-    /// ascending output order are all identical.
-    fn candidates_into(&self, oriented: &SequencedRead, starts: &mut Vec<usize>) {
+    /// genome order, each with its votes — the seed hits on its diagonal
+    /// before the `max_candidates` cut-off. A sorted-insert vector replaces
+    /// the obvious `BTreeSet` so the buffer can be reused across reads; the
+    /// insert sequence, the dedup behaviour, the cut-off and the ascending
+    /// output order are all identical.
+    fn candidates_into(&self, oriented: &SequencedRead, starts: &mut Vec<(usize, u32)>) {
         starts.clear();
         for (qoff, gpos) in self.index.seed_hits(&oriented.seq) {
             if starts.len() >= self.config.max_candidates {
@@ -287,8 +370,9 @@ impl<'g> MappingEngine<'g> {
             }
             let start = gpos - qoff;
             if start + oriented.len() <= self.genome.len() {
-                if let Err(pos) = starts.binary_search(&start) {
-                    starts.insert(pos, start);
+                match starts.binary_search_by_key(&start, |&(s, _)| s) {
+                    Ok(pos) => starts[pos].1 += 1,
+                    Err(pos) => starts.insert(pos, (start, 1)),
                 }
             }
         }
@@ -344,14 +428,15 @@ impl<'g> MappingEngine<'g> {
     }
 
     /// Phase 1 — score. Seed both strands of `read` and give every
-    /// candidate placement only its Pair-HMM forward total. Leaves every
-    /// scored candidate in `scratch`, in evaluation order (forward
-    /// placements ascending, then reverse), with its total in
+    /// candidate placement its Pair-HMM forward total. Leaves every scored
+    /// candidate in `scratch`, in evaluation order (forward placements
+    /// ascending, then reverse), with its total in
     /// [`AlignmentView::score`] and no columns — zero totals included, so
     /// [`AlignScratch::scored`] and [`AlignScratch::len`] agree.
-    /// [`Self::map_read_with`] and [`Self::map_read_raw_with`] build on
-    /// this; the genome-split driver calls it directly, because its
-    /// weight cut needs every shard's totals first.
+    /// [`Self::map_read_raw_with`] builds on this; the genome-split driver
+    /// calls it directly, because its weight cut needs every shard's
+    /// totals first. Both score every candidate to the last row:
+    /// abandoning needs the read's best total, which a shard does not see.
     ///
     /// Both strands' candidates are pooled and scored [`LANES`] at a time
     /// by [`PhmmScratch::forward_totals`] (rolling rows, no planes, no
@@ -360,6 +445,15 @@ impl<'g> MappingEngine<'g> {
     /// are discarded. Each lane's total has the bits a candidate scored
     /// on its own would get, so chunking changes no result.
     pub(crate) fn score_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+        self.score(read, scratch, false);
+    }
+
+    /// [`Self::score_read_with`], optionally abandoning candidates. With
+    /// `abandon`, candidates are scored best-voted first, and a chunk
+    /// stops once every lane's bound is below `abandon_ratio` × the best
+    /// total scored so far; its candidates keep their bounds and are
+    /// marked abandoned.
+    fn score(&self, read: &SequencedRead, scratch: &mut AlignScratch, abandon: bool) {
         let rc = self.prepare(read, scratch);
         for (reverse, oriented) in [(false, read), (true, &rc)] {
             self.candidates_into(oriented, &mut scratch.starts);
@@ -367,33 +461,74 @@ impl<'g> MappingEngine<'g> {
                 scratch
                     .starts
                     .iter()
-                    .map(|&start| CandMeta::new(reverse, start, 0.0)),
+                    .map(|&(start, votes)| CandMeta::new(reverse, start, votes, 0.0)),
             );
         }
         scratch.scored = scratch.cands.len();
-
-        let band = self.band();
-        let len = read.len() + self.config.window_pad;
         let AlignScratch {
-            phmm,
             profiles,
-            lane_codes,
+            suffix,
+            order,
             cands,
             ..
         } = scratch;
-        for chunk in cands.chunks_mut(LANES) {
+        order.clear();
+        order.extend(0..cands.len() as u32);
+        if abandon {
+            // Best-voted first, ties in evaluation order: the keys are
+            // unique, so the unstable (allocation-free) sort is stable.
+            order.sort_unstable_by_key(|&k| (Reverse(cands[k as usize].votes), k));
+            for (profile, suffix) in profiles.iter().zip(suffix) {
+                fill_suffix_bounds(profile, self.config.phmm.q, suffix);
+            }
+        }
+        self.score_order(scratch, abandon);
+    }
+
+    /// Score the candidates `scratch.order` lists, [`LANES`] at a time in
+    /// that order, writing each total into its candidate. With `abandon`,
+    /// every chunk after the first may stop early (see [`Self::score`]).
+    fn score_order(&self, scratch: &mut AlignScratch, abandon: bool) {
+        let band = self.band();
+        let len = scratch.pwms[0].len() + self.config.window_pad;
+        let AlignScratch {
+            phmm,
+            profiles,
+            suffix,
+            lane_codes,
+            order,
+            cands,
+            abandoned,
+            ..
+        } = scratch;
+        let mut best = 0.0f64;
+        for chunk in order.chunks(LANES) {
             // Lanes past a short chunk's end repeat its last candidate.
-            let lanes: [(bool, usize); LANES] = std::array::from_fn(|l| {
-                let c = &chunk[l.min(chunk.len() - 1)];
-                (c.reverse, c.window_start)
+            let lanes: [usize; LANES] =
+                std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)] as usize);
+            self.fill_lanes(lanes.map(|k| cands[k].window_start), len, lane_codes);
+            let strands = lanes.map(|k| usize::from(cands[k].reverse));
+            let stop = (abandon && best > 0.0).then(|| StopRule {
+                suffix: strands.map(|o| &suffix[o][..]),
+                below: best * self.abandon_ratio,
             });
-            self.fill_lanes(lanes.map(|(_, start)| start), len, lane_codes);
-            let lane_profiles = lanes.map(|(reverse, _)| &profiles[usize::from(reverse)][..]);
-            let totals = phmm.forward_totals(lane_profiles, lane_codes, &self.config.phmm, band);
-            for (c, total) in chunk.iter_mut().zip(totals) {
+            let lane_profiles = strands.map(|o| &profiles[o][..]);
+            let (totals, stopped) =
+                match phmm.forward_totals(lane_profiles, lane_codes, &self.config.phmm, band, stop)
+                {
+                    LaneTotals::Exact(totals) => (totals, false),
+                    LaneTotals::Abandoned(bounds) => (bounds, true),
+                };
+            for (&k, total) in chunk.iter().zip(totals) {
+                let c = &mut cands[k as usize];
                 c.likelihood = total;
                 c.score = total;
+                c.abandoned = stopped;
+                if !stopped {
+                    best = best.max(total);
+                }
             }
+            *abandoned += chunk.len() * usize::from(stopped);
         }
     }
 
@@ -462,7 +597,7 @@ impl<'g> MappingEngine<'g> {
         scratch.cands.extend(
             survivors
                 .into_iter()
-                .map(|(reverse, start, likelihood)| CandMeta::new(reverse, start, likelihood)),
+                .map(|(reverse, start, likelihood)| CandMeta::new(reverse, start, 0, likelihood)),
         );
         self.posterior_phase(scratch);
     }
@@ -477,9 +612,23 @@ impl<'g> MappingEngine<'g> {
     /// their columns. Weights depend on forward totals alone, so the
     /// result is bit-identical to giving every candidate its columns
     /// first.
+    ///
+    /// Scoring runs best-voted candidates first and abandons those whose
+    /// likelihood bound falls below [`ABANDON_RATIO`] of the best total so
+    /// far (and provably below the `min_weight` cut). Before pruning, a
+    /// certificate checks that the abandoned candidates cannot change the
+    /// bits of the grand total (`total_certified`); if it fails, they
+    /// are rescored in full. Either way the survivors, their weights and
+    /// their columns are those of full scoring, bit for bit.
     pub fn map_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
-        self.score_read_with(read, scratch);
-        scratch.cands.retain(|c| c.likelihood > 0.0);
+        self.score(read, scratch, self.abandon_ratio > 0.0);
+        let terms = scratch.cands.iter().map(|c| (c.likelihood, c.abandoned));
+        if scratch.abandoned > 0 && !total_certified(terms) {
+            self.rescore_abandoned(scratch);
+        }
+        // Abandoned candidates fail the `min_weight` cut below: their
+        // totals are under `abandon_ratio` of one term of the grand total.
+        scratch.cands.retain(|c| !c.abandoned && c.likelihood > 0.0);
         let grand_total: f64 = scratch.cands.iter().map(|c| c.score).sum();
         if grand_total <= 0.0 {
             scratch.cands.clear();
@@ -499,6 +648,21 @@ impl<'g> MappingEngine<'g> {
             }
         }
         self.posterior_phase(scratch);
+    }
+
+    /// The fallback of [`Self::map_read_with`]: score the candidates
+    /// [`Self::score`] abandoned to the last row, in evaluation order, and
+    /// count the read as a fallback.
+    fn rescore_abandoned(&self, scratch: &mut AlignScratch) {
+        let AlignScratch { order, cands, .. } = &mut *scratch;
+        order.clear();
+        for (k, c) in cands.iter().enumerate() {
+            if c.abandoned {
+                order.push(k as u32);
+            }
+        }
+        self.score_order(scratch, false);
+        scratch.fallbacks = 1;
     }
 
     /// Convenience wrapper around [`MappingEngine::map_read_with`] that
@@ -707,6 +871,98 @@ mod tests {
             },
         );
         assert!(capped_at_zero.map_read(&read).is_empty());
+    }
+
+    #[test]
+    fn certificate_falls_back_at_a_rounding_tie() {
+        // 1 + 2⁻⁵² has an odd last bit, so adding half its ulp ties and
+        // rounds to even, up: a bound of 2⁻⁵³ could move the sum.
+        let odd = 1.0 + f64::EPSILON;
+        let half_ulp = f64::EPSILON / 2.0;
+        assert!(!total_certified(
+            [(odd, false), (half_ulp, true)].into_iter()
+        ));
+        assert!(!total_certified(
+            [(half_ulp, true), (odd, false)].into_iter()
+        ));
+        // From 1, whose last bit is even, the same tie rounds down.
+        let even = [(1.0, false), (half_ulp, true), (0.5, false)];
+        assert!(total_certified(even.into_iter()));
+        // Just below the tie the sum cannot move, whatever the last bit.
+        let below = half_ulp * (1.0 - f64::EPSILON);
+        assert!(total_certified([(odd, false), (below, true)].into_iter()));
+        // Without abandoned terms there is nothing to certify.
+        let plain = [(0.25, false), (odd, false), (0.0, false)];
+        assert!(total_certified(plain.into_iter()));
+    }
+
+    #[test]
+    fn rescoring_abandoned_candidates_restores_full_totals() {
+        // 30 copies of one unit, each with 0–3 substitutions, in a random
+        // background: reads from the copies seed many hopeless candidates.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut random = |len: usize| -> Vec<Base> {
+            (0..len)
+                .map(|_| Base::from_index(rng.random_range(0..4)))
+                .collect()
+        };
+        let unit = random(80);
+        let mut bases = random(300);
+        for copy in 0..30 {
+            let mut unit = unit.clone();
+            for s in 0..copy % 4 {
+                unit[(copy * 7 + s * 19) % 80] = unit[(copy * 7 + s * 19) % 80].transition();
+            }
+            bases.extend(unit);
+            bases.extend(random(copy % 9));
+        }
+        let g = DnaSeq::from_bases(bases);
+        let engine = MappingEngine::new(&g, cfg(8));
+        let (mut pruned, mut full) = (AlignScratch::new(), AlignScratch::new());
+        let mut abandoned = 0;
+        for start in (300..g.len() - 62).step_by(37) {
+            let read = read_from(&g, start, start + 62, 30);
+            engine.score(&read, &mut pruned, true);
+            abandoned += pruned.abandoned();
+            engine.rescore_abandoned(&mut pruned);
+            assert_eq!(pruned.fallbacks(), 1);
+            engine.score_read_with(&read, &mut full);
+            let bits = |s: &AlignScratch| -> Vec<_> {
+                s.cands
+                    .iter()
+                    .map(|c| {
+                        (
+                            c.window_start,
+                            c.reverse,
+                            c.abandoned,
+                            c.likelihood.to_bits(),
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(bits(&pruned), bits(&full), "read at {start}");
+        }
+        assert!(abandoned > 0, "the fixture must abandon candidates");
+    }
+
+    #[test]
+    fn abandoning_is_off_for_zero_min_weight_and_invalid_params() {
+        assert_eq!(abandon_ratio(&MappingConfig::default()), ABANDON_RATIO);
+        let zero = MappingConfig {
+            min_weight: 0.0,
+            ..MappingConfig::default()
+        };
+        assert_eq!(abandon_ratio(&zero), 0.0);
+        let mut invalid = MappingConfig::default();
+        invalid.phmm.q = 1.5;
+        assert_eq!(abandon_ratio(&invalid), 0.0);
+        // A cut finer than 2⁻⁶⁴ lowers the ratio below it.
+        let fine = MappingConfig {
+            min_weight: 1e-30,
+            ..MappingConfig::default()
+        };
+        assert!(abandon_ratio(&fine) < 1e-30);
     }
 
     #[test]

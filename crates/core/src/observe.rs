@@ -100,6 +100,13 @@ pub enum Event {
         candidates: u64,
         /// Posterior columns deposited into the accumulator.
         deposited_columns: u64,
+        /// Of `candidates`, those whose forward stopped early because their
+        /// likelihood bound proved them negligible. Traces written before
+        /// the field existed parse it as 0.
+        abandoned: u64,
+        /// Reads that rescored their abandoned candidates in full because
+        /// the grand total could not be certified (0 in older traces).
+        fallbacks: u64,
     },
     /// The streaming engine wrote a checkpoint.
     Checkpoint {
@@ -199,11 +206,14 @@ impl Event {
                 mapped,
                 candidates,
                 deposited_columns,
+                abandoned,
+                fallbacks,
             } => {
                 let _ = write!(
                     s,
                     ",\"worker\":{worker},\"reads\":{reads},\"mapped\":{mapped},\
-                     \"candidates\":{candidates},\"deposited_columns\":{deposited_columns}"
+                     \"candidates\":{candidates},\"deposited_columns\":{deposited_columns},\
+                     \"abandoned\":{abandoned},\"fallbacks\":{fallbacks}"
                 );
             }
             Event::Checkpoint {
@@ -262,6 +272,14 @@ impl Event {
             }
             Ok(v as u64)
         };
+        // A counter added after the format shipped: absent means 0.
+        let get_u64_or_0 = |key: &str| -> Result<u64, TraceParseError> {
+            if fields.iter().any(|(k, _)| k == key) {
+                get_u64(key)
+            } else {
+                Ok(0)
+            }
+        };
         let get_stage = |key: &str| -> Result<Stage, TraceParseError> {
             let name = get_str(key)?;
             Stage::from_name(&name)
@@ -288,6 +306,8 @@ impl Event {
                 mapped: get_u64("mapped")?,
                 candidates: get_u64("candidates")?,
                 deposited_columns: get_u64("deposited_columns")?,
+                abandoned: get_u64_or_0("abandoned")?,
+                fallbacks: get_u64_or_0("fallbacks")?,
             },
             "checkpoint" => Event::Checkpoint {
                 cursor: get_u64("cursor")?,
@@ -649,6 +669,8 @@ mod tests {
                 mapped: 250,
                 candidates: 612,
                 deposited_columns: 15_000,
+                abandoned: 580,
+                fallbacks: 1,
             },
             Event::Checkpoint {
                 cursor: 1024,
@@ -670,6 +692,25 @@ mod tests {
             let back = Event::parse_json_line(&line).expect(&line);
             assert_eq!(back, event, "line: {line}");
         }
+    }
+
+    #[test]
+    fn batch_lines_without_abandon_counters_parse_as_zero() {
+        let line = r#"{"event":"batch","worker":1,"reads":4,"mapped":3,"candidates":9,"deposited_columns":180}"#;
+        assert_eq!(
+            Event::parse_json_line(line).unwrap(),
+            Event::Batch {
+                worker: 1,
+                reads: 4,
+                mapped: 3,
+                candidates: 9,
+                deposited_columns: 180,
+                abandoned: 0,
+                fallbacks: 0,
+            }
+        );
+        let bad = line.replace("180}", r#"180,"abandoned":-1}"#);
+        assert!(Event::parse_json_line(&bad).is_err());
     }
 
     #[test]

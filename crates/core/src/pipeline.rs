@@ -33,6 +33,12 @@ pub struct BatchCounts {
     pub candidates: u64,
     /// Posterior columns handed to the deposit callback.
     pub columns: u64,
+    /// Of `candidates`, those whose forward stopped early
+    /// ([`AlignScratch::abandoned`]).
+    pub abandoned: u64,
+    /// Reads that rescored their abandoned candidates in full
+    /// ([`AlignScratch::fallbacks`]).
+    pub fallbacks: u64,
 }
 
 impl BatchCounts {
@@ -53,6 +59,8 @@ impl BatchCounts {
         self.reads += 1;
         self.mapped += u64::from(mapped);
         self.candidates += scratch.scored() as u64;
+        self.abandoned += scratch.abandoned() as u64;
+        self.fallbacks += scratch.fallbacks() as u64;
         for aln in scratch.alignments() {
             self.columns += aln.columns.len() as u64;
             deposit(aln.window_start, aln.score, aln.columns);
@@ -69,6 +77,8 @@ impl BatchCounts {
             mapped: self.mapped,
             candidates: self.candidates,
             deposited_columns: self.columns,
+            abandoned: self.abandoned,
+            fallbacks: self.fallbacks,
         });
     }
 }

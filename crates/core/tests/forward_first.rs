@@ -4,6 +4,12 @@
 //! every candidate its columns first and then normalising would produce —
 //! the reference below, built from `map_read_raw_with` with the weight
 //! arithmetic in the engine's order (normalise, prune, renormalise).
+//!
+//! `map_read_with` also abandons candidates whose likelihood bound is
+//! negligible and certifies the grand total (falling back to full scoring
+//! when it cannot); `map_read_raw_with` scores every candidate in full. So
+//! the same comparison pins early abandoning to be invisible in the
+//! output, here on repeat-dense genomes and adversarial reads too.
 
 mod common;
 
@@ -65,20 +71,31 @@ fn reference(raw: &AlignScratch, min_weight: f64) -> Vec<Flat> {
         .collect()
 }
 
-/// Compare both paths on every read of the repeat-rich fixture; return
-/// (reads that hit the per-strand candidate cap, reads with survivors on
-/// both sides of the `min_weight` cut).
-fn check(config: MappingConfig) -> (usize, usize) {
+/// What [`check_reads`] saw across a fixture.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Reads that hit the per-strand candidate cap.
+    capped: usize,
+    /// Reads with survivors on both sides of the `min_weight` cut.
+    straddling: usize,
+    /// Candidates whose forward stopped early.
+    abandoned: usize,
+    /// Reads that rescored their abandoned candidates.
+    fallbacks: usize,
+}
+
+/// Compare both paths on every read of the repeat-rich fixture.
+fn check(config: MappingConfig) -> Seen {
     let (genome, copies) = common::repeat_genome(71);
     let reads = common::reads(&genome, &copies, 160, 72);
     check_reads(&genome, &reads, config)
 }
 
 /// [`check`] on any genome and reads.
-fn check_reads(genome: &DnaSeq, reads: &[SequencedRead], config: MappingConfig) -> (usize, usize) {
+fn check_reads(genome: &DnaSeq, reads: &[SequencedRead], config: MappingConfig) -> Seen {
     let engine = MappingEngine::new(genome, config);
     let (mut scratch, mut raw) = (AlignScratch::new(), AlignScratch::new());
-    let (mut capped, mut straddling) = (0, 0);
+    let mut seen = Seen::default();
     for read in reads {
         engine.map_read_with(read, &mut scratch);
         engine.map_read_raw_with(read, &mut raw);
@@ -90,34 +107,39 @@ fn check_reads(genome: &DnaSeq, reads: &[SequencedRead], config: MappingConfig) 
         );
         assert_eq!(scratch.scored(), raw.scored(), "read {}", read.id);
         assert!(raw.len() <= raw.scored());
+        assert!(scratch.abandoned() <= scratch.scored());
+        assert_eq!((raw.abandoned(), raw.fallbacks()), (0, 0));
         let forward = raw.alignments().filter(|a| !a.reverse).count();
         if forward.max(raw.len() - forward) == config.max_candidates {
-            capped += 1;
+            seen.capped += 1;
         }
         if scratch.len() >= 2 && scratch.len() < raw.len() {
-            straddling += 1;
+            seen.straddling += 1;
         }
+        seen.abandoned += scratch.abandoned();
+        seen.fallbacks += scratch.fallbacks();
     }
-    (capped, straddling)
+    seen
 }
 
 #[test]
 fn forward_first_matches_all_columns_reference_default_config() {
-    let (_, straddling) = check(MappingConfig::default());
+    let seen = check(MappingConfig::default());
     assert!(
-        straddling > 0,
+        seen.straddling > 0,
         "the fixture must produce reads whose candidates straddle min_weight"
     );
+    assert!(seen.abandoned > 0, "the fixture must abandon candidates");
 }
 
 #[test]
 fn forward_first_matches_reference_when_candidates_are_capped() {
-    let (capped, straddling) = check(MappingConfig {
+    let seen = check(MappingConfig {
         max_candidates: 12,
         ..MappingConfig::default()
     });
-    assert!(capped > 0, "the fixture must hit max_candidates");
-    assert!(straddling > 0);
+    assert!(seen.capped > 0, "the fixture must hit max_candidates");
+    assert!(seen.straddling > 0);
 }
 
 #[test]
@@ -221,8 +243,8 @@ fn lockstep_chunks_match_reference_for_few_candidates() {
         },
     ];
     for config in configs {
-        let (_, straddling) = check_reads(&genome, &reads, config);
-        assert!(straddling > 0, "weights must straddle min_weight");
+        let seen = check_reads(&genome, &reads, config);
+        assert!(seen.straddling > 0, "weights must straddle min_weight");
 
         let engine = MappingEngine::new(&genome, config);
         let mut raw = AlignScratch::new();
@@ -258,4 +280,160 @@ fn lockstep_chunks_match_reference_for_few_candidates() {
     assert!(expected
         .iter()
         .all(|(f, r)| f % LANES != 0 || r % LANES != 0));
+}
+
+/// A genome made almost entirely of repeats: three 70-bp units in 40
+/// copies each, every copy with 0–2 substitutions, separated by spacers of
+/// 0–8 random bases.
+fn repeat_dense_genome(seed: u64) -> DnaSeq {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let units: Vec<Vec<Base>> = (0..3).map(|_| random_bases(&mut rng, 70)).collect();
+    let mut bases = random_bases(&mut rng, 100);
+    for _ in 0..120 {
+        let mut copy = units[rng.random_range(0..3usize)].clone();
+        for _ in 0..rng.random_range(0..3usize) {
+            let at = rng.random_range(0..copy.len());
+            copy[at] = copy[at].transition();
+        }
+        bases.extend(copy);
+        let spacer = rng.random_range(0..9usize);
+        bases.extend(random_bases(&mut rng, spacer));
+    }
+    bases.extend(random_bases(&mut rng, 100));
+    DnaSeq::from_bases(bases)
+}
+
+/// Reads built to stress the certificate and the bound, `count` of each
+/// kind, from windows of `genome`: near-ties (a copy's bases at uniform
+/// quality, so copies one substitution apart differ by one emission
+/// ratio), Phred 0 throughout, a run of `N`s in a high-quality read,
+/// mixed Phred 0 and Phred 93 bases, and all-`N`.
+fn adversarial_reads(genome: &DnaSeq, count: usize, seed: u64) -> Vec<SequencedRead> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let len = common::READ_LEN;
+    let mut reads = Vec::new();
+    for r in 0..count {
+        let start = rng.random_range(0..genome.len() - len);
+        let window = genome.window(start, start + len);
+        let run = rng.random_range(0..len - 12);
+        let kinds: [(&str, DnaSeq, Vec<u8>); 5] = [
+            ("tie", window.clone(), vec![30; len]),
+            ("phred0", window.clone(), vec![0; len]),
+            (
+                "nrun",
+                window
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| b.filter(|_| !(run..run + 12).contains(&i)))
+                    .collect(),
+                vec![40; len],
+            ),
+            (
+                "mixed",
+                window.clone(),
+                (0..len)
+                    .map(|_| [0, 93][rng.random_range(0..2usize)])
+                    .collect(),
+            ),
+            ("alln", repeat_n(None, len).collect(), vec![30; len]),
+        ];
+        for (kind, seq, quals) in kinds {
+            let read = SequencedRead::new(format!("{kind}{r}"), seq, quals).expect("equal lengths");
+            reads.push(if r % 2 == 1 {
+                read.reverse_complement()
+            } else {
+                read
+            });
+        }
+    }
+    reads
+}
+
+#[test]
+fn abandoning_matches_full_scoring_on_repeat_dense_adversarial_reads() {
+    let genome = repeat_dense_genome(101);
+    let reads = adversarial_reads(&genome, 40, 102);
+    let configs = [
+        MappingConfig::default(),
+        MappingConfig {
+            band: None,
+            ..MappingConfig::default()
+        },
+        MappingConfig {
+            index: IndexConfig {
+                k: 8,
+                ..IndexConfig::default()
+            },
+            max_candidates: 200,
+            ..MappingConfig::default()
+        },
+    ];
+    for config in configs {
+        let seen = check_reads(&genome, &reads, config);
+        assert!(seen.abandoned > 0, "{config:?} abandoned nothing: {seen:?}");
+    }
+    // Without a weight cut nothing may be abandoned: every candidate keeps
+    // its weight.
+    let seen = check_reads(
+        &genome,
+        &reads,
+        MappingConfig {
+            min_weight: 0.0,
+            ..MappingConfig::default()
+        },
+    );
+    assert_eq!((seen.abandoned, seen.fallbacks), (0, 0));
+    assert!(seen.straddling == 0);
+}
+
+/// A read whose grand total the certificate cannot pin: the abandoned
+/// bounds move the rounding of a partial sum, so `map_read_with` must
+/// rescore them. The read and its candidates come from the repeat-dense
+/// `repeats-stream2` perfbench workload (seed 1), cut down to 20 stretches
+/// of that reference, joined by `N` runs, that still reproduce the
+/// fallback: 38 candidates, 18 of them abandoned.
+const FALLBACK_READ: &str = "CGATAGTCGGCCTATTAATAGATATGGCATGCTATAACGAAACACAAGATAAATGAAAGATG";
+const FALLBACK_QUALS: [u8; 62] = [
+    27, 26, 26, 25, 25, 25, 24, 24, 24, 23, 23, 23, 23, 22, 22, 22, 22, 22, 21, 21, 21, 21, 21, 21,
+    20, 20, 20, 20, 20, 20, 20, 20, 19, 19, 19, 19, 19, 19, 19, 19, 19, 19, 18, 18, 18, 18, 18, 18,
+    18, 18, 18, 18, 18, 18, 17, 17, 17, 17, 17, 17, 17, 17,
+];
+const FALLBACK_GENOME: &str = "\
+    CATCTTTCATTTATCTTGTGTTTCGTTATAGCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTA\
+    CTCCTTTTCAAGAACGACGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCATGT\
+    CATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNN\
+    CTTCTTTCATTTAGCTTGTGTTTCGTTATAGCATGTCATATTTATTAATAGGCGGACTATCGNNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCATGTCATATCTATTAATAGGCGGACTATCGCGAT\
+    ATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCATGTCATATCTATTAATAGGCGGACTATCGAGAT\
+    ACCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCTTGTCATATCTATTAATAGGCGGACTATCGCGAT\
+    ATCTTACTCCCTTTCAGGAACTGCGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCATGTCATATCTATTAATAGGCGGACTATCGCGAT\
+    ATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAGCTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCAAGTCATATCTATTAATAGGCGGACTATCGCGAT\
+    ATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCAAGTCATCTCTATTAATAGGCGGACTATCGCGAT\
+    ATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCATTTCTCTTGTGTTACGTCATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCATGTCATATCTATTAATAGGCGGACTATCGCGAT\
+    ATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCAATTATCTTGTGTTTCGTTATA\
+    GCATGTCATATCTATTAATAGGCGGACTATCGAGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNN\
+    NNNNNNCATCTTTCATTTATCTTGTGTTTCGTTATAGCATGTCATATCTATAAATAGGCGGACTATCGNNNN\
+    NNNNNNNNNNNNCATCTTTCATTTATCCTGTGTTTCGTTATAGCATGTCATATCTATTAATAGGCGGACTAT\
+    CGCGATATCTTACTCCTTTTCAAGAACTACGANNNNNNNNNNNNNNNNCATCTTTCATTTATCTTGTGTTTC\
+    GTTATAGCATGCCATATCTATTAATAGGCCGACTATCGCGATATCTTACTCCTTTTCAAGAACTACGA";
+
+#[test]
+fn uncertified_total_falls_back_to_full_scoring() {
+    let genome: DnaSeq = FALLBACK_GENOME.parse().expect("fixture genome");
+    let seq = FALLBACK_READ.parse().expect("fixture read");
+    let read = SequencedRead::new("fallback", seq, FALLBACK_QUALS.to_vec()).expect("equal lengths");
+    let seen = check_reads(&genome, &[read], MappingConfig::default());
+    assert_eq!((seen.abandoned, seen.fallbacks), (18, 1), "{seen:?}");
 }

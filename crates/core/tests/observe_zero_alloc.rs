@@ -89,6 +89,8 @@ fn disabled_observer_emits_without_allocating() {
             mapped: 250,
             candidates: 612,
             deposited_columns: 15_000,
+            abandoned: 580,
+            fallbacks: 1,
         });
         // Cloning the handle (the per-worker pattern in the drivers) is
         // an Option<Arc> copy, not an allocation.

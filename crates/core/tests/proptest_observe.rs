@@ -60,6 +60,8 @@ fn event() -> impl Strategy<Value = Event> {
                     mapped: n3,
                     candidates: n4,
                     deposited_columns: n5,
+                    abandoned: n4 / 2,
+                    fallbacks: n2 / 3,
                 },
                 4 => Event::Checkpoint {
                     cursor: n1,

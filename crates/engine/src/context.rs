@@ -83,19 +83,33 @@ impl<'r> RunContext<'r> {
     /// Reject out-of-range fields before handing them to a driver, as a
     /// typed error. The checks are [`StreamConfig::validate`]'s, run on
     /// [`RunContext::stream_config`] (the threads budget is its
-    /// `workers`), and [`IndexConfig::validate`]'s for the seed index over
-    /// the reference.
+    /// `workers`), [`IndexConfig::validate`]'s for the seed index over
+    /// the reference, `PhmmParams::validate`'s for the Pair-HMM (whose
+    /// likelihood bound early abandoning relies on), and a `min_weight`
+    /// that is a number in `[0, 1]`.
     ///
     /// [`IndexConfig::validate`]: genome::index::IndexConfig::validate
     pub fn validate(&self) -> Result<(), EngineError> {
+        let invalid = EngineError::InvalidContext;
         self.stream_config()
             .validate()
-            .map_err(|e| EngineError::InvalidContext(e.to_string()))?;
-        self.config
-            .mapping
+            .map_err(|e| invalid(e.to_string()))?;
+        let mapping = &self.config.mapping;
+        mapping
             .index
             .validate(self.reference.len())
-            .map_err(|e| EngineError::InvalidContext(e.to_string()))
+            .map_err(|e| invalid(e.to_string()))?;
+        mapping
+            .phmm
+            .validate()
+            .map_err(|e| invalid(format!("Pair-HMM parameters: {e}")))?;
+        if !(0.0..=1.0).contains(&mapping.min_weight) {
+            return Err(invalid(format!(
+                "min_weight = {} is not in [0, 1]",
+                mapping.min_weight
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -151,5 +165,47 @@ mod tests {
     #[test]
     fn zero_max_occurrences_is_rejected() {
         assert!(index_error(|c| c.max_occurrences = 0).contains("max_occurrences"));
+    }
+
+    /// The error for a context whose mapping config was edited by `f`.
+    fn mapping_error(f: fn(&mut gnumap_core::mapping::MappingConfig)) -> String {
+        let reference: DnaSeq = "ACGTACGT".parse().unwrap();
+        let mut ctx = RunContext::new(&reference);
+        f(&mut ctx.config.mapping);
+        match ctx.validate() {
+            Err(EngineError::InvalidContext(msg)) => msg,
+            other => panic!("expected InvalidContext, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_phmm_params_are_rejected() {
+        let msg = mapping_error(|c| c.phmm.t_gg = 0.9);
+        assert!(msg.contains("gap-state transitions"), "{msg}");
+    }
+
+    #[test]
+    fn nan_min_weight_is_rejected() {
+        assert!(mapping_error(|c| c.min_weight = f64::NAN).contains("min_weight = NaN"));
+    }
+
+    #[test]
+    fn negative_min_weight_is_rejected() {
+        assert!(mapping_error(|c| c.min_weight = -0.5).contains("min_weight = -0.5"));
+    }
+
+    #[test]
+    fn min_weight_above_one_is_rejected() {
+        assert!(mapping_error(|c| c.min_weight = 1.5).contains("min_weight = 1.5"));
+    }
+
+    #[test]
+    fn min_weight_bounds_are_accepted() {
+        let reference: DnaSeq = "ACGTACGT".parse().unwrap();
+        let mut ctx = RunContext::new(&reference);
+        for w in [0.0, 1.0] {
+            ctx.config.mapping.min_weight = w;
+            assert!(ctx.validate().is_ok(), "min_weight = {w}");
+        }
     }
 }

@@ -2,7 +2,10 @@
 //! scored with its forward pass, before the `min_weight` cut. Every driver
 //! must report the same total on the same reads: serial, read-split and
 //! stream add up each read's `AlignScratch::scored()`, and genome-split's
-//! ranks each count the scored placements their shard owns.
+//! ranks each count the scored placements their shard owns. The abandoned
+//! and fallback counts follow the engine's `map_read_with` in the drivers
+//! that call it; genome-split scores every candidate in full and reports
+//! none abandoned.
 
 use exec::{run_stream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
@@ -46,17 +49,26 @@ fn workload() -> (DnaSeq, Vec<SequencedRead>) {
     (reference, reads)
 }
 
-/// Run `f` under a memory sink and sum the batch events' candidates.
-fn candidates(f: impl FnOnce(&Observer)) -> u64 {
+/// Run `f` under a memory sink and sum the batch events' candidates,
+/// abandoned candidates and fallbacks.
+fn candidates(f: impl FnOnce(&Observer)) -> [u64; 3] {
     let sink = Arc::new(MemorySink::new());
     f(&Observer::new(sink.clone()));
-    sink.events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Batch { candidates, .. } => Some(*candidates),
-            _ => None,
-        })
-        .sum()
+    let mut sums = [0; 3];
+    for e in sink.events() {
+        if let Event::Batch {
+            candidates,
+            abandoned,
+            fallbacks,
+            ..
+        } = e
+        {
+            for (sum, n) in sums.iter_mut().zip([candidates, abandoned, fallbacks]) {
+                *sum += n;
+            }
+        }
+    }
+    sums
 }
 
 #[test]
@@ -68,16 +80,20 @@ fn every_driver_counts_scored_candidates_alike() {
     // drivers used to report, to show the two differ on this workload.
     let engine = MappingEngine::new(&reference, cfg.mapping);
     let mut scratch = AlignScratch::new();
-    let (mut scored, mut kept) = (0u64, 0u64);
+    let (mut scored, mut kept, mut abandoned, mut fallbacks) = (0u64, 0u64, 0u64, 0u64);
     for read in &reads {
         engine.map_read_with(read, &mut scratch);
         scored += scratch.scored() as u64;
         kept += scratch.len() as u64;
+        abandoned += scratch.abandoned() as u64;
+        fallbacks += scratch.fallbacks() as u64;
     }
     assert!(
         scored > kept,
         "workload must prune candidates: {scored} vs {kept}"
     );
+    assert!(abandoned > 0, "workload must abandon candidates");
+    let engine_counts = [scored, abandoned, fallbacks];
 
     let serial = candidates(|o| {
         run_serial::<FixedAccumulator>(&reference, &reads, &cfg, o);
@@ -97,8 +113,8 @@ fn every_driver_counts_scored_candidates_alike() {
     let genome_split = candidates(|o| {
         run_genome_split::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
     });
-    assert_eq!(serial, scored, "serial");
-    assert_eq!(read_split, scored, "read-split");
-    assert_eq!(stream, scored, "stream");
-    assert_eq!(genome_split, scored, "genome-split");
+    assert_eq!(serial, engine_counts, "serial");
+    assert_eq!(read_split, engine_counts, "read-split");
+    assert_eq!(stream, engine_counts, "stream");
+    assert_eq!(genome_split, [scored, 0, 0], "genome-split");
 }

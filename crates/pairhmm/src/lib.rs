@@ -35,6 +35,8 @@
 //!   backward+marginal streaming pass, run only for candidates that
 //!   survive the posterior weight cut. A lane's total has the bits of the
 //!   posterior pass's total for that candidate.
+//! * [`bound`]    — the admissible bound on a forward total from a partial
+//!   forward that lets `forward_totals` stop hopeless candidates early.
 //! * [`matrix`]   — dense `f64` DP matrices.
 //! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI Step 2.
 //! * [`marginal`] — posterior cell probabilities and per-column `z` vectors.
@@ -59,6 +61,7 @@
 
 pub mod backward;
 pub mod banded;
+pub mod bound;
 pub mod bruteforce;
 pub mod emission;
 pub mod forward;

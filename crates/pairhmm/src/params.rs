@@ -15,6 +15,10 @@
 //! Gap transitions between `G_X` and `G_Y` are disallowed, as in the paper's
 //! figure.
 
+/// How far [`PhmmParams::validate`] lets each state's outgoing transition
+/// probabilities sum away from 1.
+pub const TRANSITION_SUM_TOLERANCE: f64 = 1e-9;
+
 /// Transition and emission parameters of the Pair-HMM.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhmmParams {
@@ -66,13 +70,13 @@ impl PhmmParams {
         check_prob("t_gg", self.t_gg)?;
         check_prob("mismatch", self.mismatch)?;
         check_prob("q", self.q)?;
-        if (self.t_mm + 2.0 * self.t_mg - 1.0).abs() > 1e-9 {
+        if (self.t_mm + 2.0 * self.t_mg - 1.0).abs() > TRANSITION_SUM_TOLERANCE {
             return Err(format!(
                 "match-state transitions must sum to 1: t_mm + 2·t_mg = {}",
                 self.t_mm + 2.0 * self.t_mg
             ));
         }
-        if (self.t_gm + self.t_gg - 1.0).abs() > 1e-9 {
+        if (self.t_gm + self.t_gg - 1.0).abs() > TRANSITION_SUM_TOLERANCE {
             return Err(format!(
                 "gap-state transitions must sum to 1: t_gm + t_gg = {}",
                 self.t_gm + self.t_gg

@@ -19,7 +19,8 @@
 //!   its own profile and its own window (`codes[j][lane]`). Each row's
 //!   in-band emissions are looked up as the row is computed. No planes, no
 //!   emission table. Every candidate gets this; the total is all the
-//!   posterior weight needs.
+//!   posterior weight needs. With a [`StopRule`] the chunk may stop early
+//!   once a bound ([`crate::bound`]) proves every lane's total negligible.
 //! * [`PhmmScratch::posterior_columns_profiled`] — only for candidates that
 //!   survive the weight cut: the in-band emission cells, the forward into
 //!   retained planes, then the streaming backward fused with the marginals.
@@ -38,6 +39,7 @@
 //! `1`), so the result is bit-identical — property-tested via `f64::to_bits`
 //! in `tests/fused_bitident.rs`.
 
+use crate::bound::{LaneTotals, RowBound, StopRule, CHECK_EVERY};
 use crate::emission::Emission;
 use crate::kernel::{self, Band, Lanes, LANES};
 use crate::marginal::ColumnPosterior;
@@ -114,6 +116,14 @@ impl PhmmScratch {
     /// [`posterior_columns_profiled`] and of [`kernel::forward_planes`] on
     /// lane `l`'s inputs.
     ///
+    /// With a [`StopRule`], every [`CHECK_EVERY`] rows before the last the
+    /// pass bounds each lane's total from its current row
+    /// ([`RowBound`]), and returns [`LaneTotals::Abandoned`] with those
+    /// bounds as soon as all of them are below `stop.below`. Otherwise,
+    /// and always with `stop = None`, it runs to the last row and returns
+    /// [`LaneTotals::Exact`]; the check reads the rows but never writes
+    /// them, so the exact totals have the same bits either way.
+    ///
     /// [`posterior_columns_profiled`]: Self::posterior_columns_profiled
     pub fn forward_totals(
         &mut self,
@@ -121,7 +131,8 @@ impl PhmmScratch {
         codes: &[[u8; LANES]],
         params: &PhmmParams,
         band: Option<usize>,
-    ) -> Lanes {
+        stop: Option<StopRule<'_>>,
+    ) -> LaneTotals {
         let n = profiles[0].len();
         let m = codes.len();
         assert!(n >= 1, "read must be non-empty");
@@ -143,6 +154,7 @@ impl PhmmScratch {
             p[..=hi0].fill([0.0; LANES]);
         }
         self.lm[0] = [1.0; LANES];
+        let slack = RowBound::new(n, m);
 
         for i in 1..=n {
             let (j_min, j_max) = kernel::row_range(band, i, m);
@@ -158,6 +170,28 @@ impl PhmmScratch {
                 (j_min, j_max),
                 m,
             );
+            if let Some(rule) = stop.filter(|_| i % CHECK_EVERY == 0 && i < n) {
+                // Row i's mass per lane, over the band (cells outside it
+                // are zero).
+                let row = (i % 2) * stride;
+                let cells = row + j_min..=row + j_max;
+                let mut bounds = [0.0; LANES];
+                for ((mv, xv), yv) in self.lm[cells.clone()]
+                    .iter()
+                    .zip(&self.lx[cells.clone()])
+                    .zip(&self.ly[cells])
+                {
+                    for (((b, mv), xv), yv) in bounds.iter_mut().zip(mv).zip(xv).zip(yv) {
+                        *b += mv + xv + yv;
+                    }
+                }
+                for (b, suffix) in bounds.iter_mut().zip(rule.suffix) {
+                    *b = slack.of(*b, suffix[i]);
+                }
+                if bounds.iter().all(|&b| b < rule.below) {
+                    return LaneTotals::Abandoned(bounds);
+                }
+            }
         }
         // Per lane (f_M + f_GX) + f_GY at (n, m), summed in the order of
         // `kernel::forward_planes`.
@@ -166,7 +200,7 @@ impl PhmmScratch {
         for ((t, x), y) in totals.iter_mut().zip(self.lx[end]).zip(self.ly[end]) {
             *t = *t + x + y;
         }
-        totals
+        LaneTotals::Exact(totals)
     }
 
     /// Full fused posterior alignment of one read (PWM) against one

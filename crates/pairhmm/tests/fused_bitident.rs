@@ -10,9 +10,18 @@
 //! interleaved genome codes, rolling rows) must return, in every live lane,
 //! the bits of the plane forward's total on that lane's inputs, and the
 //! profile it reads must equal the blended emission cell for cell.
+//!
+//! The early-abandon bound must be admissible: on quality-derived reads
+//! (Phred 0–93, runs of `N`), `q = 1` and transition sums at the edge of
+//! what [`PhmmParams::validate`] accepts, every row's bound is at least the
+//! final f64 total, and a chunk that is not abandoned returns the bits it
+//! returns with the stop disabled.
 
 use genome::alphabet::{Base, BASES};
-use pairhmm::kernel::{diagonal_bounds, forward_planes, LANES};
+use genome::read::SequencedRead;
+use genome::seq::DnaSeq;
+use pairhmm::bound::{fill_suffix_bounds, LaneTotals, RowBound, StopRule};
+use pairhmm::kernel::{diagonal_bounds, forward_planes, row_range, Lanes, LANES};
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::{base_code, ProfileRow, Pwm};
@@ -92,6 +101,74 @@ fn plane_forward(
         &mut fx,
         &mut fy,
         band.map(|w| diagonal_bounds(n, m, w)),
+    )
+}
+
+/// The totals of a chunk that ran to the last row.
+fn exact(totals: LaneTotals) -> Lanes {
+    match totals {
+        LaneTotals::Exact(totals) => totals,
+        LaneTotals::Abandoned(bounds) => panic!("chunk abandoned with bounds {bounds:?}"),
+    }
+}
+
+/// A read of `n` bases with Phred qualities 0–93: about one base in eight
+/// is `N`, plus one run of `N`s.
+fn read_strategy(n: usize) -> impl Strategy<Value = Pwm> {
+    (
+        proptest::collection::vec((0..40usize, 0..=93u8), n),
+        0..n,
+        0..=n,
+    )
+        .prop_map(move |(draws, run_at, run_len)| {
+            let seq: DnaSeq = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(d, _))| {
+                    let in_run = (run_at..run_at + run_len / 4).contains(&i);
+                    (d >= 5 && !in_run).then(|| BASES[d % 4])
+                })
+                .collect();
+            let quals = draws.iter().map(|&(_, q)| q).collect();
+            Pwm::from_read(&SequencedRead::new("r", seq, quals).unwrap())
+        })
+}
+
+/// Valid parameters for the bound: random gap rates with `q` random, ¼ or
+/// 1, half of them with both transition sums pushed to the top of
+/// [`PhmmParams::validate`]'s tolerance.
+fn bound_params_strategy() -> impl Strategy<Value = PhmmParams> {
+    (params_strategy(), 0..3usize, 0.0f64..=1.0, 0..2usize).prop_map(
+        |(mut params, q_kind, q, at_edge)| {
+            params.q = [q, 0.25, 1.0][q_kind];
+            if at_edge == 1 {
+                // Just inside the tolerance once the sums are rounded.
+                let over = pairhmm::params::TRANSITION_SUM_TOLERANCE * (1.0 - 1e-6);
+                params.t_mm = 1.0 - 2.0 * params.t_mg + over;
+                params.t_gg = 1.0 - params.t_gm + over;
+            }
+            params.validate().expect("edge parameters stay valid");
+            params
+        },
+    )
+}
+
+/// A read, [`LANES`] windows, the parameters and the band for the bound
+/// tests: reads of 1..=70 bases, windows 0..=4 bases longer, or of any
+/// length 1..=80.
+type BoundCase = (Pwm, Vec<Vec<Option<Base>>>, PhmmParams, Option<usize>);
+
+fn bound_case_strategy() -> impl Strategy<Value = BoundCase> {
+    (1..=70usize, 0..=4usize, 1..=80usize, 0..2usize, 0..=9usize).prop_flat_map(
+        |(n, pad, any_m, padded, w)| {
+            let m = if padded == 1 { n + pad } else { any_m };
+            (
+                read_strategy(n),
+                proptest::collection::vec(window_strategy(m), LANES),
+                bound_params_strategy(),
+                Just((w <= 8).then_some(w)),
+            )
+        },
     )
 }
 
@@ -202,8 +279,8 @@ proptest! {
 
         let mut scratch = PhmmScratch::new();
         // Stale rows from an unbanded pass must not leak into this one.
-        scratch.forward_totals(lane_profiles, &codes, &params, None);
-        let totals = scratch.forward_totals(lane_profiles, &codes, &params, band);
+        scratch.forward_totals(lane_profiles, &codes, &params, None, None);
+        let totals = exact(scratch.forward_totals(lane_profiles, &codes, &params, band, None));
         for (l, total) in totals.iter().enumerate().take(live) {
             let pwm = &pwms[which[l]];
             let reference = plane_forward(pwm, &windows[l], &params, band);
@@ -229,6 +306,74 @@ proptest! {
         }
         for total in &totals[live..] {
             prop_assert_eq!(total.to_bits(), totals[live - 1].to_bits());
+        }
+    }
+
+    #[test]
+    fn every_row_bound_covers_the_final_total(case in bound_case_strategy()) {
+        // The bound from row i of the plane forward (the same cells a lane
+        // holds) must cover the f64 total, at every row.
+        let (pwm, windows, params, band) = case;
+        let (n, m) = (pwm.len(), windows[0].len());
+        let mut profile = Vec::new();
+        pwm.fill_profile(&params, &mut profile);
+        let mut suffix = Vec::new();
+        fill_suffix_bounds(&profile, params.q, &mut suffix);
+        let slack = RowBound::new(n, m);
+        let diag = band.map(|w| diagonal_bounds(n, m, w));
+        for window in &windows {
+            let emit = pwm.emission_table(window, &params);
+            let plane = (n + 1) * (m + 1);
+            let (mut fm, mut fx, mut fy) = (vec![0.0; plane], vec![0.0; plane], vec![0.0; plane]);
+            let total = forward_planes(emit.view(), &params, &mut fm, &mut fx, &mut fy, diag);
+            for (i, &suffix) in suffix.iter().enumerate().skip(1) {
+                let (j_min, j_max) = row_range(diag, i, m);
+                let row = i * (m + 1);
+                let mass: f64 = (row + j_min..=row + j_max)
+                    .map(|c| fm[c] + fx[c] + fy[c])
+                    .sum();
+                let bound = slack.of(mass, suffix);
+                prop_assert!(
+                    bound >= total,
+                    "row {} of {}x{}: bound {:e} < total {:e}",
+                    i, n, m, bound, total
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stopped_chunks_hold_their_bounds_and_others_their_bits(
+        case in bound_case_strategy(),
+        scale in -40i32..=4,
+    ) {
+        // A stop rule at some multiple of the lanes' best total: an
+        // abandoned chunk's bounds cover the full totals and are below the
+        // rule; a chunk that runs to the end has the unstopped bits.
+        let (pwm, windows, params, band) = case;
+        let mut profile = Vec::new();
+        pwm.fill_profile(&params, &mut profile);
+        let mut suffix = Vec::new();
+        fill_suffix_bounds(&profile, params.q, &mut suffix);
+        let codes: Vec<[u8; LANES]> = (0..windows[0].len())
+            .map(|j| std::array::from_fn(|l| base_code(windows[l][j])))
+            .collect();
+        let mut scratch = PhmmScratch::new();
+        let profiles = [&profile[..]; LANES];
+        let full = exact(scratch.forward_totals(profiles, &codes, &params, band, None));
+        let best = full.iter().fold(0.0f64, |a, &t| a.max(t));
+        for below in [best * 10f64.powi(scale), f64::INFINITY] {
+            let stop = StopRule { suffix: [&suffix[..]; LANES], below };
+            match scratch.forward_totals(profiles, &codes, &params, band, Some(stop)) {
+                LaneTotals::Exact(totals) => {
+                    prop_assert_eq!(totals.map(f64::to_bits), full.map(f64::to_bits));
+                }
+                LaneTotals::Abandoned(bounds) => {
+                    for (b, t) in bounds.iter().zip(full) {
+                        prop_assert!(*b >= t && *b < below, "bound {:e}, total {:e}", b, t);
+                    }
+                }
+            }
         }
     }
 

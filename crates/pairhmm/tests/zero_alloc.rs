@@ -1,7 +1,8 @@
 //! Steady-state allocation audit for the fused scratch kernel.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
-//! warmup alignment per configuration, repeated `forward_totals` /
+//! warmup alignment per configuration, repeated `forward_totals` (with
+//! and without an early stop that fires) /
 //! `posterior_columns_profiled` / `posterior_columns` / `scaled_log_total`
 //! calls on a reused [`pairhmm::PhmmScratch`] (and refilling a reused
 //! emission profile) must perform **zero** heap allocations — the core promise of the
@@ -66,9 +67,35 @@ fn allocation_count() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// Three lane chunks: band 4, the full table, and band 4 under a stop rule
+/// that fires at the first check. Returns a value to keep observable.
+fn lane_chunks(
+    scratch: &mut pairhmm::PhmmScratch,
+    profile: &[pairhmm::pwm::ProfileRow],
+    suffix: &[f64],
+    codes: &[[u8; pairhmm::kernel::LANES]],
+    params: &pairhmm::params::PhmmParams,
+) -> f64 {
+    use pairhmm::bound::{LaneTotals, StopRule};
+    use pairhmm::kernel::LANES;
+    let stop = StopRule {
+        suffix: [suffix; LANES],
+        below: f64::INFINITY,
+    };
+    [(Some(4), None), (None, None), (Some(4), Some(stop))]
+        .into_iter()
+        .map(|(band, stop)| {
+            match scratch.forward_totals([profile; LANES], codes, params, band, stop) {
+                LaneTotals::Exact(v) | LaneTotals::Abandoned(v) => v[0],
+            }
+        })
+        .sum()
+}
+
 #[test]
 fn fused_kernel_is_allocation_free_in_steady_state() {
     use genome::alphabet::BASES;
+    use pairhmm::bound::fill_suffix_bounds;
     use pairhmm::kernel::LANES;
     use pairhmm::params::PhmmParams;
     use pairhmm::pwm::{base_code, Pwm};
@@ -102,12 +129,13 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
 
     let mut scratch = PhmmScratch::new();
     let mut profile = Vec::new();
+    let mut suffix = Vec::new();
     let mut sink = 0.0f64;
 
     // Warmup: grow every buffer for each configuration exercised below.
     pwm.fill_profile(&params, &mut profile);
-    sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, Some(4))[0];
-    sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, None)[LANES - 1];
+    fill_suffix_bounds(&profile, params.q, &mut suffix);
+    sink += lane_chunks(&mut scratch, &profile, &suffix, &lane_codes, &params);
     sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
     sink += scratch.posterior_columns(&pwm, &window, &params, None);
     sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
@@ -116,8 +144,8 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
     let before = allocation_count();
     for _ in 0..100 {
         pwm.fill_profile(&params, &mut profile);
-        sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, Some(4))[0];
-        sink += scratch.forward_totals([&profile; LANES], &lane_codes, &params, None)[LANES - 1];
+        fill_suffix_bounds(&profile, params.q, &mut suffix);
+        sink += lane_chunks(&mut scratch, &profile, &suffix, &lane_codes, &params);
         sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
         sink += scratch.posterior_columns(&pwm, &window, &params, None);
         sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
@@ -131,7 +159,7 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         after - before,
         0,
         "steady-state scratch alignments must not allocate \
-         ({} allocations over 400 alignments and 200 lane chunks)",
+         ({} allocations over 400 alignments and 300 lane chunks)",
         after - before
     );
 }

@@ -73,6 +73,20 @@ for k in 10 16; do
     }
 done
 
+echo "==> abandon smoke: the serial driver stops hopeless candidates early"
+# On the 300 kbp reference most candidates' likelihood bounds fall below
+# 2^-64 of their read's best total; a change that silently disables the
+# early stop leaves the summed `abandoned` of the batch events at 0.
+target/release/gnumap call --reference "$index_dir/reference.fa" \
+    --reads "$index_dir/reads.fq" --out "$index_dir/serial.vcf" \
+    --driver serial --trace-json "$index_dir/serial.trace.jsonl" >/dev/null
+target/release/gnumap trace-check --trace "$index_dir/serial.trace.jsonl" >/dev/null
+abandoned="$(sed -n 's/.*"event":"batch".*"abandoned":\([0-9]*\).*/\1/p' \
+    "$index_dir/serial.trace.jsonl" | awk '{ s += $1 } END { print s + 0 }')"
+[[ "$abandoned" -gt 0 ]] || {
+    echo "the serial driver abandoned no candidates on the 300 kbp smoke"; exit 1;
+}
+
 echo "==> serve smoke: loopback server round trip + clean drain"
 smoke_dir="target/serve-smoke"
 rm -rf "$smoke_dir"

@@ -22,8 +22,9 @@ pub(super) fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), String>
 }
 
 /// Parse a JSON-lines trace written via `--trace-json`, validate every
-/// line, and summarise event kinds. Errors on an empty trace or one
-/// without the run_start/run_end bracket.
+/// line, and summarise event kinds. Errors on an empty trace, one without
+/// the run_start/run_end bracket, and a batch that abandoned more
+/// candidates than it scored or fell back on more reads than it had.
 pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let trace_path = args.require("trace")?;
     args.reject_unknown()?;
@@ -38,6 +39,22 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
         }
         let event = Event::parse_json_line(&line)
             .map_err(|e| format!("{trace_path}:{}: {e}", lineno + 1))?;
+        if let Event::Batch {
+            reads,
+            candidates,
+            abandoned,
+            fallbacks,
+            ..
+        } = event
+        {
+            if abandoned > candidates || fallbacks > reads {
+                return Err(format!(
+                    "{trace_path}:{}: batch abandoned {abandoned} of {candidates} \
+                     candidates and fell back on {fallbacks} of {reads} reads",
+                    lineno + 1
+                ));
+            }
+        }
         *kinds.entry(event.kind().to_string()).or_insert(0) += 1;
         total += 1;
     }
@@ -86,6 +103,28 @@ mod tests {
             run_to_string(&["trace-check", "--trace", garbage.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("garbage.jsonl:1"), "{err}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_check_rejects_impossible_abandon_counts() {
+        let dir = std::env::temp_dir().join(format!("gnumap-abandon-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run_start = r#"{"event":"run_start","driver":"serial","accumulator":"NORM"}"#;
+        let run_end =
+            r#"{"event":"run_end","reads_processed":4,"reads_mapped":4,"calls":0,"wall_secs":0.1}"#;
+        let check = |name: &str, abandoned: u64, fallbacks: u64| {
+            let batch = format!(
+                r#"{{"event":"batch","worker":0,"reads":4,"mapped":4,"candidates":9,"deposited_columns":248,"abandoned":{abandoned},"fallbacks":{fallbacks}}}"#
+            );
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{run_start}\n{batch}\n{run_end}\n")).unwrap();
+            run_to_string(&["trace-check", "--trace", path.to_str().unwrap()])
+        };
+        assert!(check("ok.jsonl", 9, 4).is_ok());
+        let err = check("abandoned.jsonl", 10, 0).unwrap_err();
+        assert!(err.contains("abandoned.jsonl:2"), "{err}");
+        assert!(check("fallbacks.jsonl", 0, 5).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
