@@ -21,7 +21,9 @@
 //! so it grows with the genome rather than with `4^k`: on 1 Mbp at k = 10,
 //! `p = k` and a bucket holds at most one key; when `k > p`, a lookup
 //! binary-searches the few keys of its bucket. Building is a counting sort
-//! over the prefixes, with no hashing and no per-k-mer allocation.
+//! over the prefixes, with no hashing and no per-k-mer allocation; when
+//! `p = k` the positions are scattered straight into place, so the build
+//! allocates nothing beyond the index itself.
 //!
 //! The index is position-addressed (not canonicalised): strand handling is
 //! done by the caller, which queries with both the read and its reverse
@@ -116,7 +118,7 @@ impl KmerIndex {
         let bucket = |kmer: u64| kmer.checked_shr(shift).unwrap_or(0) as usize;
 
         // Counting sort by prefix: count, prefix-sum, scatter. After the
-        // scatter `dir[b]` is the end of bucket b's entries.
+        // scatter `dir[b]` is the end of bucket b's hits.
         let mut dir = vec![0u32; buckets + 1];
         for (_, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
             dir[bucket(kmer.packed()) + 1] += 1;
@@ -126,41 +128,79 @@ impl KmerIndex {
             total += *slot;
             *slot = total;
         }
-        let mut entries = vec![(0u64, 0u32); dir[buckets] as usize];
-        for (pos, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
-            let slot = &mut dir[bucket(kmer.packed())];
-            entries[*slot as usize] = (kmer.packed(), pos as u32);
-            *slot += 1;
-        }
+        let total = total as usize;
+        let retained = |n: usize| n > 0 && n <= config.max_occurrences;
 
-        // Sort each bucket by k-mer (positions break ties, so the order is
-        // the stable one), then compact runs of equal k-mers into keys,
-        // applying the occurrence cutoff.
         let mut keys = Vec::new();
         let mut starts = vec![0u32];
-        let mut positions = Vec::with_capacity(entries.len());
         let mut masked_kmers = 0;
-        let mut lo = 0;
-        for slot in &mut dir[..buckets] {
-            let hi = *slot as usize;
-            *slot = keys.len() as u32;
-            let bucket_entries = &mut entries[lo..hi];
-            if shift > 0 {
-                bucket_entries.sort_unstable();
+        let mut positions = if shift == 0 {
+            // p = k, so a bucket is one k-mer: scatter the positions straight
+            // into place (ascending within a bucket), then compact them in
+            // place, applying the occurrence cutoff. The counts size `keys`
+            // and `starts` exactly, so the build holds nothing beyond the
+            // index but the masked k-mers' positions: a multi-MiB transient
+            // would leave a hole in the allocator's heap and make the peak
+            // resident set depend on where later allocations land.
+            let n_keys = (dir.windows(2))
+                .filter(|w| retained((w[1] - w[0]) as usize))
+                .count();
+            keys.reserve_exact(n_keys);
+            starts.reserve_exact(n_keys);
+            let mut positions = vec![0u32; total];
+            for (pos, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
+                let slot = &mut dir[bucket(kmer.packed())];
+                positions[*slot as usize] = pos as u32;
+                *slot += 1;
             }
-            for run in bucket_entries.chunk_by(|a, b| a.0 == b.0) {
-                if run.len() > config.max_occurrences {
+            let (mut lo, mut kept) = (0, 0);
+            for (kmer, slot) in dir[..buckets].iter_mut().enumerate() {
+                let hi = *slot as usize;
+                *slot = keys.len() as u32;
+                if retained(hi - lo) {
+                    positions.copy_within(lo..hi, kept);
+                    kept += hi - lo;
+                    keys.push(kmer as u64);
+                    starts.push(kept as u32);
+                } else if hi > lo {
                     masked_kmers += 1;
-                    continue;
                 }
-                keys.push(run[0].0);
-                positions.extend(run.iter().map(|&(_, pos)| pos));
-                starts.push(positions.len() as u32);
+                lo = hi;
             }
-            lo = hi;
-        }
+            positions.truncate(kept);
+            positions
+        } else {
+            // k > p: scatter (k-mer, position) entries, sort each bucket by
+            // k-mer (positions break ties, so the order is the stable one),
+            // then compact runs of equal k-mers into keys, applying the
+            // occurrence cutoff.
+            let mut entries = vec![(0u64, 0u32); total];
+            for (pos, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
+                let slot = &mut dir[bucket(kmer.packed())];
+                entries[*slot as usize] = (kmer.packed(), pos as u32);
+                *slot += 1;
+            }
+            let mut positions = Vec::with_capacity(total);
+            let mut lo = 0;
+            for slot in &mut dir[..buckets] {
+                let hi = *slot as usize;
+                *slot = keys.len() as u32;
+                let bucket_entries = &mut entries[lo..hi];
+                bucket_entries.sort_unstable();
+                for run in bucket_entries.chunk_by(|a, b| a.0 == b.0) {
+                    if !retained(run.len()) {
+                        masked_kmers += 1;
+                        continue;
+                    }
+                    keys.push(run[0].0);
+                    positions.extend(run.iter().map(|&(_, pos)| pos));
+                    starts.push(positions.len() as u32);
+                }
+                lo = hi;
+            }
+            positions
+        };
         dir[buckets] = keys.len() as u32;
-        drop(entries);
         keys.shrink_to_fit();
         starts.shrink_to_fit();
         positions.shrink_to_fit();
