@@ -6,8 +6,8 @@
 //! substitution score: matches reward the base's quality-derived
 //! confidence, mismatches penalise it — so a low-quality mismatch costs
 //! little, the discrete analogue of what the Pair-HMM's PWM emission does
-//! probabilistically. Includes a banded variant mirroring
-//! `pairhmm::banded`.
+//! probabilistically. Includes a banded variant over the same diagonal
+//! band as the Pair-HMM kernels (`pairhmm::kernel::diagonal_bounds`).
 
 use genome::alphabet::Base;
 use genome::quality::phred_to_error_prob;

@@ -1,20 +1,19 @@
-//! Criterion microbenches for the Pair-HMM kernels: forward, backward,
-//! full vs banded, scaled, Viterbi, and the fused zero-allocation scratch
-//! path — the ablations for the banded-DP and scratch-arena design
-//! choices called out in DESIGN.md.
+//! Criterion microbenches for the Pair-HMM kernels: the materialized
+//! forward and backward, full vs banded planes through one `Band`
+//! argument, and the fused zero-allocation scratch path — the ablations
+//! for the banded-DP and scratch-arena design choices called out in
+//! DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genome::alphabet::Base;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use pairhmm::backward::backward;
-use pairhmm::banded::{banded_backward, banded_forward};
 use pairhmm::forward::forward;
+use pairhmm::kernel::{backward_planes, diagonal_bounds, forward_planes, Band};
 use pairhmm::marginal::PosteriorAlignment;
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::Pwm;
-use pairhmm::scaling::scaled_forward;
-use pairhmm::viterbi::viterbi;
 use pairhmm::{EmissionTable, PhmmScratch};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -83,28 +82,38 @@ fn bench_forward_backward_pair(c: &mut Criterion) {
 fn bench_banded_vs_full(c: &mut Criterion) {
     let mut group = c.benchmark_group("phmm_banded_vs_full_62bp");
     let fx = random_pair(62, 3);
-    group.bench_function("full", |b| {
-        b.iter(|| black_box(forward(black_box(fx.emit.view()), &fx.params).total))
-    });
+    let (n, m) = (fx.emit.n(), fx.emit.m());
+    let plane = (n + 1) * (m + 1);
+    let mut planes = [vec![0.0; plane], vec![0.0; plane], vec![0.0; plane]];
+    let mut forward_band = |band: Band| {
+        let [pm, px, py] = &mut planes;
+        forward_planes(black_box(fx.emit.view()), &fx.params, pm, px, py, band)
+    };
+    group.bench_function("full", |b| b.iter(|| black_box(forward_band(None))));
     for w in [2usize, 4, 8, 16] {
-        group.bench_with_input(BenchmarkId::new("banded", w), &w, |b, &w| {
-            b.iter(|| black_box(banded_forward(black_box(fx.emit.view()), &fx.params, w).total))
+        let band = Some(diagonal_bounds(n, m, w));
+        group.bench_with_input(BenchmarkId::new("banded", w), &w, |b, _| {
+            b.iter(|| black_box(forward_band(band)))
         });
     }
+    // The backward planes must start zeroed; only the in-band cells are
+    // written, so clearing once up front keeps every iteration exact.
+    let mut back = [vec![0.0; plane], vec![0.0; plane], vec![0.0; plane]];
+    let band = Some(diagonal_bounds(n, m, 4));
     group.bench_function("banded_backward_w4", |b| {
-        b.iter(|| black_box(banded_backward(black_box(fx.emit.view()), &fx.params, 4).total))
+        b.iter(|| {
+            let [pm, px, py] = &mut back;
+            black_box(backward_planes(
+                black_box(fx.emit.view()),
+                &fx.params,
+                pm,
+                px,
+                py,
+                band,
+            ))
+        })
     });
     group.finish();
-}
-
-fn bench_scaled_and_viterbi(c: &mut Criterion) {
-    let fx = random_pair(62, 4);
-    c.bench_function("phmm_scaled_forward_62bp", |b| {
-        b.iter(|| black_box(scaled_forward(black_box(fx.emit.view()), &fx.params).log_total))
-    });
-    c.bench_function("phmm_viterbi_62bp", |b| {
-        b.iter(|| black_box(viterbi(black_box(fx.emit.view()), &fx.params).probability))
-    });
 }
 
 /// The materialized-tables marginal pass vs the fused streaming scratch
@@ -114,7 +123,8 @@ fn bench_marginal_fused_vs_materialized(c: &mut Criterion) {
     let fx = random_pair(62, 5);
     group.bench_function("materialized", |b| {
         b.iter(|| {
-            let post = PosteriorAlignment::from_emissions(black_box(fx.emit.view()), &fx.params);
+            let post =
+                PosteriorAlignment::from_emissions(black_box(fx.emit.view()), &fx.params, None);
             black_box(post.column_posteriors(&fx.pwm))
         })
     });
@@ -148,7 +158,6 @@ criterion_group!(
     bench_forward_by_length,
     bench_forward_backward_pair,
     bench_banded_vs_full,
-    bench_scaled_and_viterbi,
     bench_marginal_fused_vs_materialized
 );
 criterion_main!(benches);

@@ -247,7 +247,7 @@ fn phmm_tier(out: &mut Outcome, cases: usize) {
             format!("oracle fwd/bwd totals disagree on case {case}: {lf_total} vs {lb_total}")
         });
 
-        let prod = PosteriorAlignment::from_emissions(emit.view(), params);
+        let prod = PosteriorAlignment::from_emissions(emit.view(), params, None);
         let prod_ln_total = prod.total().ln();
         out.check((lf_total - prod_ln_total).abs() < 1e-9, || {
             format!(

@@ -61,8 +61,8 @@ const MARGIN_TAG: u64 = 11;
 /// The observer gets one [`crate::observe::Event::Batch`] per rank (every
 /// rank scans all reads; scored owned candidates and deposited columns
 /// are counted per shard, so the ranks' candidate counts add up to the
-/// serial driver's, and the exact global mapped count is carried by rank
-/// 0's event), with stage timings taken on rank 0.
+/// serial driver's, and the exact global mapped and underflowed counts
+/// are carried by rank 0's event), with stage timings taken on rank 0.
 pub fn run_genome_split<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
@@ -117,10 +117,10 @@ pub fn run_genome_split<A: GenomeAccumulator>(
                         continue;
                     }
                     counts.candidates += 1;
-                    if a.score > 0.0 {
-                        mine.push((a.reverse, a.placement_start, a.score));
-                    }
+                    mine.push((a.reverse, a.placement_start, a.score));
                 }
+                // Zero totals go on the wire too: a read whose merged
+                // candidates all underflowed is counted, not just dropped.
                 triples.push(
                     mine.iter()
                         .map(|&(rev, place, likelihood)| {
@@ -128,6 +128,7 @@ pub fn run_genome_split<A: GenomeAccumulator>(
                         })
                         .collect(),
                 );
+                mine.retain(|c| c.2 > 0.0);
                 owned.push(mine);
             }
 
@@ -149,12 +150,19 @@ pub fn run_genome_split<A: GenomeAccumulator>(
 
             for ((read, mine), mut merged) in batch.iter().zip(owned).zip(all_triples) {
                 merged.sort_by_key(|x| (x.0, x.1));
+                // Zero terms leave the bits of a positive sum unchanged.
                 let grand_total: f64 = merged.iter().map(|t| t.2).sum();
                 if grand_total <= 0.0 {
+                    // Every rank sees the same merged list; rank 0 counts.
+                    if rank.id() == 0 && !merged.is_empty() {
+                        counts.underflowed += 1;
+                    }
                     continue;
                 }
                 // Mirror `MappingEngine::map_read_with`: posterior weights,
-                // min-weight filter, renormalise over the kept set.
+                // min-weight filter, renormalise over the kept set. A zero
+                // total kept at `min_weight = 0` matches no owned
+                // candidate and adds nothing to the kept sum.
                 let mut kept: Vec<(u64, u64, f64)> = merged
                     .into_iter()
                     .filter_map(|(rev, place, likelihood)| {

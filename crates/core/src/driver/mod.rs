@@ -30,7 +30,7 @@ use genome::alphabet::Base;
 /// `CALL_STRIDE` f64 values.
 const CALL_STRIDE: usize = 11;
 
-/// A call wire whose length is not a multiple of [`CALL_STRIDE`] —
+/// A call wire whose length is not a multiple of `CALL_STRIDE` —
 /// truncated or corrupted in transit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallWireError {

@@ -139,6 +139,8 @@ pub struct AlignScratch {
     abandoned: usize,
     /// Whether the most recent read rescored its abandoned candidates.
     fallbacks: usize,
+    /// Whether every candidate of the most recent read underflowed.
+    underflowed: usize,
 }
 
 /// One candidate inside an [`AlignScratch`].
@@ -234,6 +236,14 @@ impl AlignScratch {
         self.fallbacks
     }
 
+    /// 1 when the most recent read scored at least one candidate but its
+    /// grand total was 0 — every forward total underflowed, as for a long
+    /// read of very low quality — so it came back unmapped, else 0. Set
+    /// only by [`MappingEngine::map_read_with`].
+    pub fn underflowed(&self) -> usize {
+        self.underflowed
+    }
+
     /// Number of alignments currently held.
     pub fn len(&self) -> usize {
         self.cands.len()
@@ -250,6 +260,7 @@ impl AlignScratch {
         self.scored = 0;
         self.abandoned = 0;
         self.fallbacks = 0;
+        self.underflowed = 0;
     }
 }
 
@@ -631,6 +642,7 @@ impl<'g> MappingEngine<'g> {
         scratch.cands.retain(|c| !c.abandoned && c.likelihood > 0.0);
         let grand_total: f64 = scratch.cands.iter().map(|c| c.score).sum();
         if grand_total <= 0.0 {
+            scratch.underflowed = usize::from(scratch.scored > 0);
             scratch.cands.clear();
             return;
         }

@@ -107,6 +107,9 @@ pub enum Event {
         /// Reads that rescored their abandoned candidates in full because
         /// the grand total could not be certified (0 in older traces).
         fallbacks: u64,
+        /// Unmapped reads that scored candidates but whose every forward
+        /// total underflowed to 0 (0 in older traces).
+        underflowed: u64,
     },
     /// The streaming engine wrote a checkpoint.
     Checkpoint {
@@ -208,12 +211,14 @@ impl Event {
                 deposited_columns,
                 abandoned,
                 fallbacks,
+                underflowed,
             } => {
                 let _ = write!(
                     s,
                     ",\"worker\":{worker},\"reads\":{reads},\"mapped\":{mapped},\
                      \"candidates\":{candidates},\"deposited_columns\":{deposited_columns},\
-                     \"abandoned\":{abandoned},\"fallbacks\":{fallbacks}"
+                     \"abandoned\":{abandoned},\"fallbacks\":{fallbacks},\
+                     \"underflowed\":{underflowed}"
                 );
             }
             Event::Checkpoint {
@@ -308,6 +313,7 @@ impl Event {
                 deposited_columns: get_u64("deposited_columns")?,
                 abandoned: get_u64_or_0("abandoned")?,
                 fallbacks: get_u64_or_0("fallbacks")?,
+                underflowed: get_u64_or_0("underflowed")?,
             },
             "checkpoint" => Event::Checkpoint {
                 cursor: get_u64("cursor")?,
@@ -671,6 +677,7 @@ mod tests {
                 deposited_columns: 15_000,
                 abandoned: 580,
                 fallbacks: 1,
+                underflowed: 2,
             },
             Event::Checkpoint {
                 cursor: 1024,
@@ -695,7 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_lines_without_abandon_counters_parse_as_zero() {
+    fn batch_lines_without_abandon_or_underflow_counters_parse_as_zero() {
         let line = r#"{"event":"batch","worker":1,"reads":4,"mapped":3,"candidates":9,"deposited_columns":180}"#;
         assert_eq!(
             Event::parse_json_line(line).unwrap(),
@@ -707,6 +714,7 @@ mod tests {
                 deposited_columns: 180,
                 abandoned: 0,
                 fallbacks: 0,
+                underflowed: 0,
             }
         );
         let bad = line.replace("180}", r#"180,"abandoned":-1}"#);

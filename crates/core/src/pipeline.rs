@@ -39,6 +39,9 @@ pub struct BatchCounts {
     /// Reads that rescored their abandoned candidates in full
     /// ([`AlignScratch::fallbacks`]).
     pub fallbacks: u64,
+    /// Unmapped reads whose every scored candidate underflowed to a zero
+    /// total ([`AlignScratch::underflowed`]).
+    pub underflowed: u64,
 }
 
 impl BatchCounts {
@@ -61,6 +64,7 @@ impl BatchCounts {
         self.candidates += scratch.scored() as u64;
         self.abandoned += scratch.abandoned() as u64;
         self.fallbacks += scratch.fallbacks() as u64;
+        self.underflowed += scratch.underflowed() as u64;
         for aln in scratch.alignments() {
             self.columns += aln.columns.len() as u64;
             deposit(aln.window_start, aln.score, aln.columns);
@@ -79,6 +83,7 @@ impl BatchCounts {
             deposited_columns: self.columns,
             abandoned: self.abandoned,
             fallbacks: self.fallbacks,
+            underflowed: self.underflowed,
         });
     }
 }

@@ -91,6 +91,7 @@ fn disabled_observer_emits_without_allocating() {
             deposited_columns: 15_000,
             abandoned: 580,
             fallbacks: 1,
+            underflowed: 2,
         });
         // Cloning the handle (the per-worker pattern in the drivers) is
         // an Option<Arc> copy, not an allocation.

@@ -62,6 +62,7 @@ fn event() -> impl Strategy<Value = Event> {
                     deposited_columns: n5,
                     abandoned: n4 / 2,
                     fallbacks: n2 / 3,
+                    underflowed: n2 / 5,
                 },
                 4 => Event::Checkpoint {
                     cursor: n1,

@@ -5,7 +5,8 @@
 //! ranks each count the scored placements their shard owns. The abandoned
 //! and fallback counts follow the engine's `map_read_with` in the drivers
 //! that call it; genome-split scores every candidate in full and reports
-//! none abandoned.
+//! none abandoned. A read whose every candidate's forward total underflows
+//! to 0 is counted as underflowed, alike by every driver.
 
 use exec::{run_stream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
@@ -16,6 +17,8 @@ use gnumap_core::mapping::{AlignScratch, MappingEngine};
 use gnumap_core::observe::{Event, MemorySink, Observer};
 use gnumap_core::pipeline::run_serial;
 use gnumap_core::GnumapConfig;
+use pairhmm::forward::forward;
+use pairhmm::{PhmmParams, Pwm};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
@@ -117,4 +120,76 @@ fn every_driver_counts_scored_candidates_alike() {
     assert_eq!(read_split, engine_counts, "read-split");
     assert_eq!(stream, engine_counts, "stream");
     assert_eq!(genome_split, [scored, 0, 0], "genome-split");
+}
+
+/// Run `f` under a memory sink and sum the batch events' underflowed and
+/// mapped reads.
+fn underflowed_and_mapped(f: impl FnOnce(&Observer)) -> [u64; 2] {
+    let sink = Arc::new(MemorySink::new());
+    f(&Observer::new(sink.clone()));
+    let mut sums = [0; 2];
+    for e in sink.events() {
+        if let Event::Batch {
+            underflowed,
+            mapped,
+            ..
+        } = e
+        {
+            sums[0] += underflowed;
+            sums[1] += mapped;
+        }
+    }
+    sums
+}
+
+#[test]
+fn every_driver_counts_an_underflowed_read() {
+    let mut rng = ChaCha8Rng::seed_from_u64(20_000);
+    let reference = simulate::generate_genome(
+        &GenomeConfig {
+            length: 20_000,
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    // Two 600 bp reads copied from the genome: at Phred 0 every candidate's
+    // forward total underflows and the read comes back unmapped; at Phred
+    // 20 the same bases map.
+    let bases = reference.window(5_000, 5_600);
+    let phred0 = SequencedRead::with_uniform_quality("phred0", bases.clone(), 0);
+    let phred20 = SequencedRead::with_uniform_quality("phred20", bases.clone(), 20);
+    let reads = vec![phred0.clone(), phred20];
+    let cfg = GnumapConfig::default();
+
+    // The plain, unbanded forward over the read's own window is exactly 0.
+    let params = PhmmParams::default();
+    let window: Vec<_> = bases.iter().collect();
+    let emit = Pwm::from_read(&phred0).emission_table(&window, &params);
+    assert_eq!(forward(emit.view(), &params).total, 0.0);
+
+    let engine = MappingEngine::new(&reference, cfg.mapping);
+    let mut scratch = AlignScratch::new();
+    engine.map_read_with(&phred0, &mut scratch);
+    assert!(scratch.scored() > 0, "the read must have candidates");
+    assert!(scratch.is_empty());
+    assert_eq!(scratch.underflowed(), 1);
+
+    let serial = underflowed_and_mapped(|o| {
+        run_serial::<FixedAccumulator>(&reference, &reads, &cfg, o);
+    });
+    let stream = underflowed_and_mapped(|o| {
+        let sc = StreamConfig {
+            workers: 2,
+            batch_size: 1,
+            ..StreamConfig::default()
+        };
+        let mut source = MemoryStream::new(reads.clone());
+        run_stream::<FixedAccumulator>(&reference, &mut source, &cfg, &sc, o).unwrap();
+    });
+    let genome_split = underflowed_and_mapped(|o| {
+        run_genome_split::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
+    });
+    assert_eq!(serial, [1, 1], "serial");
+    assert_eq!(stream, [1, 1], "stream");
+    assert_eq!(genome_split, [1, 1], "genome-split");
 }

@@ -41,14 +41,8 @@ pub struct BackwardResult {
 pub fn backward(emit: Emission<'_>, params: &PhmmParams) -> BackwardResult {
     let (n, m) = (emit.n(), emit.m());
     let mut t = DpTables::zeros(n, m);
-    let total = kernel::backward_planes(
-        emit,
-        params,
-        t.m.as_mut_slice(),
-        t.x.as_mut_slice(),
-        t.y.as_mut_slice(),
-        None,
-    );
+    let [bm, bx, by] = t.planes_mut();
+    let total = kernel::backward_planes(emit, params, bm, bx, by, None);
     BackwardResult { tables: t, total }
 }
 

@@ -47,6 +47,16 @@ impl DpTables {
             y: Matrix::zeros(n + 1, m + 1),
         }
     }
+
+    /// The three planes as flat slices, in the `(M, G_X, G_Y)` argument
+    /// order of [`kernel::forward_planes`] and [`kernel::backward_planes`].
+    pub fn planes_mut(&mut self) -> [&mut [f64]; 3] {
+        [
+            self.m.as_mut_slice(),
+            self.x.as_mut_slice(),
+            self.y.as_mut_slice(),
+        ]
+    }
 }
 
 /// Result of the forward pass.
@@ -64,14 +74,8 @@ pub struct ForwardResult {
 pub fn forward(emit: Emission<'_>, params: &PhmmParams) -> ForwardResult {
     let (n, m) = (emit.n(), emit.m());
     let mut t = DpTables::zeros(n, m);
-    let total = kernel::forward_planes(
-        emit,
-        params,
-        t.m.as_mut_slice(),
-        t.x.as_mut_slice(),
-        t.y.as_mut_slice(),
-        None,
-    );
+    let [fm, fx, fy] = t.planes_mut();
+    let total = kernel::forward_planes(emit, params, fm, fx, fy, None);
     ForwardResult { tables: t, total }
 }
 

@@ -28,20 +28,20 @@
 //! The mapping hot path builds no emission table: `p*(i, j)` is looked up
 //! in the read's emission profile by the window's genome code, only for
 //! in-band cells. The posterior pass fills only the in-band cells of its
-//! table with [`gather_row`] (cells outside the band are never read) and
-//! runs [`forward_row`] over them. The scoring forward
-//! [`forward_row_lanes`] does the lookup inside its sweep, for [`LANES`]
+//! table with `gather_row` (cells outside the band are never read) and
+//! runs `forward_row` over them. The scoring forward
+//! `forward_row_lanes` does the lookup inside its sweep, for [`LANES`]
 //! candidates at once.
 //!
 //! **Lockstep lanes.** Within one alignment the `f_GY` carry is a serial
 //! chain of dependent multiply–adds, so a single band-4 row leaves the FP
-//! units mostly idle. [`forward_row_lanes`] runs [`LANES`] independent
+//! units mostly idle. `forward_row_lanes` runs [`LANES`] independent
 //! alignments side by side instead — the inter-task parallelism of
 //! GPU Pair-HMM kernels — with each DP cell an `[f64; LANES]` and lane
 //! `l` holding candidate `l`. Every lane operation is an elementwise
 //! `zip` over the lane arrays, which LLVM turns into packed vector ops, so
 //! the lanes' carries overlap instead of queueing. A lane evaluates
-//! exactly the per-cell expressions of [`forward_row`] on its own
+//! exactly the per-cell expressions of `forward_row` on its own
 //! operands, and no operation ever combines two lanes, so each lane's
 //! values have the bits a scalar pass on that candidate would produce.
 
@@ -175,7 +175,7 @@ pub(crate) fn forward_row(
     }
 }
 
-/// Candidates [`forward_row_lanes`] scores in lockstep, one per lane.
+/// Candidates `forward_row_lanes` scores in lockstep, one per lane.
 pub const LANES: usize = 4;
 
 /// One DP cell of [`LANES`] independent alignments, lane `l` holding
@@ -186,7 +186,7 @@ pub type Lanes = [f64; LANES];
 /// `i−1`, in one fused sweep. `prev` and `cur` are the `[f_M, f_GX, f_GY]`
 /// rows `i−1` and `i` (each of length `m + 1`); `prows` holds each lane's
 /// profile row `i` and `codes` each lane's genome codes for columns `j_min
-/// ..= j_max`. Per lane, every cell is the expression of [`forward_row`]
+/// ..= j_max`. Per lane, every cell is the expression of `forward_row`
 /// on the same operands, so each lane's values carry its bits: the sweep
 /// only runs `f_GY(i, j)` in the same pass as `f_M(i, j)` and `f_GX(i, j)`,
 /// reading `f_M(i, j−1)` from the cell just computed. The lanes have no
@@ -407,6 +407,98 @@ pub fn backward_planes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emission::EmissionTable;
+    use crate::pwm::Pwm;
+    use genome::alphabet::Base;
+    use genome::read::SequencedRead;
+
+    fn emit_for(read_s: &str, genome_s: &str, params: &PhmmParams) -> EmissionTable {
+        let r = SequencedRead::with_uniform_quality("r", read_s.parse().unwrap(), 30);
+        let w: Vec<Option<Base>> = genome_s
+            .bytes()
+            .map(|c| Base::try_from_ascii(c).unwrap())
+            .collect();
+        Pwm::from_read(&r).emission_table(&w, params)
+    }
+
+    /// Forward and backward over fresh planes with half-width `w` (`None`
+    /// = full table): the two totals and the forward `f_M` plane.
+    fn run(emit: &EmissionTable, params: &PhmmParams, w: Option<usize>) -> (f64, f64, Vec<f64>) {
+        let (n, m) = (emit.n(), emit.m());
+        let band = w.map(|w| diagonal_bounds(n, m, w));
+        let plane = (n + 1) * (m + 1);
+        let mut p: [Vec<f64>; 6] = std::array::from_fn(|_| vec![0.0; plane]);
+        let [fm, fx, fy, bm, bx, by] = &mut p;
+        let f = forward_planes(emit.view(), params, fm, fx, fy, band);
+        let b = backward_planes(emit.view(), params, bm, bx, by, band);
+        let [fm, ..] = p;
+        (f, b, fm)
+    }
+
+    #[test]
+    fn banded_total_is_a_monotone_lower_bound_reaching_the_full_total() {
+        let params = PhmmParams::with_gap_rates(0.05, 0.5, 0.03);
+        let emit = emit_for("ACGTACGTACGTACGT", "ACGTACGGACGTACGT", &params);
+        let (full, _, _) = run(&emit, &params, None);
+        let mut last = 0.0;
+        for w in [0usize, 1, 2, 4, 8, 16] {
+            let (b, _, _) = run(&emit, &params, Some(w));
+            assert!(
+                b <= full * (1.0 + 1e-12),
+                "band {w}: {b} exceeds full {full}"
+            );
+            assert!(b >= last * (1.0 - 1e-12), "band {w} not monotone");
+            last = b;
+        }
+        assert!((last - full).abs() <= 1e-12 * full);
+    }
+
+    #[test]
+    fn narrow_band_keeps_the_mass_of_a_clean_diagonal() {
+        let params = PhmmParams::default();
+        let emit = emit_for("ACGTACGTAC", "ACGTACGTAC", &params);
+        let (full, _, _) = run(&emit, &params, None);
+        let (banded, _, _) = run(&emit, &params, Some(1));
+        assert!(banded / full > 0.999, "ratio {}", banded / full);
+    }
+
+    #[test]
+    fn banded_forward_and_backward_totals_agree() {
+        let params = PhmmParams::with_gap_rates(0.04, 0.6, 0.02);
+        let emit = emit_for("ACGGTACTAC", "ACGTACGTACAC", &params);
+        for w in [1usize, 2, 4, 32] {
+            let (f, b, _) = run(&emit, &params, Some(w));
+            assert!(
+                (f - b).abs() <= 1e-12 * f.max(1e-300),
+                "band {w}: fwd {f} vs bwd {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_width_band_reaches_the_terminal_cell_of_a_longer_window() {
+        // Δ = M − N absorbs the length difference, so even w = 0 connects
+        // (0, 0) to (N, M).
+        let params = PhmmParams::with_gap_rates(0.05, 0.5, 0.03);
+        let emit = emit_for("ACGT", "ACGTACGT", &params);
+        let (f, b, _) = run(&emit, &params, Some(0));
+        assert!(f > 0.0 && b > 0.0);
+    }
+
+    #[test]
+    fn full_width_band_matches_unbanded_cell_for_cell() {
+        // A band covering the whole rectangle must be the *same* program:
+        // every cell identical to the last bit, not merely close.
+        let params = PhmmParams::with_gap_rates(0.05, 0.5, 0.03);
+        let emit = emit_for("ACGGTACTAC", "ACGTACGTACAC", &params);
+        let (full, full_b, full_m) = run(&emit, &params, None);
+        let (banded, banded_b, banded_m) = run(&emit, &params, Some(64));
+        assert_eq!(full.to_bits(), banded.to_bits());
+        assert_eq!(full_b.to_bits(), banded_b.to_bits());
+        for (c, (a, b)) in full_m.iter().zip(&banded_m).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "cell {c}");
+        }
+    }
 
     #[test]
     fn diagonal_bounds_cover_terminal_cell() {

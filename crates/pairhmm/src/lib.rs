@@ -38,13 +38,11 @@
 //! * [`bound`]    — the admissible bound on a forward total from a partial
 //!   forward that lets `forward_totals` stop hopeless candidates early.
 //! * [`matrix`]   — dense `f64` DP matrices.
-//! * [`mod@forward`] / [`mod@backward`] — the dynamic programs of Section VI Step 2.
-//! * [`marginal`] — posterior cell probabilities and per-column `z` vectors.
-//! * [`mod@viterbi`]  — single best alignment (for comparison and examples).
-//! * [`banded`]   — banded variants of the forward/backward recursions.
-//! * [`logspace`] — log-sum-exp forward, a third independent numeric
-//!   backend used for cross-validation.
-//! * [`scaling`]  — row-rescaled forward/backward for very long reads.
+//! * [`mod@forward`] / [`mod@backward`] / [`marginal`] — the materialized
+//!   reference: full forward and backward tables of Section VI Step 2 and
+//!   the posterior cell probabilities and per-column `z` vectors built
+//!   from them. Tests, benchmarks and the conformance oracles check the
+//!   scratch arena against it.
 //! * [`bruteforce`] — exhaustive alignment enumeration (test oracle).
 //!
 //! ### Fidelity notes
@@ -60,20 +58,16 @@
 //! deletion marginals of a column already sum to one.
 
 pub mod backward;
-pub mod banded;
 pub mod bound;
 pub mod bruteforce;
 pub mod emission;
 pub mod forward;
 pub mod kernel;
-pub mod logspace;
 pub mod marginal;
 pub mod matrix;
 pub mod params;
 pub mod pwm;
-pub mod scaling;
 pub mod scratch;
-pub mod viterbi;
 
 pub use backward::backward;
 pub use emission::{Emission, EmissionTable};
@@ -83,4 +77,3 @@ pub use matrix::Matrix;
 pub use params::PhmmParams;
 pub use pwm::Pwm;
 pub use scratch::PhmmScratch;
-pub use viterbi::{viterbi, AlignOp, Alignment};

@@ -24,9 +24,9 @@
 //! a certain read this reduces to the paper's indicator sum over
 //! `{i : x_i = k}`).
 
-use crate::backward::{backward, BackwardResult};
 use crate::emission::Emission;
-use crate::forward::{forward, ForwardResult};
+use crate::forward::DpTables;
+use crate::kernel;
 use crate::params::PhmmParams;
 use crate::pwm::Pwm;
 
@@ -51,33 +51,42 @@ impl ColumnPosterior {
 /// A computed posterior alignment of one read (PWM) against one window.
 #[derive(Debug, Clone)]
 pub struct PosteriorAlignment {
-    fwd: ForwardResult,
-    bwd: BackwardResult,
+    fwd: DpTables,
+    bwd: DpTables,
+    total: f64,
     n: usize,
     m: usize,
 }
 
 impl PosteriorAlignment {
-    /// Run forward and backward over a precomputed emission view.
-    pub fn from_emissions(emit: Emission<'_>, params: &PhmmParams) -> PosteriorAlignment {
-        let (n, m) = (emit.n(), emit.m());
-        let fwd = forward(emit, params);
-        let bwd = backward(emit, params);
-        PosteriorAlignment { fwd, bwd, n, m }
-    }
-
-    /// Banded variant: forward and backward restricted to a diagonal band
-    /// of half-width `w` (see [`crate::banded`]). Posteriors outside the
-    /// band are zero; within it they are exact for the banded model.
-    pub fn from_emissions_banded(
+    /// Run forward and backward over a precomputed emission view, over the
+    /// whole table (`band = None`) or restricted to the diagonal band of
+    /// half-width `w` (`Some(w)`, see [`kernel::diagonal_bounds`]) — the
+    /// band argument of [`PhmmScratch::posterior_columns`]. Posteriors
+    /// outside the band are zero; within it they are exact for the banded
+    /// model.
+    ///
+    /// [`PhmmScratch::posterior_columns`]: crate::PhmmScratch::posterior_columns
+    pub fn from_emissions(
         emit: Emission<'_>,
         params: &PhmmParams,
-        w: usize,
+        band: Option<usize>,
     ) -> PosteriorAlignment {
         let (n, m) = (emit.n(), emit.m());
-        let fwd = crate::banded::banded_forward(emit, params, w);
-        let bwd = crate::banded::banded_backward(emit, params, w);
-        PosteriorAlignment { fwd, bwd, n, m }
+        let band = band.map(|w| kernel::diagonal_bounds(n, m, w));
+        let mut fwd = DpTables::zeros(n, m);
+        let mut bwd = DpTables::zeros(n, m);
+        let [fm, fx, fy] = fwd.planes_mut();
+        let total = kernel::forward_planes(emit, params, fm, fx, fy, band);
+        let [bm, bx, by] = bwd.planes_mut();
+        kernel::backward_planes(emit, params, bm, bx, by, band);
+        PosteriorAlignment {
+            fwd,
+            bwd,
+            total,
+            n,
+            m,
+        }
     }
 
     /// Convenience: build the emission table from a PWM and window, then
@@ -88,51 +97,41 @@ impl PosteriorAlignment {
         params: &PhmmParams,
     ) -> PosteriorAlignment {
         let emit = pwm.emission_table(window, params);
-        PosteriorAlignment::from_emissions(emit.view(), params)
-    }
-
-    /// Read length `N`.
-    pub fn read_len(&self) -> usize {
-        self.n
-    }
-
-    /// Window length `M`.
-    pub fn window_len(&self) -> usize {
-        self.m
+        PosteriorAlignment::from_emissions(emit.view(), params, None)
     }
 
     /// Total likelihood `P(x, y)` of the pair under the model — the
     /// mapping score used to weigh this window against the read's other
     /// candidate locations.
     pub fn total(&self) -> f64 {
-        self.fwd.total
+        self.total
     }
 
     /// Posterior probability that read base `i` aligns to genome base `j`
     /// (1-based, as in the paper).
     pub fn match_posterior(&self, i: usize, j: usize) -> f64 {
-        if self.fwd.total == 0.0 {
+        if self.total == 0.0 {
             return 0.0;
         }
-        self.fwd.tables.m.get(i, j) * self.bwd.tables.m.get(i, j) / self.fwd.total
+        self.fwd.m.get(i, j) * self.bwd.m.get(i, j) / self.total
     }
 
     /// Posterior probability that read base `i` is inserted (aligned to a
     /// gap) between genome positions `j` and `j+1`.
     pub fn insertion_posterior(&self, i: usize, j: usize) -> f64 {
-        if self.fwd.total == 0.0 {
+        if self.total == 0.0 {
             return 0.0;
         }
-        self.fwd.tables.x.get(i, j) * self.bwd.tables.x.get(i, j) / self.fwd.total
+        self.fwd.x.get(i, j) * self.bwd.x.get(i, j) / self.total
     }
 
     /// Posterior probability that genome base `j` is deleted (aligned to a
     /// gap) after read position `i`.
     pub fn deletion_posterior(&self, i: usize, j: usize) -> f64 {
-        if self.fwd.total == 0.0 {
+        if self.total == 0.0 {
             return 0.0;
         }
-        self.fwd.tables.y.get(i, j) * self.bwd.tables.y.get(i, j) / self.fwd.total
+        self.fwd.y.get(i, j) * self.bwd.y.get(i, j) / self.total
     }
 
     /// The per-column evidence vectors `z` for all `M` genome columns
@@ -141,7 +140,7 @@ impl PosteriorAlignment {
     pub fn column_posteriors(&self, pwm: &Pwm) -> Vec<ColumnPosterior> {
         assert_eq!(pwm.len(), self.n, "PWM must match the aligned read");
         let mut cols = vec![ColumnPosterior::default(); self.m];
-        if self.fwd.total == 0.0 {
+        if self.total == 0.0 {
             return cols;
         }
         // Rows are folded in descending i — the canonical summation order,
@@ -274,7 +273,7 @@ mod tests {
         // Zero-probability pair via impossible emissions.
         let params = PhmmParams::default();
         let emit = crate::emission::EmissionTable::zeros(3, 3);
-        let post = PosteriorAlignment::from_emissions(emit.view(), &params);
+        let post = PosteriorAlignment::from_emissions(emit.view(), &params, None);
         assert_eq!(post.total(), 0.0);
         let pwm = Pwm::certain(&[Base::A, Base::A, Base::A]);
         let cols = post.column_posteriors(&pwm);

@@ -23,59 +23,11 @@ impl Matrix {
         }
     }
 
-    /// Row count.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
-    }
-
-    /// Element assignment.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Borrow a whole row.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Multiply every element in a row by `factor` (used by the scaled DP).
-    pub fn scale_row(&mut self, r: usize, factor: f64) {
-        for v in &mut self.data[r * self.cols..(r + 1) * self.cols] {
-            *v *= factor;
-        }
-    }
-
-    /// Largest element in a row (0 for an all-zero row).
-    pub fn row_max(&self, r: usize) -> f64 {
-        self.row(r).iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// The backing storage as one flat row-major slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// Mutable flat access (lets the flat-plane kernels fill a `Matrix`
@@ -91,27 +43,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn get_set_round_trip() {
+    fn get_reads_the_row_major_slot() {
         let mut m = Matrix::zeros(3, 4);
-        m.set(2, 3, 1.5);
-        m.set(0, 0, -2.0);
+        m.as_mut_slice()[2 * 4 + 3] = 1.5;
+        m.as_mut_slice()[0] = -2.0;
         assert_eq!(m.get(2, 3), 1.5);
         assert_eq!(m.get(0, 0), -2.0);
         assert_eq!(m.get(1, 1), 0.0);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
-    }
-
-    #[test]
-    fn row_operations() {
-        let mut m = Matrix::zeros(2, 3);
-        m.set(1, 0, 2.0);
-        m.set(1, 2, 8.0);
-        assert_eq!(m.row(1), &[2.0, 0.0, 8.0]);
-        assert_eq!(m.row_max(1), 8.0);
-        assert_eq!(m.row_max(0), 0.0);
-        m.scale_row(1, 0.5);
-        assert_eq!(m.row(1), &[1.0, 0.0, 4.0]);
-        assert_eq!(m.sum(), 5.0);
     }
 }

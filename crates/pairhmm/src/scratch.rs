@@ -2,9 +2,8 @@
 //!
 //! [`PhmmScratch`] owns every buffer one posterior alignment needs — an
 //! `N × M` emission buffer, the three retained forward planes, six rolling
-//! backward rows, the per-column `z`-vector accumulator, and a scale vector for the
-//! rescaled forward variant — plus the lane-interleaved rolling rows of the
-//! scoring forward. Buffers grow monotonically and are reused across a
+//! backward rows and the per-column `z`-vector accumulator — plus the
+//! lane-interleaved rolling rows of the scoring forward. Buffers grow monotonically and are reused across a
 //! thread's whole read batch, so after the first few alignments warm them
 //! up the steady-state loop performs **zero heap allocations per read ×
 //! window pair**.
@@ -26,7 +25,7 @@
 //!   retained planes, then the streaming backward fused with the marginals.
 //!
 //! The two forwards evaluate the same per-cell expressions
-//! ([`kernel::forward_row_lanes`] per lane, [`kernel::forward_row`]) on the
+//! (`kernel::forward_row_lanes` per lane, `kernel::forward_row`) on the
 //! same emission values in the same order, and the lanes never mix, so a
 //! lane's total and the posterior pass's total agree bit for bit.
 //!
@@ -65,8 +64,6 @@ pub struct PhmmScratch {
     bx_next: Vec<f64>,
     by_cur: Vec<f64>,
     by_next: Vec<f64>,
-    /// Per-row scale factors for the rescaled forward pass.
-    scale: Vec<f64>,
     /// Column posterior accumulator, length `M` after a call.
     cols: Vec<ColumnPosterior>,
     /// Rolling forward rows of [`forward_totals`](Self::forward_totals),
@@ -109,7 +106,7 @@ impl PhmmScratch {
     /// ([`base_code`]). All lanes share the read length `n` (the profiles'
     /// length), the window length `m` (`codes.len()`) and the band; each
     /// lane has its own profile, so a chunk may mix both orientations of a
-    /// read. Runs [`kernel::forward_row_lanes`] over two rolling rows per
+    /// read. Runs `kernel::forward_row_lanes` over two rolling rows per
     /// state of `[f64; LANES]` cells, looking up only each row's in-band
     /// emissions, so it keeps no planes and builds no emission table. Lane
     /// `l`'s result has the same bits as the total of
@@ -212,7 +209,9 @@ impl PhmmScratch {
     ///
     /// `band` is the optional diagonal half-width: `Some(w)` restricts
     /// both passes to the band of [`kernel::diagonal_bounds`], exactly
-    /// like `PosteriorAlignment::from_emissions_banded`.
+    /// like [`PosteriorAlignment::from_emissions`] with the same `band`.
+    ///
+    /// [`PosteriorAlignment::from_emissions`]: crate::PosteriorAlignment::from_emissions
     ///
     /// [`posterior_columns_profiled`]: Self::posterior_columns_profiled
     pub fn posterior_columns(
@@ -424,37 +423,6 @@ impl PhmmScratch {
         }
 
         total
-    }
-
-    /// Rescaled forward pass (for the long-read regime where the plain
-    /// forward underflows): returns `ln P(x, y)`, reusing the arena's
-    /// forward planes and scale vector. Full-table only (no band), exactly
-    /// mirroring [`crate::scaling::scaled_forward`].
-    pub fn scaled_log_total(
-        &mut self,
-        pwm: &Pwm,
-        window: &[Option<Base>],
-        params: &PhmmParams,
-    ) -> f64 {
-        let n = pwm.len();
-        let m = window.len();
-        assert!(n >= 1, "read must be non-empty");
-        assert!(m >= 1, "window must be non-empty");
-        pwm.fill_emission(window, params, &mut self.emit);
-        let stride = m + 1;
-        ensure(&mut self.fm, (n + 1) * stride);
-        ensure(&mut self.fx, (n + 1) * stride);
-        ensure(&mut self.fy, (n + 1) * stride);
-        ensure(&mut self.scale, n + 1);
-        let emit = Emission::new(&self.emit[..n * m], n, m);
-        crate::scaling::scaled_forward_into(
-            emit,
-            params,
-            &mut self.fm,
-            &mut self.fx,
-            &mut self.fy,
-            &mut self.scale,
-        )
     }
 }
 

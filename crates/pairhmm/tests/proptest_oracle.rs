@@ -7,7 +7,6 @@ use pairhmm::bruteforce::enumerate;
 use pairhmm::emission::EmissionTable;
 use pairhmm::forward::forward;
 use pairhmm::params::PhmmParams;
-use pairhmm::scaling::scaled_forward;
 use proptest::prelude::*;
 
 /// Random valid Pair-HMM parameters.
@@ -105,15 +104,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn scaled_forward_matches_plain_log(
-        emit in emit_strategy(15, 15),
-        params in params_strategy(),
-    ) {
-        let plain = forward(emit.view(), &params).total;
-        prop_assume!(plain > 0.0);
-        let scaled = scaled_forward(emit.view(), &params).log_total;
-        prop_assert!((scaled - plain.ln()).abs() < 1e-8,
-            "scaled {scaled} vs ln(plain) {}", plain.ln());
-    }
 }

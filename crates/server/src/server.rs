@@ -85,6 +85,28 @@ impl Default for ServerConfig {
     }
 }
 
+impl ServerConfig {
+    /// Reject a configuration the daemon cannot run: no workers, empty
+    /// micro-batches or a zero-capacity queue, each an
+    /// [`io::ErrorKind::InvalidInput`] error naming the field.
+    pub fn validate(&self) -> io::Result<()> {
+        for (field, value) in [
+            ("workers", self.workers),
+            ("batch_size", self.batch_size),
+            ("ingress_capacity", self.ingress_capacity),
+            ("dispatch_capacity", self.dispatch_capacity),
+        ] {
+            if value == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("server config: {field} must be at least 1"),
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One admitted `SubmitReads` chunk.
 struct Chunk {
     session: Arc<SessionState>,
@@ -183,14 +205,15 @@ impl ServerHandle {
 
 /// Bind `addr` and start the daemon over `reference` with mapping
 /// parameters from `base` (per-session frames choose calling parameters).
+/// A `cfg` that fails [`ServerConfig::validate`] is returned as its
+/// [`io::ErrorKind::InvalidInput`] error before anything is bound.
 pub fn start(
     reference: DnaSeq,
     base: GnumapConfig,
     cfg: ServerConfig,
     addr: &str,
 ) -> io::Result<ServerHandle> {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(cfg.batch_size > 0, "batch size must be positive");
+    cfg.validate()?;
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
     let index = KmerIndex::build(&reference, base.mapping.index)

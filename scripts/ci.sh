@@ -23,6 +23,13 @@ echo "==> cargo clippy + fmt (engine contract crate)"
 cargo fmt -p engine -- --check
 cargo clippy -p engine --all-targets -- -D warnings
 
+echo "==> rustdoc (warnings are errors, shims excluded)"
+# A doc link to a deleted or private item fails here instead of going
+# stale. The offline dependency stand-ins under shims/ are not held to it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude criterion --exclude crossbeam --exclude parking_lot \
+    --exclude proptest --exclude rand --exclude rand_chacha
+
 echo "==> tier-1: build + test"
 cargo build --release
 cargo test -q

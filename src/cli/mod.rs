@@ -8,12 +8,12 @@
 //!
 //! One module per subcommand family:
 //!
-//! * [`simulate`] — synthetic genome/reads/truth generation;
-//! * [`pipeline`] — `call` (driver-registry dispatch), `map`, `evaluate`,
+//! * `simulate` — synthetic genome/reads/truth generation;
+//! * `pipeline` — `call` (driver-registry dispatch), `map`, `evaluate`,
 //!   `index-stats`, `drivers`;
-//! * [`serve`] — the batching TCP daemon;
-//! * [`client`] — the blocking wire client;
-//! * [`verify`] — the conformance harness and `trace-check`.
+//! * `serve` — the batching TCP daemon;
+//! * `client` — the blocking wire client;
+//! * `verify` — the conformance harness and `trace-check`.
 //!
 //! Every execution mode of `call` resolves through
 //! [`engine::DriverRegistry`]; this file holds only the parser, shared

@@ -16,9 +16,6 @@ pub(super) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> 
     let port_file = args.optional("port-file");
     args.reject_unknown()?;
 
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
     let (_, reference) = read_reference(&reference_path)?;
     let cfg = server::ServerConfig {
         workers,
@@ -31,7 +28,7 @@ pub(super) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> 
         ..Default::default()
     };
     let handle = server::start(reference, GnumapConfig::default(), cfg, &addr)
-        .map_err(|e| format!("bind {addr}: {e}"))?;
+        .map_err(|e| format!("serve on {addr}: {e}"))?;
     let bound = handle.addr();
     if let Some(path) = &port_file {
         // Written atomically (rename) so pollers never read a half file.

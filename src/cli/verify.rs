@@ -41,9 +41,11 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
             .map_err(|e| format!("{trace_path}:{}: {e}", lineno + 1))?;
         if let Event::Batch {
             reads,
+            mapped,
             candidates,
             abandoned,
             fallbacks,
+            underflowed,
             ..
         } = event
         {
@@ -52,6 +54,14 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
                     "{trace_path}:{}: batch abandoned {abandoned} of {candidates} \
                      candidates and fell back on {fallbacks} of {reads} reads",
                     lineno + 1
+                ));
+            }
+            if underflowed > reads.saturating_sub(mapped) {
+                return Err(format!(
+                    "{trace_path}:{}: batch counts {underflowed} underflowed reads but \
+                     only {} of its {reads} reads are unmapped",
+                    lineno + 1,
+                    reads.saturating_sub(mapped)
                 ));
             }
         }
@@ -125,6 +135,27 @@ mod tests {
         let err = check("abandoned.jsonl", 10, 0).unwrap_err();
         assert!(err.contains("abandoned.jsonl:2"), "{err}");
         assert!(check("fallbacks.jsonl", 0, 5).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_check_rejects_more_underflowed_than_unmapped_reads() {
+        let dir = std::env::temp_dir().join(format!("gnumap-underflow-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run_start = r#"{"event":"run_start","driver":"serial","accumulator":"NORM"}"#;
+        let run_end =
+            r#"{"event":"run_end","reads_processed":4,"reads_mapped":3,"calls":0,"wall_secs":0.1}"#;
+        let check = |name: &str, underflowed: u64| {
+            let batch = format!(
+                r#"{{"event":"batch","worker":0,"reads":4,"mapped":3,"candidates":9,"deposited_columns":186,"underflowed":{underflowed}}}"#
+            );
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{run_start}\n{batch}\n{run_end}\n")).unwrap();
+            run_to_string(&["trace-check", "--trace", path.to_str().unwrap()])
+        };
+        assert!(check("ok.jsonl", 1).is_ok());
+        let err = check("underflowed.jsonl", 2).unwrap_err();
+        assert!(err.contains("underflowed.jsonl:2"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
