@@ -12,8 +12,11 @@
 //! orientation, the lockstep `forward_totals` every candidate gets (four
 //! candidates per call, reported per candidate, with an early-stop rule
 //! armed that never fires, so the figure includes the cost of its bound
-//! checks), and the fused `posterior_columns_profiled` only surviving
-//! candidates get.
+//! checks), and the fused posterior only surviving candidates get: the
+//! single-lane `posterior_columns_profiled` a lone survivor runs
+//! (`posterior_columns_*`), and `posterior_columns_lanes` for four
+//! survivors at once, reported per survivor with every lane's columns read
+//! back (`posterior_lanes_*`).
 //!
 //! The seed-index layer is timed on a 1 Mbp reference with the production
 //! index (`MappingConfig::default()`, k = 10): `index_build_1mbp_s` is
@@ -23,6 +26,10 @@
 //! reads, `map_read_1mbp_ns_per_read` is nanoseconds per read of the
 //! production `MappingEngine::map_read_with`, and `abandoned_frac_1mbp` the
 //! fraction of its scored candidates whose forward stopped early.
+//! `map_read_repeats_ns_per_read` times the same call on a repeat-dense
+//! 200 kbp reference (60 families × 20 copies × 300 bp, 1% divergence),
+//! where reads multi-map (`repeats_survivors_per_read`, about 8), so the
+//! posterior phase dominates.
 //!
 //! Usage: `bench_phmm [--quick] [--out PATH]`
 //!
@@ -49,11 +56,13 @@ use pairhmm::params::PhmmParams;
 use pairhmm::pwm::{base_code, ProfileRow, Pwm};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
 use std::hint::black_box;
 use std::time::Instant;
 
 /// One measured quantity: name, value in the unit its name ends with
-/// (`_per_sec`, `_s`, `_ns_per_read` or `_frac`), and iterations timed.
+/// (`_per_sec`, `_s`, `_ns_per_read`, `_frac`, or `_per_read` for a count
+/// per read), and iterations timed.
 struct Measurement {
     name: &'static str,
     value: f64,
@@ -75,6 +84,15 @@ fn measure<F: FnMut()>(window: f64, items_per_iter: u64, mut f: F) -> (f64, u64)
             return ((iters * items_per_iter) as f64 / elapsed, iters);
         }
     }
+}
+
+/// One lane's inputs of the lockstep kernels: a read's PWM, its emission
+/// profile and suffix bounds, and a window of genome codes.
+struct LaneFixture {
+    pwm: Pwm,
+    profile: Vec<ProfileRow>,
+    suffix: Vec<f64>,
+    codes: Vec<u8>,
 }
 
 /// A deterministic 62-bp read/window pair in the mapping sweet spot.
@@ -205,23 +223,30 @@ fn main() {
     let codes: Vec<u8> = win.iter().map(|&y| base_code(y)).collect();
     // One chunk of LANES candidates, each its own read against its own
     // window, scored in lockstep; counted per candidate.
-    let lanes: Vec<(Vec<ProfileRow>, Vec<f64>, Vec<u8>)> = (0..LANES as u64)
+    let lanes: Vec<LaneFixture> = (0..LANES as u64)
         .map(|l| {
             let (read, win, _) = kernel_fixture(62, 1 + l);
+            let pwm = Pwm::from_read(&read);
             let (mut profile, mut suffix) = (Vec::new(), Vec::new());
-            Pwm::from_read(&read).fill_profile(&params, &mut profile);
+            pwm.fill_profile(&params, &mut profile);
             fill_suffix_bounds(&profile, params.q, &mut suffix);
-            (profile, suffix, win.iter().map(|&y| base_code(y)).collect())
+            let codes = win.iter().map(|&y| base_code(y)).collect();
+            LaneFixture {
+                pwm,
+                profile,
+                suffix,
+                codes,
+            }
         })
         .collect();
-    let lane_profiles: [&[ProfileRow]; LANES] = std::array::from_fn(|l| &lanes[l].0[..]);
+    let lane_profiles: [&[ProfileRow]; LANES] = std::array::from_fn(|l| &lanes[l].profile[..]);
     // Bounds are never negative, so this rule checks but never stops.
     let never = StopRule {
-        suffix: std::array::from_fn(|l| &lanes[l].1[..]),
+        suffix: std::array::from_fn(|l| &lanes[l].suffix[..]),
         below: 0.0,
     };
     let lane_codes: Vec<[u8; LANES]> = (0..codes.len())
-        .map(|j| std::array::from_fn(|l| lanes[l].2[j]))
+        .map(|j| std::array::from_fn(|l| lanes[l].codes[j]))
         .collect();
     let (per_sec, iters) = measure(window, LANES as u64, || {
         black_box(phmm_scratch.forward_totals(
@@ -248,6 +273,24 @@ fn main() {
     });
     results.push(Measurement {
         name: "posterior_columns_62bp_band4_per_sec",
+        value: per_sec,
+        iters,
+    });
+    let lane_pwms: [&Pwm; LANES] = std::array::from_fn(|l| &lanes[l].pwm);
+    let (per_sec, iters) = measure(window, LANES as u64, || {
+        black_box(phmm_scratch.posterior_columns_lanes(
+            black_box(lane_pwms),
+            black_box(lane_profiles),
+            black_box(&lane_codes),
+            &params,
+            band,
+        ));
+        for lane in 0..LANES {
+            black_box(phmm_scratch.lane_columns(lane).last());
+        }
+    });
+    results.push(Measurement {
+        name: "posterior_lanes_62bp_band4_per_sec",
         value: per_sec,
         iters,
     });
@@ -339,6 +382,57 @@ fn main() {
     results.push(Measurement {
         name: "abandoned_frac_1mbp",
         value: abandoned as f64 / scored as f64,
+        iters: 1,
+    });
+
+    // --- Production mapping on a repeat-dense reference. ---
+    let mut rng = ChaCha8Rng::seed_from_u64(0x2e9e);
+    let reference = simulate::generate_genome(
+        &simulate::GenomeConfig {
+            length: if quick { 20_000 } else { 200_000 },
+            repeat_families: if quick { 6 } else { 60 },
+            repeat_length: 300,
+            repeat_copies: 20,
+            repeat_divergence: 0.01,
+            ..simulate::GenomeConfig::default()
+        },
+        &mut rng,
+    );
+    let sim = ReadSimConfig {
+        coverage: if quick { 0.2 } else { 0.5 },
+        ..ReadSimConfig::default()
+    };
+    let reads: Vec<SequencedRead> = simulate_reads(
+        &ReadSource::Monoploid(&reference),
+        sim.read_count(reference.len()),
+        &sim,
+        &mut rng,
+    )
+    .into_iter()
+    .map(|r| r.read)
+    .collect();
+    let engine = MappingEngine::new(&reference, GnumapConfig::default().mapping);
+    let (per_sec, iters) = measure(window, reads.len() as u64, || {
+        for read in &reads {
+            engine.map_read_with(black_box(read), &mut scratch);
+        }
+        black_box(scratch.len());
+    });
+    results.push(Measurement {
+        name: "map_read_repeats_ns_per_read",
+        value: 1e9 / per_sec,
+        iters,
+    });
+    let survivors: usize = reads
+        .iter()
+        .map(|read| {
+            engine.map_read_with(read, &mut scratch);
+            scratch.len()
+        })
+        .sum();
+    results.push(Measurement {
+        name: "repeats_survivors_per_read",
+        value: survivors as f64 / reads.len() as f64,
         iters: 1,
     });
 

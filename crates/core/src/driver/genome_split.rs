@@ -63,6 +63,9 @@ const MARGIN_TAG: u64 = 11;
 /// are counted per shard, so the ranks' candidate counts add up to the
 /// serial driver's, and the exact global mapped and underflowed counts
 /// are carried by rank 0's event), with stage timings taken on rank 0.
+/// Survivors are counted per shard too, and sum to the serial driver's;
+/// their posterior lanes do not, because each rank chunks only the
+/// survivors it owns.
 pub fn run_genome_split<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
@@ -196,6 +199,8 @@ pub fn run_genome_split<A: GenomeAccumulator>(
                     continue;
                 }
                 engine.posterior_for(read, survivors.iter().map(|s| s.0), &mut scratch);
+                counts.survivors += scratch.len() as u64;
+                counts.posterior_lanes += scratch.posterior_lanes() as u64;
                 for (aln, &(_, weight)) in scratch.alignments().zip(&survivors) {
                     counts.columns += aln.columns.len() as u64;
                     deposit(&mut acc, aln.window_start, weight, aln.columns);

@@ -27,11 +27,13 @@
 //! they are rescored in full (DESIGN.md §5e). **Prune:** the totals are
 //! normalised into posterior weights and candidates below `min_weight` are
 //! dropped. **Posterior:** only the survivors get the forward planes, the
-//! backward pass and their per-column evidence. A weight depends on forward
-//! totals alone, and the posterior recomputes the same forward bit for bit,
-//! so this equals running the full forward–backward on every candidate —
-//! at a fraction of the cost when, as is typical, most candidates are
-//! pruned.
+//! backward pass and their per-column evidence, four survivors at a time
+//! in lockstep lanes ([`PhmmScratch::posterior_columns_lanes`]) and a lone
+//! survivor on its own; each lane's columns have the bits of the
+//! single-lane pass. A weight depends on forward totals alone, and the
+//! posterior recomputes the same forward bit for bit, so this equals
+//! running the full forward–backward on every candidate — at a fraction of
+//! the cost when, as is typical, most candidates are pruned.
 
 use genome::alphabet::Base;
 use genome::index::{IndexConfig, KmerIndex};
@@ -115,13 +117,14 @@ pub struct AlignScratch {
     /// Emission profiles of `pwms`, built once per read and shared by all
     /// of that orientation's candidates.
     profiles: [Vec<ProfileRow>; 2],
-    /// Genome window as profile codes, refilled per surviving candidate.
+    /// Genome window as profile codes, refilled per survivor that gets its
+    /// posterior on its own.
     codes: Vec<u8>,
     /// Suffix products of `profiles` ([`fill_suffix_bounds`]), which bound
     /// a candidate's total from a partial forward.
     suffix: [Vec<f64>; 2],
     /// [`LANES`] genome windows interleaved by column, refilled per chunk
-    /// of candidates scored together.
+    /// of candidates scored, or given their posteriors, together.
     lane_codes: Vec<[u8; LANES]>,
     /// Sorted, deduplicated candidate starts for one oriented read, each
     /// with its seed votes (the seed hits on its diagonal).
@@ -141,6 +144,8 @@ pub struct AlignScratch {
     fallbacks: usize,
     /// Whether every candidate of the most recent read underflowed.
     underflowed: usize,
+    /// Lane slots of the most recent read's four-lane posterior chunks.
+    posterior_lanes: usize,
 }
 
 /// One candidate inside an [`AlignScratch`].
@@ -176,6 +181,25 @@ impl CandMeta {
             col_off: 0,
             col_len: 0,
         }
+    }
+
+    /// Append the candidate's posterior `columns` to the arena `cols`.
+    /// `total` is the posterior pass's forward total, which must have the
+    /// bits of the scoring pass's.
+    fn append_columns(
+        &mut self,
+        total: f64,
+        columns: impl Iterator<Item = ColumnPosterior>,
+        cols: &mut Vec<ColumnPosterior>,
+    ) {
+        debug_assert_eq!(
+            total.to_bits(),
+            self.likelihood.to_bits(),
+            "posterior forward diverged from the scoring pass"
+        );
+        self.col_off = cols.len();
+        cols.extend(columns);
+        self.col_len = cols.len() - self.col_off;
     }
 }
 
@@ -244,6 +268,15 @@ impl AlignScratch {
         self.underflowed
     }
 
+    /// Lane slots the most recent read's posterior phase ran through
+    /// four-lane chunks, padding included: [`LANES`] per chunk of two to
+    /// four survivors, nothing for a survivor run on its own. Every
+    /// alignment held got one posterior pass, so this is at most twice
+    /// [`Self::len`].
+    pub fn posterior_lanes(&self) -> usize {
+        self.posterior_lanes
+    }
+
     /// Number of alignments currently held.
     pub fn len(&self) -> usize {
         self.cands.len()
@@ -261,6 +294,7 @@ impl AlignScratch {
         self.abandoned = 0;
         self.fallbacks = 0;
         self.underflowed = 0;
+        self.posterior_lanes = 0;
     }
 }
 
@@ -545,41 +579,61 @@ impl<'g> MappingEngine<'g> {
 
     /// Phase 3 — posterior. Forward planes + backward + marginal for every
     /// candidate `scratch` still holds, appending its columns to the
-    /// arena. The forward is recomputed; its total must carry the same
-    /// bits as the phase-1 score.
+    /// arena in candidate order. The forward is recomputed; its total must
+    /// carry the same bits as the phase-1 score.
+    ///
+    /// The candidates run [`LANES`] at a time through
+    /// [`PhmmScratch::posterior_columns_lanes`], each lane with its own
+    /// strand's PWM, profile and window. A short last chunk of two or three
+    /// repeats its last candidate in the spare lanes and discards their
+    /// columns. A chunk of one runs the single-lane
+    /// [`PhmmScratch::posterior_columns_profiled`] instead: padding it to
+    /// four lanes would cost about twice as much. Every lane's columns
+    /// have the bits of the single-lane pass, so the chunking changes no
+    /// result.
     fn posterior_phase(&self, scratch: &mut AlignScratch) {
         let band = self.band();
+        let len = scratch.pwms[0].len() + self.config.window_pad;
         let AlignScratch {
             phmm,
             pwms,
             profiles,
             codes,
+            lane_codes,
             cols,
             cands,
+            posterior_lanes,
             ..
         } = scratch;
-        for c in cands.iter_mut() {
-            let o = usize::from(c.reverse);
-            self.fill_window(
-                c.window_start,
-                pwms[o].len() + self.config.window_pad,
-                codes,
-            );
-            let total = phmm.posterior_columns_profiled(
-                &pwms[o],
-                &profiles[o],
-                codes,
+        for chunk in cands.chunks_mut(LANES) {
+            if let [c] = chunk {
+                let o = usize::from(c.reverse);
+                self.fill_window(c.window_start, len, codes);
+                let total = phmm.posterior_columns_profiled(
+                    &pwms[o],
+                    &profiles[o],
+                    codes,
+                    &self.config.phmm,
+                    band,
+                );
+                c.append_columns(total, phmm.columns().iter().copied(), cols);
+                continue;
+            }
+            // Lanes past a short chunk's end repeat its last candidate.
+            let lanes: [usize; LANES] = std::array::from_fn(|l| l.min(chunk.len() - 1));
+            self.fill_lanes(lanes.map(|l| chunk[l].window_start), len, lane_codes);
+            let strands = lanes.map(|l| usize::from(chunk[l].reverse));
+            let totals = phmm.posterior_columns_lanes(
+                strands.map(|o| &pwms[o]),
+                strands.map(|o| &profiles[o][..]),
+                lane_codes,
                 &self.config.phmm,
                 band,
             );
-            debug_assert_eq!(
-                total.to_bits(),
-                c.likelihood.to_bits(),
-                "posterior forward diverged from the scoring pass"
-            );
-            c.col_off = cols.len();
-            cols.extend_from_slice(phmm.columns());
-            c.col_len = cols.len() - c.col_off;
+            *posterior_lanes += LANES;
+            for (lane, (c, total)) in chunk.iter_mut().zip(totals).enumerate() {
+                c.append_columns(total, phmm.lane_columns(lane), cols);
+            }
         }
     }
 

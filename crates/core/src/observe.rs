@@ -110,6 +110,13 @@ pub enum Event {
         /// Unmapped reads that scored candidates but whose every forward
         /// total underflowed to 0 (0 in older traces).
         underflowed: u64,
+        /// Posterior passes run: candidates that survived the weight cut
+        /// and got their columns (0 in older traces).
+        survivors: u64,
+        /// Lane slots of the four-lane posterior chunks those passes ran
+        /// in, padding included; a survivor run on its own adds none. A
+        /// multiple of 4 and at most twice `survivors` (0 in older traces).
+        posterior_lanes: u64,
     },
     /// The streaming engine wrote a checkpoint.
     Checkpoint {
@@ -212,13 +219,16 @@ impl Event {
                 abandoned,
                 fallbacks,
                 underflowed,
+                survivors,
+                posterior_lanes,
             } => {
                 let _ = write!(
                     s,
                     ",\"worker\":{worker},\"reads\":{reads},\"mapped\":{mapped},\
                      \"candidates\":{candidates},\"deposited_columns\":{deposited_columns},\
                      \"abandoned\":{abandoned},\"fallbacks\":{fallbacks},\
-                     \"underflowed\":{underflowed}"
+                     \"underflowed\":{underflowed},\"survivors\":{survivors},\
+                     \"posterior_lanes\":{posterior_lanes}"
                 );
             }
             Event::Checkpoint {
@@ -314,6 +324,8 @@ impl Event {
                 abandoned: get_u64_or_0("abandoned")?,
                 fallbacks: get_u64_or_0("fallbacks")?,
                 underflowed: get_u64_or_0("underflowed")?,
+                survivors: get_u64_or_0("survivors")?,
+                posterior_lanes: get_u64_or_0("posterior_lanes")?,
             },
             "checkpoint" => Event::Checkpoint {
                 cursor: get_u64("cursor")?,
@@ -678,6 +690,8 @@ mod tests {
                 abandoned: 580,
                 fallbacks: 1,
                 underflowed: 2,
+                survivors: 260,
+                posterior_lanes: 16,
             },
             Event::Checkpoint {
                 cursor: 1024,
@@ -715,6 +729,8 @@ mod tests {
                 abandoned: 0,
                 fallbacks: 0,
                 underflowed: 0,
+                survivors: 0,
+                posterior_lanes: 0,
             }
         );
         let bad = line.replace("180}", r#"180,"abandoned":-1}"#);

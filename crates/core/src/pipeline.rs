@@ -42,6 +42,13 @@ pub struct BatchCounts {
     /// Unmapped reads whose every scored candidate underflowed to a zero
     /// total ([`AlignScratch::underflowed`]).
     pub underflowed: u64,
+    /// Posterior passes run: candidates that survived the `min_weight`
+    /// cut and got their columns.
+    pub survivors: u64,
+    /// Lane slots of the four-lane posterior chunks those passes ran in,
+    /// padding included; a survivor run on its own adds none
+    /// ([`AlignScratch::posterior_lanes`]).
+    pub posterior_lanes: u64,
 }
 
 impl BatchCounts {
@@ -65,6 +72,8 @@ impl BatchCounts {
         self.abandoned += scratch.abandoned() as u64;
         self.fallbacks += scratch.fallbacks() as u64;
         self.underflowed += scratch.underflowed() as u64;
+        self.survivors += scratch.len() as u64;
+        self.posterior_lanes += scratch.posterior_lanes() as u64;
         for aln in scratch.alignments() {
             self.columns += aln.columns.len() as u64;
             deposit(aln.window_start, aln.score, aln.columns);
@@ -84,6 +93,8 @@ impl BatchCounts {
             abandoned: self.abandoned,
             fallbacks: self.fallbacks,
             underflowed: self.underflowed,
+            survivors: self.survivors,
+            posterior_lanes: self.posterior_lanes,
         });
     }
 }

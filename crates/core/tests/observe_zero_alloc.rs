@@ -92,6 +92,8 @@ fn disabled_observer_emits_without_allocating() {
             abandoned: 580,
             fallbacks: 1,
             underflowed: 2,
+            survivors: 260,
+            posterior_lanes: 16,
         });
         // Cloning the handle (the per-worker pattern in the drivers) is
         // an Option<Arc> copy, not an allocation.

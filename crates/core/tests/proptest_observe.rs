@@ -63,6 +63,8 @@ fn event() -> impl Strategy<Value = Event> {
                     abandoned: n4 / 2,
                     fallbacks: n2 / 3,
                     underflowed: n2 / 5,
+                    survivors: n3,
+                    posterior_lanes: n3 / 4 * 4,
                 },
                 4 => Event::Checkpoint {
                     cursor: n1,

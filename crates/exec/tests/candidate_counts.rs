@@ -6,7 +6,11 @@
 //! and fallback counts follow the engine's `map_read_with` in the drivers
 //! that call it; genome-split scores every candidate in full and reports
 //! none abandoned. A read whose every candidate's forward total underflows
-//! to 0 is counted as underflowed, alike by every driver.
+//! to 0 is counted as underflowed, alike by every driver. Survivors (the
+//! posterior passes run) and the lane slots of their four-lane chunks
+//! follow the engine too; genome-split's ranks chunk only the survivors
+//! they own, so there the lanes are only held to what four-lane chunks
+//! allow.
 
 use exec::{run_stream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
@@ -53,20 +57,23 @@ fn workload() -> (DnaSeq, Vec<SequencedRead>) {
 }
 
 /// Run `f` under a memory sink and sum the batch events' candidates,
-/// abandoned candidates and fallbacks.
-fn candidates(f: impl FnOnce(&Observer)) -> [u64; 3] {
+/// abandoned candidates, fallbacks, survivors and posterior lanes.
+fn candidates(f: impl FnOnce(&Observer)) -> [u64; 5] {
     let sink = Arc::new(MemorySink::new());
     f(&Observer::new(sink.clone()));
-    let mut sums = [0; 3];
+    let mut sums = [0; 5];
     for e in sink.events() {
         if let Event::Batch {
             candidates,
             abandoned,
             fallbacks,
+            survivors,
+            posterior_lanes,
             ..
         } = e
         {
-            for (sum, n) in sums.iter_mut().zip([candidates, abandoned, fallbacks]) {
+            let counts = [candidates, abandoned, fallbacks, survivors, posterior_lanes];
+            for (sum, n) in sums.iter_mut().zip(counts) {
                 *sum += n;
             }
         }
@@ -84,19 +91,27 @@ fn every_driver_counts_scored_candidates_alike() {
     let engine = MappingEngine::new(&reference, cfg.mapping);
     let mut scratch = AlignScratch::new();
     let (mut scored, mut kept, mut abandoned, mut fallbacks) = (0u64, 0u64, 0u64, 0u64);
+    let (mut lanes, mut lone) = (0u64, 0u64);
     for read in &reads {
         engine.map_read_with(read, &mut scratch);
         scored += scratch.scored() as u64;
         kept += scratch.len() as u64;
         abandoned += scratch.abandoned() as u64;
         fallbacks += scratch.fallbacks() as u64;
+        lanes += scratch.posterior_lanes() as u64;
+        // A last chunk of one survivor runs on its own.
+        lone += u64::from(scratch.len() % 4 == 1);
     }
     assert!(
         scored > kept,
         "workload must prune candidates: {scored} vs {kept}"
     );
     assert!(abandoned > 0, "workload must abandon candidates");
-    let engine_counts = [scored, abandoned, fallbacks];
+    assert!(
+        lanes > 0 && lone > 0,
+        "workload must run both lane chunks and lone survivors: {lanes} lanes, {lone} lone"
+    );
+    let engine_counts = [scored, abandoned, fallbacks, kept, lanes];
 
     let serial = candidates(|o| {
         run_serial::<FixedAccumulator>(&reference, &reads, &cfg, o);
@@ -119,7 +134,16 @@ fn every_driver_counts_scored_candidates_alike() {
     assert_eq!(serial, engine_counts, "serial");
     assert_eq!(read_split, engine_counts, "read-split");
     assert_eq!(stream, engine_counts, "stream");
-    assert_eq!(genome_split, [scored, 0, 0], "genome-split");
+    let [gs_scored, gs_abandoned, gs_fallbacks, gs_survivors, gs_lanes] = genome_split;
+    assert_eq!(
+        [gs_scored, gs_abandoned, gs_fallbacks, gs_survivors],
+        [scored, 0, 0, kept],
+        "genome-split"
+    );
+    assert!(
+        gs_lanes > 0 && gs_lanes % 4 == 0 && gs_lanes <= 2 * gs_survivors,
+        "genome-split ran {gs_survivors} survivors in {gs_lanes} lanes"
+    );
 }
 
 /// Run `f` under a memory sink and sum the batch events' underflowed and

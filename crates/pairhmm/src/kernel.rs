@@ -29,9 +29,10 @@
 //! in the read's emission profile by the window's genome code, only for
 //! in-band cells. The posterior pass fills only the in-band cells of its
 //! table with `gather_row` (cells outside the band are never read) and
-//! runs `forward_row` over them. The scoring forward
-//! `forward_row_lanes` does the lookup inside its sweep, for [`LANES`]
-//! candidates at once.
+//! runs `forward_row` over them. The lane forward `forward_row_lanes`
+//! does the lookup inside its sweep, for [`LANES`] candidates at once; it
+//! serves both the scoring forward over rolling rows and the four-lane
+//! posterior's forward over retained planes.
 //!
 //! **Lockstep lanes.** Within one alignment the `f_GY` carry is a serial
 //! chain of dependent multiply–adds, so a single band-4 row leaves the FP
@@ -44,6 +45,11 @@
 //! exactly the per-cell expressions of `forward_row` on its own
 //! operands, and no operation ever combines two lanes, so each lane's
 //! values have the bits a scalar pass on that candidate would produce.
+//! The four-lane posterior (`PhmmScratch::posterior_columns_lanes`)
+//! extends the layout to the backward and the marginals: the `b_GY` carry,
+//! `b_M` and `b_GX` of a row run as one descending sweep of whole-lane
+//! `zip` operations, with the diagonal emission looked up inline, and each
+//! cell is folded into a per-column `[f64; LANES]` accumulator per symbol.
 
 use crate::emission::Emission;
 use crate::params::PhmmParams;
@@ -192,8 +198,10 @@ pub type Lanes = [f64; LANES];
 /// reading `f_M(i, j−1)` from the cell just computed. The lanes have no
 /// data dependencies on each other, so their `f_GY` carries — serial in
 /// `j` within a lane — overlap in the FP pipeline instead of waiting on
-/// each other.
-#[inline]
+/// each other. Always inlined: a call per row would cost the scoring
+/// forward, whose rows are only about nine cells wide, a measurable share
+/// of its time.
+#[inline(always)]
 pub(crate) fn forward_row_lanes(
     params: &PhmmParams,
     prows: [&ProfileRow; LANES],

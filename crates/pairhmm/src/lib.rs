@@ -28,13 +28,15 @@
 //!   and the lockstep forward row that scores [`kernel::LANES`] candidates
 //!   at once, one per vector lane.
 //! * [`scratch`]  — [`PhmmScratch`], the per-thread reusable arena
-//!   (zero steady-state allocations) with the two production entry
-//!   points: `forward_totals`, the rolling-row forward every candidate
-//!   gets, four candidates of a read per call in lockstep lanes, and
-//!   `posterior_columns_profiled`, forward planes plus the fused
-//!   backward+marginal streaming pass, run only for candidates that
-//!   survive the posterior weight cut. A lane's total has the bits of the
-//!   posterior pass's total for that candidate.
+//!   (zero steady-state allocations) with the production entry points:
+//!   `forward_totals`, the rolling-row forward every candidate gets, four
+//!   candidates of a read per call in lockstep lanes; and, only for
+//!   candidates that survive the posterior weight cut, forward planes plus
+//!   the fused backward+marginal streaming pass — four survivors of a read
+//!   per call in lanes (`posterior_columns_lanes`), or one
+//!   (`posterior_columns_profiled`, the bit reference of the lanes). A
+//!   lane's total has the bits of the single-lane posterior's total for
+//!   that candidate, and a lane's columns those of its columns.
 //! * [`bound`]    — the admissible bound on a forward total from a partial
 //!   forward that lets `forward_totals` stop hopeless candidates early.
 //! * [`matrix`]   — dense `f64` DP matrices.

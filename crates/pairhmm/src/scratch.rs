@@ -2,13 +2,15 @@
 //!
 //! [`PhmmScratch`] owns every buffer one posterior alignment needs — an
 //! `N × M` emission buffer, the three retained forward planes, six rolling
-//! backward rows and the per-column `z`-vector accumulator — plus the
-//! lane-interleaved rolling rows of the scoring forward. Buffers grow monotonically and are reused across a
+//! backward rows and the per-column `z`-vector accumulator — plus their
+//! lane-interleaved counterparts: the rolling rows of the scoring forward
+//! and the planes, rolling backward rows and column accumulators of the
+//! four-lane posterior. Buffers grow monotonically and are reused across a
 //! thread's whole read batch, so after the first few alignments warm them
 //! up the steady-state loop performs **zero heap allocations per read ×
 //! window pair**.
 //!
-//! The mapping hot path scores a read's candidates in two steps, both fed
+//! The mapping hot path handles a read's candidates in two steps, both fed
 //! by the read's emission profile ([`crate::pwm::ProfileRow`] per read row)
 //! and windows of genome codes ([`crate::pwm::base_code`]):
 //!
@@ -20,14 +22,27 @@
 //!   emission table. Every candidate gets this; the total is all the
 //!   posterior weight needs. With a [`StopRule`] the chunk may stop early
 //!   once a bound ([`crate::bound`]) proves every lane's total negligible.
-//! * [`PhmmScratch::posterior_columns_profiled`] — only for candidates that
-//!   survive the weight cut: the in-band emission cells, the forward into
-//!   retained planes, then the streaming backward fused with the marginals.
+//! * [`PhmmScratch::posterior_columns_lanes`] — only for candidates that
+//!   survive the weight cut, [`LANES`] survivors of a read at once, in
+//!   lockstep: the forward into retained planes of lane cells, then the
+//!   streaming backward fused with the marginals, one `[f64; LANES]`
+//!   accumulator per column symbol. Lane `l`'s columns are read back with
+//!   [`PhmmScratch::lane_columns`]. A survivor that would be alone in
+//!   its chunk runs the single-lane
+//!   [`PhmmScratch::posterior_columns_profiled`] instead: the in-band
+//!   emission cells, the forward into retained planes, then the same
+//!   fused backward. The single-lane pass is the bit reference of the
+//!   lanes.
 //!
-//! The two forwards evaluate the same per-cell expressions
+//! The forwards evaluate the same per-cell expressions
 //! (`kernel::forward_row_lanes` per lane, `kernel::forward_row`) on the
 //! same emission values in the same order, and the lanes never mix, so a
-//! lane's total and the posterior pass's total agree bit for bit.
+//! lane's total and the posterior pass's total agree bit for bit. The lane
+//! backward likewise evaluates, per lane, the single-lane backward's cell
+//! expressions and adds each column's terms in its order; where the
+//! single-lane fold skips a match term whose weight is not positive, the
+//! lane fold adds `+0`, which changes no sum (DESIGN.md §5c, "Lockstep
+//! posterior").
 //!
 //! The fused pass never materialises the backward tables: it streams two
 //! rolling backward rows (`i+1` and `i`) from the bottom of the DP upward,
@@ -36,12 +51,13 @@
 //! summation order are exactly those of the materialised implementation
 //! (backward row `i` combined with forward row `i`, for `i = N` down to
 //! `1`), so the result is bit-identical — property-tested via `f64::to_bits`
-//! in `tests/fused_bitident.rs`.
+//! in `tests/fused_bitident.rs`, which also pins every lane of the four-lane
+//! posterior to the single-lane pass.
 
 use crate::bound::{LaneTotals, RowBound, StopRule, CHECK_EVERY};
 use crate::emission::Emission;
 use crate::kernel::{self, Band, Lanes, LANES};
-use crate::marginal::ColumnPosterior;
+use crate::marginal::{ColumnPosterior, NUM_SYMBOLS};
 use crate::params::PhmmParams;
 use crate::pwm::{base_code, ProfileRow, Pwm};
 use genome::alphabet::Base;
@@ -66,11 +82,24 @@ pub struct PhmmScratch {
     by_next: Vec<f64>,
     /// Column posterior accumulator, length `M` after a call.
     cols: Vec<ColumnPosterior>,
-    /// Rolling forward rows of [`forward_totals`](Self::forward_totals),
-    /// `2 × (M+1)` lane cells per state.
+    /// Rolling lane rows: the forward rows of
+    /// [`forward_totals`](Self::forward_totals), `2 × (M+1)` lane cells per
+    /// state, and (`lm`, `lx`) the `b_M` and `b_GX` backward rows of
+    /// [`posterior_columns_lanes`](Self::posterior_columns_lanes), `2 ×
+    /// (M+2)` cells with a zero sentinel at `M + 1` in each row.
     lm: Vec<Lanes>,
     lx: Vec<Lanes>,
     ly: Vec<Lanes>,
+    /// Retained lane forward planes of
+    /// [`posterior_columns_lanes`](Self::posterior_columns_lanes),
+    /// `(N+1) × (M+1)` lane cells row-major.
+    lfm: Vec<Lanes>,
+    lfx: Vec<Lanes>,
+    lfy: Vec<Lanes>,
+    /// Lane column accumulators of
+    /// [`posterior_columns_lanes`](Self::posterior_columns_lanes), one per
+    /// window column: symbols A, C, G, T, deletion, each across the lanes.
+    lane_cols: Vec<[Lanes; NUM_SYMBOLS]>,
     /// Profile and genome codes built by the `Option<Base>` entry point
     /// [`posterior_columns`](Self::posterior_columns).
     profile: Vec<ProfileRow>,
@@ -424,10 +453,274 @@ impl PhmmScratch {
 
         total
     }
+
+    /// [`posterior_columns_profiled`] for [`LANES`] candidates of one read
+    /// at once, one per lane: lane `l` aligns `pwms[l]` (with its profile
+    /// `profiles[l]`) against the genome codes `codes[j][l]`, as in
+    /// [`forward_totals`](Self::forward_totals). Returns each lane's total;
+    /// lane `l`'s columns are read back through
+    /// [`lane_columns`](Self::lane_columns). Every total and every column
+    /// value has the bits [`posterior_columns_profiled`] gives on lane `l`'s
+    /// inputs alone; a lane whose total is 0 gets all-zero columns, as
+    /// there.
+    ///
+    /// The forward runs `kernel::forward_row_lanes` into retained planes of
+    /// `[f64; LANES]` cells, with each row's in-band emissions looked up
+    /// from the profiles. The backward streams two rolling rows of lane
+    /// cells for `b_M` and `b_GX` from row `N` up, and each cell is folded
+    /// into its column's lane accumulator as soon as it is computed. Within
+    /// a lane every cell is the expression of the single-lane pass on the
+    /// same operands, and each column sums the same terms in the same row
+    /// order. The single-lane pass skips a match term whose weight `p_M`
+    /// is not positive; here the term is replaced by `+0`, which leaves
+    /// every sum unchanged because each starts at `+0` and only
+    /// non-negative terms are added (DESIGN.md §5c, "Lockstep posterior").
+    ///
+    /// [`posterior_columns_profiled`]: Self::posterior_columns_profiled
+    pub fn posterior_columns_lanes(
+        &mut self,
+        pwms: [&Pwm; LANES],
+        profiles: [&[ProfileRow]; LANES],
+        codes: &[[u8; LANES]],
+        params: &PhmmParams,
+        band: Option<usize>,
+    ) -> Lanes {
+        let n = profiles[0].len();
+        let m = codes.len();
+        assert!(n >= 1, "read must be non-empty");
+        assert!(m >= 1, "window must be non-empty");
+        assert!(
+            pwms.iter()
+                .zip(profiles)
+                .all(|(pwm, p)| pwm.len() == n && p.len() == n),
+            "lanes must share one read length, with one profile row per base"
+        );
+        let band: Band = band.map(|w| kernel::diagonal_bounds(n, m, w));
+
+        // --- Forward into retained lane planes, as `kernel::forward_planes`.
+        let stride = m + 1;
+        let plane = (n + 1) * stride;
+        for p in [&mut self.lfm, &mut self.lfx, &mut self.lfy] {
+            ensure(p, plane);
+        }
+        let (_, hi0) = kernel::row_range(band, 1, m);
+        for p in [&mut self.lfm, &mut self.lfx, &mut self.lfy] {
+            p[..=hi0].fill([0.0; LANES]);
+        }
+        self.lfm[0] = [1.0; LANES];
+        for i in 1..=n {
+            let (j_min, j_max) = kernel::row_range(band, i, m);
+            let base = (i - 1) * stride;
+            let (mp, mc) = self.lfm[base..base + 2 * stride].split_at_mut(stride);
+            let (xp, xc) = self.lfx[base..base + 2 * stride].split_at_mut(stride);
+            let (yp, yc) = self.lfy[base..base + 2 * stride].split_at_mut(stride);
+            kernel::forward_row_lanes(
+                params,
+                profiles.map(|p| &p[i - 1]),
+                &codes[j_min - 1..j_max],
+                [mp, xp, yp],
+                [mc, xc, yc],
+                (j_min, j_max),
+                m,
+            );
+        }
+        let end = n * stride + m;
+        let mut totals = self.lfm[end];
+        for ((t, x), y) in totals.iter_mut().zip(self.lfx[end]).zip(self.lfy[end]) {
+            *t = *t + x + y;
+        }
+
+        self.lane_cols.clear();
+        self.lane_cols.resize(m, [[0.0; LANES]; NUM_SYMBOLS]);
+        if totals.iter().all(|&t| t == 0.0) {
+            return totals;
+        }
+        self.backward_marginal_lanes(pwms, profiles, codes, params, band, totals);
+        // Zero-total lanes divided by 0 in the fold; their columns are all
+        // zero, as in the single-lane pass.
+        for (l, _) in totals.iter().enumerate().filter(|(_, &t)| t == 0.0) {
+            for col in &mut self.lane_cols {
+                for symbol in col.iter_mut() {
+                    symbol[l] = 0.0;
+                }
+            }
+        }
+        totals
+    }
+
+    /// The streaming backward of
+    /// [`posterior_columns_lanes`](Self::posterior_columns_lanes), fused
+    /// with the marginals: rows `N` down to 1, each cell folded into
+    /// `lane_cols` against the retained forward planes.
+    fn backward_marginal_lanes(
+        &mut self,
+        pwms: [&Pwm; LANES],
+        profiles: [&[ProfileRow]; LANES],
+        codes: &[[u8; LANES]],
+        params: &PhmmParams,
+        band: Band,
+        totals: Lanes,
+    ) {
+        let n = profiles[0].len();
+        let m = codes.len();
+        let stride = m + 1;
+        let &PhmmParams {
+            t_mm,
+            t_mg,
+            t_gm,
+            t_gg,
+            q,
+            ..
+        } = params;
+
+        // Two rolling rows of b_M and b_GX, `roll` cells each; cell m+1 of
+        // both rows is a permanent zero for reads past column m. b_GY is
+        // never read by the row above, so it lives only in the sweep carry.
+        let roll = m + 2;
+        ensure(&mut self.lm, 2 * roll);
+        ensure(&mut self.lx, 2 * roll);
+        for r in [&mut self.lm, &mut self.lx] {
+            r[m + 1] = [0.0; LANES];
+            r[roll + m + 1] = [0.0; LANES];
+        }
+
+        // --- Row N: the gap-extension chains seeded by b(N, M) = 1, alike
+        // in every lane (see `posterior_columns_profiled`).
+        {
+            let (j_min, j_max) = kernel::row_range(band, n, m);
+            let (_, bm) = rolling(&mut self.lm, roll, n);
+            let (_, bx) = rolling(&mut self.lx, roll, n);
+            bm[j_min - 1] = [0.0; LANES];
+            bx[j_min - 1] = [0.0; LANES];
+            let (fm_row, fy_row) = (&self.lfm[n * stride..], &self.lfy[n * stride..]);
+            let r = pwm_rows(pwms, n - 1);
+            let mut carry = 1.0; // b_GY(N, j+1), starting from b_GY(N, M)
+            for j in (j_min..=j_max).rev() {
+                let (m_cell, y_cell) = if j == m {
+                    bx[m] = [1.0; LANES];
+                    (1.0, 1.0)
+                } else {
+                    let m_cell = q * t_mg * carry;
+                    carry *= q * t_gg;
+                    bx[j] = [0.0; LANES];
+                    (m_cell, carry)
+                };
+                bm[j] = [m_cell; LANES];
+                fold_cell(
+                    &mut self.lane_cols[j - 1],
+                    &r,
+                    [fm_row[j], fy_row[j]],
+                    [[m_cell; LANES], [y_cell; LANES]],
+                    &totals,
+                );
+            }
+        }
+
+        // --- Rows N-1 down to 1: row i is written to slot i mod 2 of the
+        // rolling rows, and row i+1 is read from the other slot.
+        for i in (1..n).rev() {
+            let (j_min, j_max) = kernel::row_range(band, i, m);
+            let (bm_next, bm) = rolling(&mut self.lm, roll, i);
+            let (bx_next, bx) = rolling(&mut self.lx, roll, i);
+            // Zero sentinels one cell beyond the band, as in the single-lane
+            // pass.
+            for r in [&mut *bm, &mut *bx] {
+                r[j_min - 1] = [0.0; LANES];
+                r[j_max + 1] = [0.0; LANES];
+            }
+            let (fm_row, fy_row) = (&self.lfm[i * stride..], &self.lfy[i * stride..]);
+            let r = pwm_rows(pwms, i - 1);
+            // p*(i+1, j+1) is profile row i at genome code j (0-based).
+            let prows = profiles.map(|p| &p[i]);
+
+            // b_GY(i, j+1), carried right to left; 0 past the band or table.
+            let mut carry = [0.0; LANES];
+            if j_max == m {
+                // Column M: the diagonal term is zero (p*(i+1, M+1) = 0) and
+                // b_GY(i, M+1) = 0, so b_GY(i, M) = +0 and
+                //   b_M(i,M)  = q·T_MG·b_GX(i+1,M)
+                //   b_GX(i,M) = q·T_GG·b_GX(i+1,M)
+                let (mut m_cell, mut x_cell) = ([0.0; LANES], [0.0; LANES]);
+                for ((mv, xv), bxn) in m_cell.iter_mut().zip(&mut x_cell).zip(bx_next[m]) {
+                    *mv = q * t_mg * bxn;
+                    *xv = q * t_gg * bxn;
+                }
+                bm[m] = m_cell;
+                bx[m] = x_cell;
+                fold_cell(
+                    &mut self.lane_cols[m - 1],
+                    &r,
+                    [fm_row[m], fy_row[m]],
+                    [m_cell, carry],
+                    &totals,
+                );
+            }
+            // Columns hi down to j_min in one descending sweep; per column,
+            // b_M and b_GX (reading the carry, still b_GY(i, j+1)), then the
+            // carry moves to b_GY(i, j), then the cell is folded into
+            // column j.
+            let hi = j_max.min(m - 1);
+            if j_min > hi {
+                continue;
+            }
+            let cells = j_min..=hi;
+            let it = bm[cells.clone()]
+                .iter_mut()
+                .zip(&mut bx[cells.clone()])
+                .zip(&codes[cells.clone()])
+                .zip(&bm_next[j_min + 1..=hi + 1])
+                .zip(&bx_next[cells.clone()])
+                .zip(&fm_row[cells.clone()])
+                .zip(&fy_row[cells])
+                .zip(&mut self.lane_cols[j_min - 1..hi])
+                .rev();
+            for (((((((bm_cell, bx_cell), code), bmd), bxn), &fm), &fy), col) in it {
+                let mut diag = [0.0; LANES];
+                for ((e, prow), &c) in diag.iter_mut().zip(prows).zip(code) {
+                    *e = prow[kernel::code_index(c)];
+                }
+                //   b_M(i,j)  = p*·T_MM·b_M(i+1,j+1) + q·T_MG·[b_GX(i+1,j) + b_GY(i,j+1)]
+                //   b_GX(i,j) = p*·T_GM·b_M(i+1,j+1) + q·T_GG·b_GX(i+1,j)
+                //   b_GY(i,j) = p*·T_GM·b_M(i+1,j+1) + q·T_GG·b_GY(i,j+1)
+                let (mut m_cell, mut x_cell) = ([0.0; LANES], [0.0; LANES]);
+                let it = m_cell
+                    .iter_mut()
+                    .zip(&mut x_cell)
+                    .zip(&mut carry)
+                    .zip(diag)
+                    .zip(bmd)
+                    .zip(bxn);
+                for (((((mv, xv), y), diag), bmd), bxn) in it {
+                    let gap_open = diag * t_gm * bmd;
+                    *mv = diag * t_mm * bmd + q * t_mg * (bxn + *y);
+                    *xv = gap_open + q * t_gg * bxn;
+                    *y = gap_open + q * t_gg * *y;
+                }
+                *bm_cell = m_cell;
+                *bx_cell = x_cell;
+                fold_cell(col, &r, [fm, fy], [m_cell, carry], &totals);
+            }
+        }
+    }
+
+    /// Lane `lane`'s columns from the last
+    /// [`posterior_columns_lanes`](Self::posterior_columns_lanes) call, one
+    /// per window column.
+    pub fn lane_columns(&self, lane: usize) -> impl ExactSizeIterator<Item = ColumnPosterior> + '_ {
+        assert!(lane < LANES, "lane {lane} out of range");
+        self.lane_cols.iter().map(move |col| {
+            let mut probs = [0.0; NUM_SYMBOLS];
+            for (p, symbol) in probs.iter_mut().zip(col) {
+                *p = symbol[lane];
+            }
+            ColumnPosterior { probs }
+        })
+    }
 }
 
 /// Rows `i − 1` (read) and `i` (written) of a two-row rolling buffer:
-/// row `i` lives in slot `i mod 2`.
+/// row `i` lives in slot `i mod 2`. The read slot also holds row `i + 1`,
+/// which is what a backward sweep reads.
 #[inline]
 fn rolling<T>(buf: &mut [T], stride: usize, i: usize) -> (&[T], &mut [T]) {
     let (even, odd) = buf[..2 * stride].split_at_mut(stride);
@@ -466,6 +759,56 @@ fn accumulate_row(
         }
         let pd = fy_row[j] * by[j] / total;
         col.probs[4] += pd;
+    }
+}
+
+/// Read row `i` of each lane's PWM, transposed: `rows[k][l]` is lane `l`'s
+/// weight of base `k`.
+#[inline]
+fn pwm_rows(pwms: [&Pwm; LANES], i: usize) -> [Lanes; 4] {
+    let mut rows = [[0.0; LANES]; 4];
+    for (l, pwm) in pwms.iter().enumerate() {
+        for (row, &w) in rows.iter_mut().zip(pwm.row(i)) {
+            row[l] = w;
+        }
+    }
+    rows
+}
+
+/// Fold one backward cell of every lane into its column accumulators, as
+/// [`accumulate_row`] does per lane: `fwd` holds `[f_M, f_GY]` and `bwd`
+/// `[b_M, b_GY]` at the cell, and `r` the transposed PWM row. A lane whose
+/// match weight is not positive adds `+0` where `accumulate_row` skips the
+/// term; the sums start at `+0` and every term is non-negative, so the
+/// bits are the same.
+#[inline(always)]
+fn fold_cell(
+    col: &mut [Lanes; NUM_SYMBOLS],
+    r: &[Lanes; 4],
+    [fm, fy]: [Lanes; 2],
+    [bm, by]: [Lanes; 2],
+    totals: &Lanes,
+) {
+    let mut pm = [0.0; LANES];
+    let mut pd = [0.0; LANES];
+    for ((((pm, pd), (fm, bm)), (fy, by)), total) in pm
+        .iter_mut()
+        .zip(&mut pd)
+        .zip(fm.iter().zip(bm))
+        .zip(fy.iter().zip(by))
+        .zip(totals)
+    {
+        *pm = fm * bm / total;
+        *pd = fy * by / total;
+    }
+    let (bases, deletion) = col.split_at_mut(4);
+    for (acc, rk) in bases.iter_mut().zip(r) {
+        for ((p, &pm), rk) in acc.iter_mut().zip(&pm).zip(rk) {
+            *p += if pm > 0.0 { pm * rk } else { 0.0 };
+        }
+    }
+    for (p, pd) in deletion[0].iter_mut().zip(pd) {
+        *p += pd;
     }
 }
 

@@ -20,7 +20,7 @@ use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use pairhmm::bound::{fill_suffix_bounds, LaneTotals, RowBound, StopRule};
 use pairhmm::kernel::{diagonal_bounds, forward_planes, row_range, Lanes, LANES};
-use pairhmm::marginal::PosteriorAlignment;
+use pairhmm::marginal::{ColumnPosterior, PosteriorAlignment};
 use pairhmm::params::PhmmParams;
 use pairhmm::pwm::{base_code, ProfileRow, Pwm};
 use pairhmm::PhmmScratch;
@@ -111,7 +111,7 @@ fn exact(totals: LaneTotals) -> Lanes {
 
 /// A read of `n` bases with Phred qualities 0–93: about one base in eight
 /// is `N`, plus one run of `N`s.
-fn read_strategy(n: usize) -> impl Strategy<Value = Pwm> {
+fn sequenced_read_strategy(n: usize) -> impl Strategy<Value = SequencedRead> {
     (
         proptest::collection::vec((0..40usize, 0..=93u8), n),
         0..n,
@@ -127,8 +127,13 @@ fn read_strategy(n: usize) -> impl Strategy<Value = Pwm> {
                 })
                 .collect();
             let quals = draws.iter().map(|&(_, q)| q).collect();
-            Pwm::from_read(&SequencedRead::new("r", seq, quals).unwrap())
+            SequencedRead::new("r", seq, quals).unwrap()
         })
+}
+
+/// [`sequenced_read_strategy`]'s read as a PWM.
+fn read_strategy(n: usize) -> impl Strategy<Value = Pwm> {
+    sequenced_read_strategy(n).prop_map(|read| Pwm::from_read(&read))
 }
 
 /// Valid parameters for the bound: random gap rates with `q` random, ¼ or
@@ -167,6 +172,131 @@ fn bound_case_strategy() -> impl Strategy<Value = BoundCase> {
             )
         },
     )
+}
+
+/// A chunk for the lane posterior: a read; per lane its strand (1 for
+/// reverse) and draws
+/// for a window; how many lanes are live (2..=[`LANES`], the rest repeat
+/// the last live lane); the parameters; and the band. Reads have 1..=70
+/// bases; windows are 0..=4 bases longer, or of any length 1..=80.
+type PosteriorLaneCase = (
+    SequencedRead,
+    Vec<(usize, Vec<usize>)>,
+    usize,
+    PhmmParams,
+    Option<usize>,
+);
+
+fn posterior_lane_case_strategy() -> impl Strategy<Value = PosteriorLaneCase> {
+    (1..=70usize, 0..=4usize, 1..=80usize, 0..2usize, 0..=9usize).prop_flat_map(
+        |(n, pad, any_m, padded, w)| {
+            let m = if padded == 1 { n + pad } else { any_m };
+            (
+                sequenced_read_strategy(n),
+                proptest::collection::vec(
+                    (0..2usize, proptest::collection::vec(0..100usize, m)),
+                    LANES,
+                ),
+                2..=LANES,
+                edge_params_strategy(),
+                Just((w <= 8).then_some(w)),
+            )
+        },
+    )
+}
+
+/// Random gap rates with `q` random, ¼ or 1, and with both transition sums
+/// left as they are or pushed to 1 − 10⁻⁹ or 1 + 10⁻⁹.
+fn edge_params_strategy() -> impl Strategy<Value = PhmmParams> {
+    (params_strategy(), 0..3usize, 0.0f64..=1.0, 0..3usize).prop_map(
+        |(mut params, q_kind, q, edge)| {
+            params.q = [q, 0.25, 1.0][q_kind];
+            if edge > 0 {
+                let delta = if edge == 1 { -1e-9 } else { 1e-9 };
+                params.t_mm = 1.0 - 2.0 * params.t_mg + delta;
+                params.t_gg = 1.0 - params.t_gm + delta;
+            }
+            params
+        },
+    )
+}
+
+/// A window of `draws.len()` columns that mostly copies `read`: column `j`
+/// is the read's base `j` for draws below 85 (while the read lasts), `N` for
+/// draws below 90, and otherwise a random base.
+fn window_from(read: &DnaSeq, draws: &[usize]) -> Vec<Option<Base>> {
+    draws
+        .iter()
+        .enumerate()
+        .map(|(j, &d)| {
+            if j < read.len() && d < 85 {
+                read.get(j)
+            } else if d < 90 {
+                None
+            } else {
+                Some(BASES[d % 4])
+            }
+        })
+        .collect()
+}
+
+/// Run [`PhmmScratch::posterior_columns_lanes`] on one chunk and compare
+/// every lane's total and columns, bit for bit, with
+/// [`PhmmScratch::posterior_columns_profiled`] on that lane alone.
+fn check_lanes_bitident(
+    pwms: [&Pwm; LANES],
+    windows: [&[Option<Base>]; LANES],
+    params: &PhmmParams,
+    band: Option<usize>,
+    scratch: &mut PhmmScratch,
+) -> Result<Lanes, TestCaseError> {
+    let profiles: Vec<Vec<ProfileRow>> = pwms
+        .iter()
+        .map(|pwm| {
+            let mut profile = Vec::new();
+            pwm.fill_profile(params, &mut profile);
+            profile
+        })
+        .collect();
+    let lane_profiles: [&[ProfileRow]; LANES] = std::array::from_fn(|l| &profiles[l][..]);
+    let codes: Vec<[u8; LANES]> = (0..windows[0].len())
+        .map(|j| std::array::from_fn(|l| base_code(windows[l][j])))
+        .collect();
+    let totals = scratch.posterior_columns_lanes(pwms, lane_profiles, &codes, params, band);
+    let lane_cols: Vec<Vec<ColumnPosterior>> = (0..LANES)
+        .map(|l| scratch.lane_columns(l).collect())
+        .collect();
+
+    let mut single = PhmmScratch::new();
+    for (l, (total, cols)) in totals.iter().zip(&lane_cols).enumerate() {
+        let lane_codes: Vec<u8> = windows[l].iter().map(|&y| base_code(y)).collect();
+        let reference =
+            single.posterior_columns_profiled(pwms[l], &profiles[l], &lane_codes, params, band);
+        prop_assert_eq!(
+            total.to_bits(),
+            reference.to_bits(),
+            "lane {}: total {:e} vs single-lane {:e}",
+            l,
+            total,
+            reference
+        );
+        prop_assert_eq!(cols.len(), single.columns().len());
+        for (j, (a, b)) in cols.iter().zip(single.columns()).enumerate() {
+            for k in 0..5 {
+                prop_assert_eq!(
+                    a.probs[k].to_bits(),
+                    b.probs[k].to_bits(),
+                    "lane {} column {} symbol {}: lanes {:e} vs single-lane {:e}",
+                    l,
+                    j,
+                    k,
+                    a.probs[k],
+                    b.probs[k]
+                );
+            }
+        }
+    }
+    Ok(totals)
 }
 
 /// Compare the fused pass against the materialized one, bit for bit.
@@ -372,6 +502,33 @@ proptest! {
     }
 
     #[test]
+    fn posterior_lanes_match_single_lane_bitwise(case in posterior_lane_case_strategy()) {
+        // Four survivors of one read in lockstep, mixing both strands, a
+        // short chunk padded with its last live lane, against the
+        // single-lane posterior of each lane alone. A first chunk over the
+        // full table leaves stale planes and rows behind.
+        let (read, lanes, live, params, band) = case;
+        let oriented = [read.clone(), read.reverse_complement()];
+        let pwms = oriented.each_ref().map(Pwm::from_read);
+        let lane = |l: usize| &lanes[l.min(live - 1)];
+        let windows: Vec<Vec<Option<Base>>> = (0..LANES)
+            .map(|l| {
+                let (reverse, draws) = lane(l);
+                window_from(&oriented[*reverse].seq, draws)
+            })
+            .collect();
+        let lane_pwms: [&Pwm; LANES] =
+            std::array::from_fn(|l| &pwms[lane(l).0]);
+        let lane_windows: [&[Option<Base>]; LANES] = std::array::from_fn(|l| &windows[l][..]);
+        let mut scratch = PhmmScratch::new();
+        check_lanes_bitident(lane_pwms, lane_windows, &params, None, &mut scratch)?;
+        let totals = check_lanes_bitident(lane_pwms, lane_windows, &params, band, &mut scratch)?;
+        for total in &totals[live..] {
+            prop_assert_eq!(total.to_bits(), totals[live - 1].to_bits());
+        }
+    }
+
+    #[test]
     fn profile_entries_equal_blended_emission(
         pwm in (1..=24usize).prop_flat_map(pwm_strategy),
         params in params_strategy(),
@@ -458,5 +615,62 @@ fn reused_scratch_is_bit_identical_across_random_case_stream() {
                 );
             }
         }
+    }
+}
+
+/// A 600 bp Phred-0 read underflows every lane's forward to 0, even
+/// against its own bases: the lane posterior returns zero totals and
+/// all-zero columns, as the single-lane pass does. At Phred 40 the read
+/// keeps a positive total against its own bases but underflows against
+/// random ones, and a chunk mixing the two zeroes only the lanes that
+/// underflowed.
+#[test]
+fn underflowed_lanes_have_zero_totals_and_columns() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(600);
+    let seq: DnaSeq = (0..600)
+        .map(|_| Some(BASES[rng.random_range(0..4usize)]))
+        .collect();
+    let read = SequencedRead::with_uniform_quality("phred0", seq.clone(), 0);
+    let pwm = Pwm::from_read(&read);
+    let own: Vec<Option<Base>> = seq.iter().collect();
+    let shifted: Vec<Option<Base>> = own[1..].iter().copied().chain([None]).collect();
+    let params = PhmmParams::default();
+    let mut scratch = PhmmScratch::new();
+    for band in [Some(4), None] {
+        let totals = check_lanes_bitident(
+            [&pwm; LANES],
+            [&own[..], &shifted[..], &own[..], &own[..]],
+            &params,
+            band,
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(totals, [0.0; LANES], "band {band:?}");
+        for l in 0..LANES {
+            assert!(scratch
+                .lane_columns(l)
+                .all(|c| c.probs.iter().all(|p| p.to_bits() == 0)));
+        }
+    }
+
+    let pwm = Pwm::from_read(&SequencedRead::with_uniform_quality("phred40", seq, 40));
+    let random: Vec<Option<Base>> = (0..600)
+        .map(|_| Some(BASES[rng.random_range(0..4usize)]))
+        .collect();
+    for band in [Some(4), None] {
+        let totals = check_lanes_bitident(
+            [&pwm; LANES],
+            [&own[..], &random[..], &shifted[..], &random[..]],
+            &params,
+            band,
+            &mut scratch,
+        )
+        .unwrap();
+        assert!(
+            totals[0] > 0.0 && totals[2] > 0.0,
+            "band {band:?}: {totals:?}"
+        );
+        assert_eq!([totals[1], totals[3]], [0.0; 2], "band {band:?}");
     }
 }

@@ -3,6 +3,7 @@
 //! A counting `#[global_allocator]` wraps the system allocator; after one
 //! warmup alignment per configuration, repeated `forward_totals` (with
 //! and without an early stop that fires) / `posterior_columns_profiled` /
+//! `posterior_columns_lanes` (reading every lane's columns back) /
 //! `posterior_columns` calls on a reused [`pairhmm::PhmmScratch`] (and
 //! refilling a reused emission profile) must perform **zero** heap
 //! allocations — the core promise of the scratch-arena design. This lives in its own integration-test binary so
@@ -91,6 +92,28 @@ fn lane_chunks(
         .sum()
 }
 
+/// One lane posterior chunk at band 4 and one over the full table, each
+/// lane's columns read back. Returns a value to keep observable.
+fn lane_posteriors(
+    scratch: &mut pairhmm::PhmmScratch,
+    pwm: &pairhmm::Pwm,
+    profile: &[pairhmm::pwm::ProfileRow],
+    codes: &[[u8; pairhmm::kernel::LANES]],
+    params: &pairhmm::params::PhmmParams,
+) -> f64 {
+    use pairhmm::kernel::LANES;
+    let mut sum = 0.0;
+    for band in [Some(4), None] {
+        let totals =
+            scratch.posterior_columns_lanes([pwm; LANES], [profile; LANES], codes, params, band);
+        sum += totals.iter().sum::<f64>();
+        for lane in 0..LANES {
+            sum += scratch.lane_columns(lane).map(|c| c.probs[0]).sum::<f64>();
+        }
+    }
+    sum
+}
+
 #[test]
 fn fused_kernel_is_allocation_free_in_steady_state() {
     use genome::alphabet::BASES;
@@ -136,6 +159,7 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
     fill_suffix_bounds(&profile, params.q, &mut suffix);
     sink += lane_chunks(&mut scratch, &profile, &suffix, &lane_codes, &params);
     sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
+    sink += lane_posteriors(&mut scratch, &pwm, &profile, &lane_codes, &params);
     sink += scratch.posterior_columns(&pwm, &window, &params, None);
     sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
 
@@ -145,6 +169,7 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         fill_suffix_bounds(&profile, params.q, &mut suffix);
         sink += lane_chunks(&mut scratch, &profile, &suffix, &lane_codes, &params);
         sink += scratch.posterior_columns_profiled(&pwm, &profile, &codes, &params, Some(4));
+        sink += lane_posteriors(&mut scratch, &pwm, &profile, &lane_codes, &params);
         sink += scratch.posterior_columns(&pwm, &window, &params, None);
         sink += scratch.posterior_columns(&pwm, &window, &params, Some(4));
         sink += scratch.columns()[0].probs[0];
@@ -156,7 +181,8 @@ fn fused_kernel_is_allocation_free_in_steady_state() {
         after - before,
         0,
         "steady-state scratch alignments must not allocate \
-         ({} allocations over 300 alignments and 300 lane chunks)",
+         ({} allocations over 300 alignments, 300 lane chunks and 200 lane \
+         posteriors)",
         after - before
     );
 }

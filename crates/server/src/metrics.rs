@@ -6,6 +6,7 @@
 //! aggregate CPU spend and the critical-path (busiest-worker) time that
 //! the repo's simulated-parallel throughput convention divides by.
 
+use gnumap_core::pipeline::BatchCounts;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -32,6 +33,18 @@ pub struct StatsSnapshot {
     pub candidates_evaluated: u64,
     /// Posterior columns deposited into session accumulators.
     pub deposit_columns: u64,
+    /// Of `candidates_evaluated`, those whose forward stopped early because
+    /// their likelihood bound proved them negligible.
+    pub abandoned: u64,
+    /// Reads that rescored their abandoned candidates in full because the
+    /// grand total could not be certified.
+    pub fallbacks: u64,
+    /// Unmapped reads whose every scored candidate's forward total
+    /// underflowed to 0.
+    pub underflowed: u64,
+    /// Posterior passes run: candidates that survived the `min_weight` cut
+    /// and got their columns. Above `reads_mapped` when reads multi-map.
+    pub survivors: u64,
     /// Micro-batches handed to the worker pool.
     pub batches_dispatched: u64,
     /// Batches that mixed reads from more than one session.
@@ -59,6 +72,30 @@ pub struct StatsSnapshot {
     pub max_worker_cpu_secs: f64,
 }
 
+/// The per-read counters of one worker, in the order of
+/// [`ReadCounters::fields`]: written by that worker alone, and on cache
+/// lines of their own, so workers never contend for them.
+#[derive(Default)]
+#[repr(align(128))]
+struct ReadCounters([AtomicU64; 8]);
+
+impl ReadCounters {
+    /// `counts` in counter order: reads, mapped, candidates, columns,
+    /// abandoned, fallbacks, underflowed, survivors.
+    fn fields(counts: &BatchCounts) -> [u64; 8] {
+        [
+            counts.reads,
+            counts.mapped,
+            counts.candidates,
+            counts.columns,
+            counts.abandoned,
+            counts.fallbacks,
+            counts.underflowed,
+            counts.survivors,
+        ]
+    }
+}
+
 struct Reservoir {
     samples: Vec<u64>,
     seen: u64,
@@ -69,10 +106,8 @@ pub struct Metrics {
     pub(crate) sessions_opened: AtomicU64,
     pub(crate) sessions_aborted: AtomicU64,
     pub(crate) reads_accepted: AtomicU64,
-    pub(crate) reads_processed: AtomicU64,
-    pub(crate) reads_mapped: AtomicU64,
-    pub(crate) candidates_evaluated: AtomicU64,
-    pub(crate) deposit_columns: AtomicU64,
+    /// One block of per-read counters per worker.
+    read_counters: Vec<ReadCounters>,
     pub(crate) batches_dispatched: AtomicU64,
     pub(crate) batch_reads: AtomicU64,
     pub(crate) batch_sessions: AtomicU64,
@@ -91,10 +126,7 @@ impl Metrics {
             sessions_opened: AtomicU64::new(0),
             sessions_aborted: AtomicU64::new(0),
             reads_accepted: AtomicU64::new(0),
-            reads_processed: AtomicU64::new(0),
-            reads_mapped: AtomicU64::new(0),
-            candidates_evaluated: AtomicU64::new(0),
-            deposit_columns: AtomicU64::new(0),
+            read_counters: (0..workers).map(|_| ReadCounters::default()).collect(),
             batches_dispatched: AtomicU64::new(0),
             batch_reads: AtomicU64::new(0),
             batch_sessions: AtomicU64::new(0),
@@ -107,6 +139,16 @@ impl Metrics {
                 samples: Vec::with_capacity(RESERVOIR_CAP),
                 seen: 0,
             }),
+        }
+    }
+
+    /// Worker `worker` adds one processed read's counts (a
+    /// [`BatchCounts`] of that read alone) to its per-read counters.
+    pub fn record_read(&self, worker: usize, counts: &BatchCounts) {
+        let fields = ReadCounters::fields(counts);
+        for (counter, n) in self.read_counters[worker].0.iter().zip(fields) {
+            // The worker is the only writer of its block.
+            counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         }
     }
 
@@ -157,15 +199,27 @@ impl Metrics {
             .iter()
             .map(|n| n.load(Ordering::Relaxed) as f64 / 1e9)
             .collect();
+        let mut sums = [0u64; 8];
+        for block in &self.read_counters {
+            for (sum, counter) in sums.iter_mut().zip(&block.0) {
+                *sum += counter.load(Ordering::Relaxed);
+            }
+        }
+        let [reads_processed, reads_mapped, candidates_evaluated, deposit_columns, abandoned, fallbacks, underflowed, survivors] =
+            sums;
         StatsSnapshot {
             sessions_open: sessions_open as u64,
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             sessions_aborted: self.sessions_aborted.load(Ordering::Relaxed),
             reads_accepted: self.reads_accepted.load(Ordering::Relaxed),
-            reads_processed: self.reads_processed.load(Ordering::Relaxed),
-            reads_mapped: self.reads_mapped.load(Ordering::Relaxed),
-            candidates_evaluated: self.candidates_evaluated.load(Ordering::Relaxed),
-            deposit_columns: self.deposit_columns.load(Ordering::Relaxed),
+            reads_processed,
+            reads_mapped,
+            candidates_evaluated,
+            deposit_columns,
+            abandoned,
+            fallbacks,
+            underflowed,
+            survivors,
             batches_dispatched: batches,
             cross_session_batches: self.cross_session_batches.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),

@@ -490,6 +490,10 @@ fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
     put_u64(buf, s.p99_service_micros);
     put_f64(buf, s.worker_cpu_secs);
     put_f64(buf, s.max_worker_cpu_secs);
+    put_u64(buf, s.abandoned);
+    put_u64(buf, s.fallbacks);
+    put_u64(buf, s.underflowed);
+    put_u64(buf, s.survivors);
 }
 
 fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
@@ -514,6 +518,10 @@ fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
         p99_service_micros: p.u64("p99_service_micros")?,
         worker_cpu_secs: p.f64("worker_cpu_secs")?,
         max_worker_cpu_secs: p.f64("max_worker_cpu_secs")?,
+        abandoned: p.u64("abandoned")?,
+        fallbacks: p.u64("fallbacks")?,
+        underflowed: p.u64("underflowed")?,
+        survivors: p.u64("survivors")?,
     })
 }
 
@@ -882,6 +890,10 @@ mod tests {
             sessions_open: 1,
             reads_accepted: 500,
             mean_batch_occupancy: 0.75,
+            abandoned: 1_900,
+            fallbacks: 2,
+            underflowed: 3,
+            survivors: 640,
             ..StatsSnapshot::default()
         }));
         round_trip_response(Response::ShuttingDown);

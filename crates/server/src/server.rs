@@ -634,8 +634,8 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
         if let Some(delay) = shared.cfg.worker_delay {
             thread::sleep(delay);
         }
-        let mut counts = BatchCounts::default();
         for item in batch.items {
+            let mut counts = BatchCounts::default();
             let mapped =
                 counts.map_read(&engine, &item.read, &mut scratch, |start, weight, cols| {
                     item.session.deposit(start, weight, cols)
@@ -643,26 +643,12 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
             // Count the read before completing it: completing the last
             // read wakes `finalize`, and a `Stats` request right after it
             // must already see this read.
-            shared
-                .metrics
-                .reads_processed
-                .fetch_add(1, Ordering::Relaxed);
-            if mapped {
-                shared.metrics.reads_mapped.fetch_add(1, Ordering::Relaxed);
-            }
+            shared.metrics.record_read(worker_id, &counts);
             shared
                 .metrics
                 .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);
             item.session.complete_read(mapped);
         }
-        shared
-            .metrics
-            .candidates_evaluated
-            .fetch_add(counts.candidates, Ordering::Relaxed);
-        shared
-            .metrics
-            .deposit_columns
-            .fetch_add(counts.columns, Ordering::Relaxed);
         shared
             .metrics
             .publish_worker_cpu(worker_id, timer.elapsed());

@@ -7,6 +7,7 @@ use genome::seq::DnaSeq;
 use gnumap_core::accum::FixedAccumulator;
 use gnumap_core::config::GnumapConfig;
 use gnumap_core::driver::encode_calls;
+use gnumap_core::mapping::{AlignScratch, MappingEngine};
 use gnumap_core::observe::Observer;
 use gnumap_core::pipeline::run_serial;
 use gnumap_core::report::RunReport;
@@ -174,6 +175,97 @@ fn concurrent_sessions_match_serial_driver() {
     handle.shutdown();
     let last = handle.join();
     assert_eq!(last.reads_processed, reads.len() as u64);
+}
+
+/// On a repeat-dense reference reads multi-map: the `Stats` frame counts
+/// more survivors than mapped reads, and its per-read outcome counters
+/// equal the engine's own over the same reads.
+#[test]
+fn repeat_dense_session_reports_outcome_counters() {
+    let mut rng = ChaCha8Rng::seed_from_u64(1313);
+    let reference = generate_genome(
+        &GenomeConfig {
+            length: 8_000,
+            repeat_families: 4,
+            repeat_length: 300,
+            repeat_copies: 6,
+            repeat_divergence: 0.0,
+            ..GenomeConfig::default()
+        },
+        &mut rng,
+    );
+    let sim = ReadSimConfig {
+        coverage: 3.0,
+        ..ReadSimConfig::default()
+    };
+    let reads: Vec<SequencedRead> = simulate_reads(
+        &ReadSource::Monoploid(&reference),
+        sim.read_count(reference.len()),
+        &sim,
+        &mut rng,
+    )
+    .into_iter()
+    .map(|r| r.read)
+    .collect();
+    let config = GnumapConfig::default();
+
+    let engine = MappingEngine::new(&reference, config.mapping);
+    let mut scratch = AlignScratch::new();
+    let mut expect = [0u64; 5];
+    for read in &reads {
+        engine.map_read_with(read, &mut scratch);
+        let counts = [
+            scratch.abandoned(),
+            scratch.fallbacks(),
+            scratch.underflowed(),
+            scratch.len(),
+            usize::from(!scratch.is_empty()),
+        ];
+        for (sum, n) in expect.iter_mut().zip(counts) {
+            *sum += n as u64;
+        }
+    }
+
+    let handle = start(
+        reference.clone(),
+        config,
+        ServerConfig {
+            workers: 2,
+            batch_size: 16,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let session = client
+        .open_session(SessionConfig::default())
+        .expect("open session");
+    for chunk in reads.chunks(16) {
+        client.submit_reads(session, chunk).expect("submit");
+    }
+    client.finalize(session, 60_000).expect("finalize");
+    let stats = client.stats().expect("stats");
+    handle.shutdown();
+    handle.join();
+
+    assert_eq!(
+        [
+            stats.abandoned,
+            stats.fallbacks,
+            stats.underflowed,
+            stats.survivors,
+            stats.reads_mapped,
+        ],
+        expect,
+        "Stats outcome counters [abandoned, fallbacks, underflowed, survivors, mapped]"
+    );
+    assert!(
+        stats.survivors > stats.reads_mapped,
+        "repeat-dense reads must multi-map: {} survivors, {} mapped",
+        stats.survivors,
+        stats.reads_mapped
+    );
 }
 
 /// One connection may interleave several sessions; each keeps isolated

@@ -94,6 +94,41 @@ abandoned="$(sed -n 's/.*"event":"batch".*"abandoned":\([0-9]*\).*/\1/p' \
     echo "the serial driver abandoned no candidates on the 300 kbp smoke"; exit 1;
 }
 
+echo "==> lane posterior smoke: multi-mapping reads run four-lane posterior chunks"
+# Seven more copies of the first 1.2 kbp of a simulated genome make the
+# reads drawn from it multi-map, so their survivors run in four-lane
+# posterior chunks; a change that stops doing so leaves the summed
+# `posterior_lanes` of the batch events at 0. With the order-independent
+# fixed-point accumulator the serial and stream drivers must write
+# identical calls.
+lanes_dir="target/lanes-smoke"
+rm -rf "$lanes_dir"
+mkdir -p "$lanes_dir"
+target/release/gnumap simulate --out-dir "$lanes_dir" \
+    --genome-len 6000 --snps 4 --coverage 6 --seed 1313 >/dev/null
+genome="$(tail -n +2 "$lanes_dir/reference.fa" | tr -d '\n')"
+unit="${genome:0:1200}"
+{
+    echo ">repeats"
+    printf '%s' "$genome" "$unit" "$unit" "$unit" "$unit" "$unit" "$unit" "$unit" | fold -w 60
+    echo
+} > "$lanes_dir/repeats.fa"
+for driver in serial stream; do
+    target/release/gnumap call --reference "$lanes_dir/repeats.fa" \
+        --reads "$lanes_dir/reads.fq" --out "$lanes_dir/$driver.vcf" \
+        --accumulator fixed --driver "$driver" \
+        --trace-json "$lanes_dir/$driver.trace.jsonl" >/dev/null
+    target/release/gnumap trace-check --trace "$lanes_dir/$driver.trace.jsonl" >/dev/null
+    lanes="$(sed -n 's/.*"event":"batch".*"posterior_lanes":\([0-9]*\).*/\1/p' \
+        "$lanes_dir/$driver.trace.jsonl" | awk '{ s += $1 } END { print s + 0 }')"
+    [[ "$lanes" -gt 0 ]] || {
+        echo "the $driver driver ran no four-lane posterior chunks on the repeat smoke"; exit 1;
+    }
+done
+cmp -s "$lanes_dir/serial.vcf" "$lanes_dir/stream.vcf" || {
+    echo "serial and stream calls differ on the repeat smoke"; exit 1;
+}
+
 echo "==> serve smoke: loopback server round trip + clean drain"
 smoke_dir="target/serve-smoke"
 rm -rf "$smoke_dir"

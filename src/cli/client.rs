@@ -37,7 +37,8 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             out,
             "sessions {}/{} open/total ({} aborted)\n\
              reads    {} accepted, {} processed, {} mapped\n\
-             pairhmm  {} candidate(s) evaluated, {} deposit column(s)\n\
+             pairhmm  {} candidate(s) evaluated ({} abandoned), {} survivor(s), {} deposit column(s)\n\
+             outcomes {} fallback read(s), {} underflowed read(s)\n\
              batches  {} ({:.2} reads/batch, {:.2} sessions/batch, {} cross-session)\n\
              ingress  {} now, {} peak; {} busy, {} timeout(s)\n\
              latency  p50 {} µs, p99 {} µs\n\
@@ -49,7 +50,11 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             s.reads_processed,
             s.reads_mapped,
             s.candidates_evaluated,
+            s.abandoned,
+            s.survivors,
             s.deposit_columns,
+            s.fallbacks,
+            s.underflowed,
             s.batches_dispatched,
             s.mean_batch_occupancy,
             s.mean_sessions_per_batch,

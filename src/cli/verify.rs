@@ -23,8 +23,10 @@ pub(super) fn cmd_verify(args: &Args, out: &mut dyn Write) -> Result<(), String>
 
 /// Parse a JSON-lines trace written via `--trace-json`, validate every
 /// line, and summarise event kinds. Errors on an empty trace, one without
-/// the run_start/run_end bracket, and a batch that abandoned more
-/// candidates than it scored or fell back on more reads than it had.
+/// the run_start/run_end bracket, a batch that abandoned more candidates
+/// than it scored or fell back on more reads than it had, and a batch
+/// whose posterior lanes are not whole four-lane chunks of at least two
+/// survivors each.
 pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let trace_path = args.require("trace")?;
     args.reject_unknown()?;
@@ -46,6 +48,8 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
             abandoned,
             fallbacks,
             underflowed,
+            survivors,
+            posterior_lanes,
             ..
         } = event
         {
@@ -62,6 +66,15 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
                      only {} of its {reads} reads are unmapped",
                     lineno + 1,
                     reads.saturating_sub(mapped)
+                ));
+            }
+            // A four-lane chunk holds 2 to 4 survivors.
+            if posterior_lanes % 4 != 0 || posterior_lanes > survivors.saturating_mul(2) {
+                return Err(format!(
+                    "{trace_path}:{}: batch ran {survivors} survivors in {posterior_lanes} \
+                     posterior lanes, not whole chunks of four lanes for two to four \
+                     survivors each",
+                    lineno + 1
                 ));
             }
         }
@@ -156,6 +169,39 @@ mod tests {
         assert!(check("ok.jsonl", 1).is_ok());
         let err = check("underflowed.jsonl", 2).unwrap_err();
         assert!(err.contains("underflowed.jsonl:2"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_check_rejects_impossible_posterior_lanes() {
+        let dir = std::env::temp_dir().join(format!("gnumap-lanes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run_start = r#"{"event":"run_start","driver":"serial","accumulator":"NORM"}"#;
+        let run_end =
+            r#"{"event":"run_end","reads_processed":4,"reads_mapped":4,"calls":0,"wall_secs":0.1}"#;
+        let check = |name: &str, survivors: u64, lanes: u64| {
+            let batch = format!(
+                r#"{{"event":"batch","worker":0,"reads":4,"mapped":4,"candidates":9,"deposited_columns":434,"survivors":{survivors},"posterior_lanes":{lanes}}}"#
+            );
+            let path = dir.join(name);
+            std::fs::write(
+                &path,
+                format!(
+                    "{run_start}
+{batch}
+{run_end}
+"
+                ),
+            )
+            .unwrap();
+            run_to_string(&["trace-check", "--trace", path.to_str().unwrap()])
+        };
+        // Two reads with two survivors each, three lone survivors.
+        assert!(check("ok.jsonl", 7, 8).is_ok());
+        assert!(check("lone.jsonl", 4, 0).is_ok());
+        let err = check("partial.jsonl", 7, 6).unwrap_err();
+        assert!(err.contains("partial.jsonl:2"), "{err}");
+        assert!(check("padded.jsonl", 3, 8).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
