@@ -5,9 +5,26 @@
 //! line-based and validates characters, reporting 1-based line numbers on
 //! error.
 
+use crate::alphabet::{Base, BASES};
 use crate::error::GenomeError;
 use crate::seq::DnaSeq;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
+
+/// Every byte's decoding as a sequence character: `None` for a character
+/// FASTA rejects, `Some(None)` for `N`, as [`Base::try_from_ascii`] decides.
+const DECODE: [Option<Option<Base>>; 256] = {
+    let mut table = [None; 256];
+    let mut i = 0;
+    while i < 4 {
+        let base = BASES[i];
+        table[b"ACGT"[i] as usize] = Some(Some(base));
+        table[b"acgt"[i] as usize] = Some(Some(base));
+        i += 1;
+    }
+    table[b'N' as usize] = Some(None);
+    table[b'n' as usize] = Some(None);
+    table
+};
 
 /// One FASTA record.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,18 +36,44 @@ pub struct FastaRecord {
 }
 
 /// Parse every record from a FASTA stream.
-pub fn read_fasta<R: BufRead>(reader: R) -> Result<Vec<FastaRecord>, GenomeError> {
+pub fn read_fasta<R: BufRead>(mut reader: R) -> Result<Vec<FastaRecord>, GenomeError> {
     let mut records = Vec::new();
     let mut current: Option<(String, DnaSeq)> = None;
+    let mut line = Vec::new();
+    let mut lineno = 0;
 
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim_end();
-        let lineno = lineno + 1;
-        if line.is_empty() {
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
+        // The common line, sequence data inside a record, is decoded from
+        // its bytes and appended in one go (a header's `>` does not
+        // decode). The ASCII whitespace trimmed here (the line break,
+        // CRLF's `\r`) is all `str::trim_end` would trim before a base.
+        let data = line.trim_ascii_end();
+        if data.is_empty() {
             continue;
         }
-        if let Some(header) = line.strip_prefix('>') {
+        if let Some((_, seq)) = current.as_mut() {
+            if data.iter().all(|&c| DECODE[c as usize].is_some()) {
+                seq.extend(data.iter().map(|&c| DECODE[c as usize].flatten()));
+                continue;
+            }
+        }
+        // Headers, errors and non-ASCII text go through the line as text.
+        let text = std::str::from_utf8(&line).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        let text = text.trim_end();
+        if text.is_empty() {
+            continue;
+        }
+        if let Some(header) = text.strip_prefix('>') {
             if let Some((id, seq)) = current.take() {
                 records.push(FastaRecord { id, seq });
             }
@@ -40,13 +83,13 @@ pub fn read_fasta<R: BufRead>(reader: R) -> Result<Vec<FastaRecord>, GenomeError
                 line: lineno,
                 reason: "sequence data before any '>' header".into(),
             })?;
-            for &c in line.as_bytes() {
-                match crate::alphabet::Base::try_from_ascii(c) {
-                    Ok(b) => seq.push(b),
-                    Err(found) => {
+            for &c in text.as_bytes() {
+                match DECODE[c as usize] {
+                    Some(base) => seq.push(base),
+                    None => {
                         return Err(GenomeError::InvalidCharacter {
                             line: lineno,
-                            found: found as char,
+                            found: c as char,
                         })
                     }
                 }
@@ -132,6 +175,51 @@ mod tests {
     fn blank_lines_are_skipped() {
         let recs = read_fasta(Cursor::new(">x\n\nAC\n\nGT\n")).unwrap();
         assert_eq!(recs[0].seq.to_string(), "ACGT");
+    }
+
+    #[test]
+    fn decode_table_matches_try_from_ascii() {
+        for c in 0..=255u8 {
+            assert_eq!(DECODE[c as usize], Base::try_from_ascii(c).ok(), "byte {c}");
+        }
+    }
+
+    #[test]
+    fn crlf_and_trailing_whitespace_are_trimmed() {
+        let recs = read_fasta(Cursor::new(">x y \r\nAC\r\nnT \t\r\n\r\n")).unwrap();
+        assert_eq!(recs[0].id, "x y");
+        assert_eq!(recs[0].seq.to_string(), "ACNT");
+        // Unicode whitespace is trimmed too, as `str::trim_end` does.
+        let recs = read_fasta(Cursor::new(">x\nAC\u{a0}\n\u{3000}\nGT")).unwrap();
+        assert_eq!(recs[0].seq.to_string(), "ACGT");
+    }
+
+    #[test]
+    fn errors_keep_their_line_numbers() {
+        let err = read_fasta(Cursor::new("\r\n\nAC\n")).unwrap_err();
+        assert!(matches!(err, GenomeError::Malformed { line: 3, .. }));
+        let err = read_fasta(Cursor::new(">x\r\nAC\r\nA C\r\n")).unwrap_err();
+        assert!(matches!(
+            err,
+            GenomeError::InvalidCharacter {
+                line: 3,
+                found: ' '
+            }
+        ));
+        // A non-ASCII character is reported by its first byte.
+        let err = read_fasta(Cursor::new(">x\nAé\n")).unwrap_err();
+        assert!(matches!(
+            err,
+            GenomeError::InvalidCharacter {
+                line: 2,
+                found: '\u{c3}'
+            }
+        ));
+        let err = read_fasta(Cursor::new(&b">x\nA\xffC\n"[..])).unwrap_err();
+        assert!(
+            matches!(&err, GenomeError::Io(e) if e.kind() == io::ErrorKind::InvalidData),
+            "{err}"
+        );
     }
 
     #[test]

@@ -14,16 +14,22 @@
 //!
 //! The index is flat (compressed sparse rows), not hashed: one `positions`
 //! array holds every retained hit, grouped by k-mer and ascending within a
-//! k-mer; `keys` and `starts` hold the distinct retained k-mers and their
-//! offsets into `positions`; and a directory addressed by a k-mer's leading
-//! `p` bases holds each prefix bucket's range of `keys`. The directory has
-//! `4^p + 1` entries with `p = min(k, ⌈log₄ n⌉)` for `n` sampled positions,
-//! so it grows with the genome rather than with `4^k`: on 1 Mbp at k = 10,
-//! `p = k` and a bucket holds at most one key; when `k > p`, a lookup
-//! binary-searches the few keys of its bucket. Building is a counting sort
-//! over the prefixes, with no hashing and no per-k-mer allocation; when
-//! `p = k` the positions are scattered straight into place, so the build
-//! allocates nothing beyond the index itself.
+//! k-mer, behind a directory addressed by a k-mer's leading `p` bases. The
+//! directory has `4^p + 1` entries with `p = min(k, ⌈log₄ n⌉)` for `n`
+//! sampled positions, so it grows with the genome rather than with `4^k`.
+//!
+//! * **`p = k`** (1 Mbp at k = 10): a bucket is one k-mer, so the directory
+//!   points straight into `positions` and a lookup is one range check, two
+//!   adjacent directory reads and the slice. Absent and masked k-mers get
+//!   empty ranges. This costs 4 B per indexed position plus `4·(4^k + 1)` B.
+//! * **`k > p`**: a bucket holds several k-mers. The directory brackets the
+//!   bucket's run of `keys` (the distinct retained k-mers, ascending); a
+//!   lookup binary-searches it, and `starts` maps the found key to its
+//!   range of `positions`.
+//!
+//! Building is a counting sort over the prefixes, with no hashing and no
+//! per-k-mer allocation; when `p = k` the positions are scattered straight
+//! into place, so the build allocates nothing beyond the index itself.
 //!
 //! The index is position-addressed (not canonicalised): strand handling is
 //! done by the caller, which queries with both the read and its reverse
@@ -84,15 +90,19 @@ pub struct KmerIndex {
     /// Bits to shift a packed k-mer right to get its directory bucket
     /// (`2 * (k - p)`).
     shift: u32,
-    /// `dir[b]..dir[b + 1]` is the range of `keys` whose leading `p` bases
-    /// are bucket `b`.
+    /// Bucket `b`'s range: `dir[b]..dir[b + 1]`. At `p = k` it is the
+    /// k-mer's range of `positions`; when `k > p` it is the bucket's range
+    /// of `keys`.
     dir: Vec<u32>,
-    /// Distinct retained k-mers, ascending.
+    /// Distinct retained k-mers, ascending (empty at `p = k`).
     keys: Vec<u64>,
-    /// `starts[i]..starts[i + 1]` is the range of `positions` of `keys[i]`.
+    /// `starts[i]..starts[i + 1]` is the range of `positions` of `keys[i]`
+    /// (empty at `p = k`).
     starts: Vec<u32>,
     /// Every retained hit, grouped by k-mer, ascending within a k-mer.
     positions: Vec<u32>,
+    /// Number of distinct k-mers retained.
+    distinct_kmers: usize,
     /// Number of distinct k-mers dropped by the occurrence cutoff.
     masked_kmers: usize,
 }
@@ -102,11 +112,12 @@ impl KmerIndex {
     pub fn build(genome: &DnaSeq, config: IndexConfig) -> Result<KmerIndex, GenomeError> {
         config.validate(genome.len())?;
         let k = config.k;
-        let sampled = |&(pos, _): &(usize, _)| pos % config.stride == 0;
+        let stride = config.stride;
+        let sampled = |&(pos, _): &(usize, _)| stride == 1 || pos % stride == 0;
         // Sampled window starts, counting windows with an N: an upper bound
         // on the positions indexed, which sizes the directory.
         let n = match genome.len().checked_sub(k) {
-            Some(last) => last / config.stride + 1,
+            Some(last) => last / stride + 1,
             None => 0,
         };
         let mut p = 0;
@@ -117,57 +128,63 @@ impl KmerIndex {
         let buckets = 1usize << (2 * p);
         let bucket = |kmer: u64| kmer.checked_shr(shift).unwrap_or(0) as usize;
 
-        // Counting sort by prefix: count, prefix-sum, scatter. After the
-        // scatter `dir[b]` is the end of bucket b's hits.
+        // Counting sort by prefix: count, prefix-sum, scatter. The sum
+        // leaves `dir[b + 1]` at bucket b's first slot and the scatter
+        // advances it to the bucket's end, so afterwards `dir[b]..dir[b + 1]`
+        // is bucket b's range.
         let mut dir = vec![0u32; buckets + 1];
         for (_, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
             dir[bucket(kmer.packed()) + 1] += 1;
         }
         let mut total = 0;
-        for slot in &mut dir {
-            total += *slot;
+        for slot in &mut dir[1..] {
+            let count = *slot;
             *slot = total;
+            total += count;
         }
         let total = total as usize;
-        let retained = |n: usize| n > 0 && n <= config.max_occurrences;
+        let max_occurrences = config.max_occurrences;
 
         let mut keys = Vec::new();
-        let mut starts = vec![0u32];
-        let mut masked_kmers = 0;
+        let mut starts = Vec::new();
+        let (mut distinct_kmers, mut masked_kmers) = (0, 0);
         let mut positions = if shift == 0 {
             // p = k, so a bucket is one k-mer: scatter the positions straight
-            // into place (ascending within a bucket), then compact them in
-            // place, applying the occurrence cutoff. The counts size `keys`
-            // and `starts` exactly, so the build holds nothing beyond the
-            // index but the masked k-mers' positions: a multi-MiB transient
-            // would leave a hole in the allocator's heap and make the peak
-            // resident set depend on where later allocations land.
-            let n_keys = (dir.windows(2))
-                .filter(|w| retained((w[1] - w[0]) as usize))
-                .count();
-            keys.reserve_exact(n_keys);
-            starts.reserve_exact(n_keys);
+            // into place (ascending within a bucket), and `dir` is already
+            // every k-mer's range. The occurrence cutoff then drops the
+            // masked k-mers' positions in place, moving each run of retained
+            // k-mers between two masked ones in one piece. The build holds
+            // nothing beyond the index but the masked k-mers' positions: a
+            // multi-MiB transient would leave a hole in the allocator's heap
+            // and make the peak resident set depend on where later
+            // allocations land.
             let mut positions = vec![0u32; total];
             for (pos, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
-                let slot = &mut dir[bucket(kmer.packed())];
+                let slot = &mut dir[kmer.packed() as usize + 1];
                 positions[*slot as usize] = pos as u32;
                 *slot += 1;
             }
-            let (mut lo, mut kept) = (0, 0);
-            for (kmer, slot) in dir[..buckets].iter_mut().enumerate() {
+            // `run` is where the current run of retained positions starts;
+            // `dropped` counts the positions masked before it.
+            let (mut lo, mut run, mut dropped) = (0, 0, 0);
+            for slot in &mut dir[1..] {
                 let hi = *slot as usize;
-                *slot = keys.len() as u32;
-                if retained(hi - lo) {
-                    positions.copy_within(lo..hi, kept);
-                    kept += hi - lo;
-                    keys.push(kmer as u64);
-                    starts.push(kept as u32);
-                } else if hi > lo {
+                let n = hi - lo;
+                if n > max_occurrences {
+                    positions.copy_within(run..lo, run - dropped);
                     masked_kmers += 1;
+                    dropped += n;
+                    run = hi;
+                } else {
+                    distinct_kmers += usize::from(n > 0);
                 }
+                *slot = (hi - dropped) as u32;
                 lo = hi;
             }
-            positions.truncate(kept);
+            if dropped > 0 {
+                positions.copy_within(run..total, run - dropped);
+                positions.truncate(total - dropped);
+            }
             positions
         } else {
             // k > p: scatter (k-mer, position) entries, sort each bucket by
@@ -176,19 +193,19 @@ impl KmerIndex {
             // occurrence cutoff.
             let mut entries = vec![(0u64, 0u32); total];
             for (pos, kmer) in KmerIter::new(genome, k)?.filter(sampled) {
-                let slot = &mut dir[bucket(kmer.packed())];
+                let slot = &mut dir[bucket(kmer.packed()) + 1];
                 entries[*slot as usize] = (kmer.packed(), pos as u32);
                 *slot += 1;
             }
             let mut positions = Vec::with_capacity(total);
+            starts.push(0);
             let mut lo = 0;
-            for slot in &mut dir[..buckets] {
+            for slot in &mut dir[1..] {
                 let hi = *slot as usize;
-                *slot = keys.len() as u32;
                 let bucket_entries = &mut entries[lo..hi];
                 bucket_entries.sort_unstable();
                 for run in bucket_entries.chunk_by(|a, b| a.0 == b.0) {
-                    if !retained(run.len()) {
+                    if run.len() > max_occurrences {
                         masked_kmers += 1;
                         continue;
                     }
@@ -196,13 +213,14 @@ impl KmerIndex {
                     positions.extend(run.iter().map(|&(_, pos)| pos));
                     starts.push(positions.len() as u32);
                 }
+                *slot = keys.len() as u32;
                 lo = hi;
             }
+            distinct_kmers = keys.len();
+            keys.shrink_to_fit();
+            starts.shrink_to_fit();
             positions
         };
-        dir[buckets] = keys.len() as u32;
-        keys.shrink_to_fit();
-        starts.shrink_to_fit();
         positions.shrink_to_fit();
         Ok(KmerIndex {
             config,
@@ -212,6 +230,7 @@ impl KmerIndex {
             keys,
             starts,
             positions,
+            distinct_kmers,
             masked_kmers,
         })
     }
@@ -228,23 +247,29 @@ impl KmerIndex {
 
     /// Genome start positions of a packed k-mer (empty for unknown or
     /// masked k-mers). Positions are in increasing order.
+    #[inline]
     pub fn lookup(&self, packed_kmer: u64) -> &[u32] {
+        // The k-mer's bucket brackets its range: of `positions` at p = k,
+        // of the bucket's `keys` otherwise. A word past the last bucket
+        // misses.
         let b = packed_kmer.checked_shr(self.shift).unwrap_or(0) as usize;
-        let Some(&[lo, hi, ..]) = self.dir.get(b..) else {
+        let Some(&[mut lo, mut hi, ..]) = self.dir.get(b..) else {
             return &[];
         };
-        match self.keys[lo as usize..hi as usize].binary_search(&packed_kmer) {
-            Ok(i) => {
-                let key = lo as usize + i;
-                &self.positions[self.starts[key] as usize..self.starts[key + 1] as usize]
-            }
-            Err(_) => &[],
+        if self.shift > 0 {
+            let bucket = &self.keys[lo as usize..hi as usize];
+            let Ok(i) = bucket.binary_search(&packed_kmer) else {
+                return &[];
+            };
+            let key = lo as usize + i;
+            (lo, hi) = (self.starts[key], self.starts[key + 1]);
         }
+        &self.positions[lo as usize..hi as usize]
     }
 
     /// Number of distinct k-mers retained.
     pub fn distinct_kmers(&self) -> usize {
-        self.keys.len()
+        self.distinct_kmers
     }
 
     /// Number of distinct k-mers dropped by the repeat cutoff.
@@ -258,7 +283,8 @@ impl KmerIndex {
     }
 
     /// Heap footprint in bytes: the capacities of the directory, key,
-    /// offset and position arrays. Feeds the Table II memory model.
+    /// offset and position arrays (at `p = k`, `4·(4^k + 1)` B of directory
+    /// plus 4 B per position). Feeds the Table II memory model.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.dir.capacity() + self.starts.capacity() + self.positions.capacity())
@@ -271,14 +297,39 @@ impl KmerIndex {
     /// into candidate alignment windows by diagonal (genome_position -
     /// query_offset).
     pub fn seed_hits<'a>(&'a self, query: &'a DnaSeq) -> impl Iterator<Item = (usize, u32)> + 'a {
-        KmerIter::new(query, self.config.k)
-            .into_iter()
-            .flatten()
-            .flat_map(move |(qoff, kmer)| {
-                self.lookup(kmer.packed())
-                    .iter()
-                    .map(move |&gpos| (qoff, gpos))
-            })
+        SeedHits {
+            index: self,
+            kmers: KmerIter::new(query, self.config.k).expect("`build` validated k"),
+            qoff: 0,
+            hits: [].iter(),
+        }
+    }
+}
+
+/// [`KmerIndex::seed_hits`]: a hand-rolled flat map over the query's
+/// k-mers, which a caller's `for` loop steps through about twice as fast
+/// as the `flat_map` adapter chain.
+struct SeedHits<'a> {
+    index: &'a KmerIndex,
+    kmers: KmerIter<'a>,
+    /// Query offset of the k-mer whose `hits` are being emitted.
+    qoff: usize,
+    hits: std::slice::Iter<'a, u32>,
+}
+
+impl Iterator for SeedHits<'_> {
+    type Item = (usize, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, u32)> {
+        loop {
+            if let Some(&gpos) = self.hits.next() {
+                return Some((self.qoff, gpos));
+            }
+            let (qoff, kmer) = self.kmers.next()?;
+            self.qoff = qoff;
+            self.hits = self.index.lookup(kmer.packed()).iter();
+        }
     }
 }
 
@@ -386,6 +437,33 @@ mod tests {
         let idx = KmerIndex::build(&seq("ACG"), cfg(5)).unwrap();
         assert_eq!(idx.dir.len(), 2);
         assert_eq!(idx.lookup(packed("ACGTA")), &[] as &[u32]);
+    }
+
+    #[test]
+    fn direct_layout_is_a_directory_and_the_positions() {
+        // 15 kbp has over 4^6 windows, so p = k for k up to 6: the index is
+        // the 4^k + 1 directory and the positions, nothing else.
+        let genome: DnaSeq = (0..15_000)
+            .map(|i: usize| Some(Base::from_index((i.wrapping_mul(2_654_435_761) >> 7) & 3)))
+            .collect();
+        for (k, max_occurrences) in [(4, 1024), (6, 1024), (6, 3), (5, 1)] {
+            let config = IndexConfig {
+                k,
+                max_occurrences,
+                stride: 1,
+            };
+            let idx = KmerIndex::build(&genome, config).unwrap();
+            let words = 1u64 << (2 * k);
+            assert_eq!(
+                idx.heap_bytes(),
+                4 * (words as usize + 1) + 4 * idx.total_positions(),
+                "k = {k}, cutoff {max_occurrences}"
+            );
+            assert_eq!(idx.lookup(words), &[] as &[u32]);
+            assert_eq!(idx.lookup(u64::MAX), &[] as &[u32]);
+            let hits: usize = (0..words).map(|w| idx.lookup(w).len()).sum();
+            assert_eq!(hits, idx.total_positions());
+        }
     }
 
     #[test]

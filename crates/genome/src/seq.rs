@@ -179,6 +179,12 @@ impl FromIterator<Option<Base>> for DnaSeq {
     }
 }
 
+impl Extend<Option<Base>> for DnaSeq {
+    fn extend<T: IntoIterator<Item = Option<Base>>>(&mut self, iter: T) {
+        self.bases.extend(iter);
+    }
+}
+
 impl std::str::FromStr for DnaSeq {
     type Err = GenomeError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {

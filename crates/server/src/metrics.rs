@@ -152,6 +152,13 @@ impl Metrics {
         }
     }
 
+    /// Reads processed so far by each worker, in worker order.
+    pub fn worker_reads(&self) -> Vec<u64> {
+        (self.read_counters.iter())
+            .map(|block| block.0[0].load(Ordering::Relaxed))
+            .collect()
+    }
+
     /// Record that the ingress queue reached `depth`.
     pub fn observe_ingress_depth(&self, depth: usize) {
         self.max_ingress_depth
@@ -268,6 +275,20 @@ mod tests {
         assert_eq!(s.p99_service_micros, 10_000);
         assert!((s.worker_cpu_secs - 2.0).abs() < 1e-6);
         assert!((s.max_worker_cpu_secs - 1.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn worker_reads_are_kept_per_worker() {
+        let m = Metrics::new(3);
+        let read = BatchCounts {
+            reads: 1,
+            ..BatchCounts::default()
+        };
+        for worker in [0, 2, 2] {
+            m.record_read(worker, &read);
+        }
+        assert_eq!(m.worker_reads(), [1, 0, 2]);
+        assert_eq!(m.snapshot(0, 0).reads_processed, 3);
     }
 
     #[test]

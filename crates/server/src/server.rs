@@ -168,6 +168,12 @@ impl ServerHandle {
         self.shared.snapshot()
     }
 
+    /// Reads processed so far by each worker, in worker order: how evenly
+    /// the pool shares the work.
+    pub fn worker_reads(&self) -> Vec<u64> {
+        self.shared.metrics.worker_reads()
+    }
+
     /// Begin a graceful drain: stop accepting connections and new work.
     pub fn shutdown(&self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
