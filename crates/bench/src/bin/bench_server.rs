@@ -15,14 +15,13 @@
 //!   On a host with fewer cores than workers, timesharing makes this ratio
 //!   swing from run to run, so it is reported, not gated on.
 //!
-//! The scaling gate counts work instead of timing it: `work_speedup_4v1`
-//! is, per phase, total reads over the busiest worker's reads (from the
-//! server's per-worker read counters), four workers over one. It reaches 4
-//! when the pool shares the reads evenly and stays at 1 when one worker
-//! takes them all. Which worker wins a batch still depends on which
-//! threads the host schedules, so the four-worker phase runs
-//! `FOUR_WORKER_RUNS` times and the run with the median share is the one
-//! reported and gated.
+//! The scaling gate counts work instead of timing it: `work_spread_4` is
+//! the four-worker phase's total reads over its busiest worker's reads
+//! (from the server's per-worker read counters). It reaches 4 when the
+//! pool shares the reads evenly and stays at 1 when one worker takes them
+//! all. Which worker wins a batch still depends on the host's scheduler;
+//! the `--quick` workload is about a hundred 32-read batches so that one
+//! worker's extra batch moves the ratio little.
 //!
 //! Usage: `bench_server [--quick] [--out PATH]`
 
@@ -34,9 +33,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 const SESSIONS: usize = 4;
-
-/// Four-worker phases run; the median one is reported.
-const FOUR_WORKER_RUNS: usize = 5;
 
 struct PhaseResult {
     workers: usize,
@@ -147,8 +143,7 @@ fn phase_json(p: &PhaseResult) -> String {
     format!(
         "{{\n    \"workers\": {},\n    \"reads\": {},\n    \"wall_secs\": {:.4},\n    \
          \"wall_reads_per_sec\": {:.2},\n    \"max_worker_cpu_secs\": {:.4},\n    \
-         \"sim_reads_per_sec\": {:.2},\n    \"max_worker_reads\": {},\n    \
-         \"batches\": {},\n    \
+         \"sim_reads_per_sec\": {:.2},\n    \"batches\": {},\n    \
          \"mean_batch_occupancy\": {:.2},\n    \"mean_sessions_per_batch\": {:.3},\n    \
          \"cross_session_batches\": {},\n    \"p50_service_micros\": {},\n    \
          \"p99_service_micros\": {}\n  }}",
@@ -158,7 +153,6 @@ fn phase_json(p: &PhaseResult) -> String {
         p.wall_reads_per_sec,
         p.stats.max_worker_cpu_secs,
         p.sim_reads_per_sec,
-        p.max_worker_reads,
         p.stats.batches_dispatched,
         p.stats.mean_batch_occupancy,
         p.stats.mean_sessions_per_batch,
@@ -193,41 +187,33 @@ fn main() {
         "[bench_server] workers 1: {:.0} reads/s wall, {:.0} reads/s sim ({} reads, {} batches)",
         one.wall_reads_per_sec, one.sim_reads_per_sec, one.reads, one.stats.batches_dispatched
     );
-    let mut fours: Vec<PhaseResult> = (0..FOUR_WORKER_RUNS)
-        .map(|_| run_phase(&workload, config, 4, chunk))
-        .collect();
-    fours.sort_by(|a, b| a.work_spread().total_cmp(&b.work_spread()));
-    let spreads: Vec<String> = fours
-        .iter()
-        .map(|p| format!("{:.3}", p.work_spread()))
-        .collect();
-    let four = fours.swap_remove(FOUR_WORKER_RUNS / 2);
+    let four = run_phase(&workload, config, 4, chunk);
+    let work_spread = four.work_spread();
     eprintln!(
-        "[bench_server] workers 4 (median of {FOUR_WORKER_RUNS} by work spread [{}]): \
-         {:.0} reads/s wall, {:.0} reads/s sim ({} reads, {} batches)",
-        spreads.join(", "),
+        "[bench_server] workers 4: {:.0} reads/s wall, {:.0} reads/s sim ({} reads, {} batches, \
+         busiest worker {} reads)",
         four.wall_reads_per_sec,
         four.sim_reads_per_sec,
         four.reads,
-        four.stats.batches_dispatched
+        four.stats.batches_dispatched,
+        four.max_worker_reads
     );
 
     let sim_speedup = four.sim_reads_per_sec / one.sim_reads_per_sec.max(1e-9);
     let wall_speedup = four.wall_reads_per_sec / one.wall_reads_per_sec.max(1e-9);
-    let work_speedup = four.work_spread() / one.work_spread();
     eprintln!(
-        "[bench_server] 4v1 speedup: {work_speedup:.2}x work (busiest worker's reads), \
-         {sim_speedup:.2}x sim (critical path), {wall_speedup:.2}x wall"
+        "[bench_server] 4 workers: {work_spread:.2}x work spread (reads / busiest worker's); \
+         4v1 speedup: {sim_speedup:.2}x sim (critical path), {wall_speedup:.2}x wall"
     );
 
     let json = format!(
         "{{\n  \"quick\": {quick},\n  \"sessions\": {SESSIONS},\n  \
          \"workers1\": {},\n  \"workers4\": {},\n  \
-         \"workers4_work_spreads\": [{}],\n  \"work_speedup_4v1\": {work_speedup:.3},\n  \
+         \"workers4_max_worker_reads\": {},\n  \"work_spread_4\": {work_spread:.3},\n  \
          \"sim_speedup_4v1\": {sim_speedup:.3},\n  \"wall_speedup_4v1\": {wall_speedup:.3}\n}}\n",
         phase_json(&one),
         phase_json(&four),
-        spreads.join(", "),
+        four.max_worker_reads,
     );
     std::fs::write(&out_path, &json).expect("write benchmark report");
     eprintln!("[bench_server] wrote {out_path}");
@@ -244,8 +230,8 @@ fn main() {
         four.stats.mean_sessions_per_batch
     );
     assert!(
-        work_speedup >= 2.0,
-        "4-worker busiest-worker share only {work_speedup:.2}x of 1-worker \
+        work_spread >= 2.0,
+        "4 workers spread the reads only {work_spread:.2}x \
          (busiest worker took {} of {} reads)",
         four.max_worker_reads,
         four.reads

@@ -48,21 +48,6 @@ pub fn read_fasta<R: BufRead>(mut reader: R) -> Result<Vec<FastaRecord>, GenomeE
             break;
         }
         lineno += 1;
-        // The common line, sequence data inside a record, is decoded from
-        // its bytes and appended in one go (a header's `>` does not
-        // decode). The ASCII whitespace trimmed here (the line break,
-        // CRLF's `\r`) is all `str::trim_end` would trim before a base.
-        let data = line.trim_ascii_end();
-        if data.is_empty() {
-            continue;
-        }
-        if let Some((_, seq)) = current.as_mut() {
-            if data.iter().all(|&c| DECODE[c as usize].is_some()) {
-                seq.extend(data.iter().map(|&c| DECODE[c as usize].flatten()));
-                continue;
-            }
-        }
-        // Headers, errors and non-ASCII text go through the line as text.
         let text = std::str::from_utf8(&line).map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -83,17 +68,14 @@ pub fn read_fasta<R: BufRead>(mut reader: R) -> Result<Vec<FastaRecord>, GenomeE
                 line: lineno,
                 reason: "sequence data before any '>' header".into(),
             })?;
-            for &c in text.as_bytes() {
-                match DECODE[c as usize] {
-                    Some(base) => seq.push(base),
-                    None => {
-                        return Err(GenomeError::InvalidCharacter {
-                            line: lineno,
-                            found: c as char,
-                        })
-                    }
-                }
+            let data = text.as_bytes();
+            if let Some(&c) = data.iter().find(|&&c| DECODE[c as usize].is_none()) {
+                return Err(GenomeError::InvalidCharacter {
+                    line: lineno,
+                    found: c as char,
+                });
             }
+            seq.extend(data.iter().map(|&c| DECODE[c as usize].flatten()));
         }
     }
     if let Some((id, seq)) = current.take() {

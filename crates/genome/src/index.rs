@@ -297,39 +297,14 @@ impl KmerIndex {
     /// into candidate alignment windows by diagonal (genome_position -
     /// query_offset).
     pub fn seed_hits<'a>(&'a self, query: &'a DnaSeq) -> impl Iterator<Item = (usize, u32)> + 'a {
-        SeedHits {
-            index: self,
-            kmers: KmerIter::new(query, self.config.k).expect("`build` validated k"),
-            qoff: 0,
-            hits: [].iter(),
-        }
-    }
-}
-
-/// [`KmerIndex::seed_hits`]: a hand-rolled flat map over the query's
-/// k-mers, which a caller's `for` loop steps through about twice as fast
-/// as the `flat_map` adapter chain.
-struct SeedHits<'a> {
-    index: &'a KmerIndex,
-    kmers: KmerIter<'a>,
-    /// Query offset of the k-mer whose `hits` are being emitted.
-    qoff: usize,
-    hits: std::slice::Iter<'a, u32>,
-}
-
-impl Iterator for SeedHits<'_> {
-    type Item = (usize, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, u32)> {
-        loop {
-            if let Some(&gpos) = self.hits.next() {
-                return Some((self.qoff, gpos));
-            }
-            let (qoff, kmer) = self.kmers.next()?;
-            self.qoff = qoff;
-            self.hits = self.index.lookup(kmer.packed()).iter();
-        }
+        KmerIter::new(query, self.config.k)
+            .into_iter()
+            .flatten()
+            .flat_map(move |(qoff, kmer)| {
+                self.lookup(kmer.packed())
+                    .iter()
+                    .map(move |&gpos| (qoff, gpos))
+            })
     }
 }
 
