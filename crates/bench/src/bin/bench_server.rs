@@ -67,7 +67,6 @@ fn run_phase(
             workers,
             batch_size: 32,
             ingress_capacity: 256,
-            dispatch_capacity: workers * 4,
             submit_timeout: Duration::from_secs(120),
             default_deadline: Duration::from_secs(600),
             ..ServerConfig::default()

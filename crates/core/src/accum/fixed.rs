@@ -2,7 +2,7 @@
 //!
 //! `NORM` stores f32 components, so the result of a parallel run depends
 //! on the order partial accumulators are folded — fine for the MPI drivers
-//! (which fix a rank order) but wrong for a work-stealing streaming engine
+//! (which fix a rank order) but wrong for a worker-pool streaming engine
 //! where deposit order is scheduling-dependent. `FIXED` stores each
 //! component as a `u64` count of 2⁻³² quanta; integer addition commutes
 //! and associates exactly, so any interleaving of deposits (and any

@@ -55,8 +55,8 @@ pub struct StreamStats {
     /// Seconds the source thread spent blocked on a full channel
     /// (backpressure engaged).
     pub source_stall_secs: f64,
-    /// Total seconds workers spent idle between batches, summed over
-    /// workers.
+    /// Total seconds workers spent blocked waiting for a batch, summed
+    /// over workers.
     pub worker_stall_secs: f64,
     /// Checkpoints written during the run.
     pub checkpoints_written: usize,

@@ -9,7 +9,8 @@ use exec::{run_stream, MemoryStream, ReadStream};
 use gnumap_core::accum::{AccumulatorMode, FixedAccumulator};
 use gnumap_core::report::RunReport;
 
-/// Work-stealing micro-batch pipeline over an unbounded source, with
+/// Micro-batch pipeline over an unbounded source and a blocking worker
+/// pool, with
 /// backpressure, a sharded shared accumulator, and checkpoint/resume —
 /// the shared-memory driver, so it also answers to `rayon`, `threads`
 /// and `shared`. Always accumulates in fixed point — integer deposits
@@ -29,7 +30,7 @@ impl Driver for StreamDriver {
     }
 
     fn description(&self) -> &'static str {
-        "work-stealing micro-batch pipeline with backpressure and checkpoint/resume"
+        "micro-batch pipeline on a blocking worker pool, with backpressure and checkpoint/resume"
     }
 
     fn capabilities(&self) -> Capabilities {

@@ -1,11 +1,11 @@
-//! The streaming batch scheduler and worker pool.
+//! The streaming batch scheduler over the shared worker pool.
 //!
 //! Topology:
 //!
 //! ```text
-//! source thread ──bounded channel──▶ scheduler ──injector──▶ N workers
-//!   (ReadStream)   (backpressure)      │    ▲                 │
-//!                                      │    └──batch results──┘
+//! source thread ──bounded channel──▶ scheduler ──bounded batch channel──▶ N workers
+//!   (ReadStream)   (backpressure)      │    ▲           (exec::pool)          │
+//!                                      │    └──────────batch results──────────┘
 //!                                      └─▶ checkpoint at window barriers
 //! ```
 //!
@@ -14,44 +14,44 @@
 //! channel fills and the source blocks — backpressure, measured as
 //! `source_stall_secs`.
 //!
-//! The **scheduler** (caller's thread) drains chunks into a *window* of
-//! `workers × batches_per_worker × batch_size` reads, stable-sorts the
-//! window by read length (so a micro-batch holds similar-length reads and
-//! its Pair-HMM work is even), splits it into micro-batches and pushes
-//! them onto a work-stealing injector. It then waits for every batch of
-//! the window to complete — the *window barrier* — advances the stream
-//! cursor, and (on schedule) writes a checkpoint. Window composition
-//! depends only on stream order and configuration, never on timing, which
-//! is what makes runs reproducible.
+//! The **scheduler** (caller's thread, the pool's `schedule`) drains
+//! chunks into a *window* of `workers × batches_per_worker × batch_size`
+//! reads, cuts it into length-sorted micro-batches
+//! ([`length_sorted_batches`]), sends them to the pool and advances the
+//! stream cursor past the window. It then goes straight on to the next
+//! window: the bounded batch channel is what holds it back. Only where a
+//! checkpoint or the kill hook is due does it first wait for every
+//! dispatched batch to complete — the *window barrier* — so that the
+//! snapshot matches the cursor. Window composition depends only on
+//! stream order and configuration, never on timing, which is what makes
+//! runs reproducible.
 //!
-//! **Workers** steal batches, map each read, and deposit evidence directly
-//! into the [`ShardedAccumulator`] — no per-worker replica, no final
-//! merge. With [`FixedAccumulator`] deposits commute bit-exactly, so any
-//! steal order yields the identical accumulator.
+//! **Workers** ([`run_pool`]) block until a batch arrives, map each read,
+//! and deposit evidence directly into the [`ShardedAccumulator`] — no
+//! per-worker replica, no final merge. With [`FixedAccumulator`] deposits
+//! commute bit-exactly, so whichever worker takes a batch, the
+//! accumulator is identical.
 //!
 //! [`FixedAccumulator`]: gnumap_core::accum::FixedAccumulator
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::ExecError;
+use crate::pool::{length_sorted_batches, run_pool, PoolWorker};
 use crate::sharded::ShardedAccumulator;
 use crate::stream::ReadStream;
 use crossbeam::channel;
-use crossbeam::deque::{Injector, Steal};
-use crossbeam::utils::Backoff;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
-use gnumap_core::mapping::AlignScratch;
 use gnumap_core::observe::{Event, Observer, RunTimer, Stage, StageTimer};
 use gnumap_core::pipeline::BatchCounts;
 use gnumap_core::report::{RunReport, StreamStats};
 use gnumap_core::snpcall::call_snps;
 use gnumap_core::{GnumapConfig, MappingEngine};
-use mpisim::ThreadCpuTimer;
 use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// When and where to snapshot engine state.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +59,8 @@ pub struct CheckpointPolicy {
     /// Checkpoint file path (its parent directory must exist).
     pub path: PathBuf,
     /// Write a checkpoint every `every_batches` dispatched batches
-    /// (rounded up to the next window barrier).
+    /// (rounded up to the next window boundary, which then becomes a
+    /// barrier).
     pub every_batches: usize,
     /// On startup, load `path` if present and resume from its cursor.
     pub resume: bool,
@@ -84,7 +85,8 @@ pub struct StreamConfig {
     /// Periodic checkpointing; `None` disables it.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Kill hook for tests: abort (as if killed) at the first window
-    /// barrier where at least this many batches have been dispatched.
+    /// boundary where at least this many batches have been dispatched,
+    /// once they have all completed.
     pub abort_after_batches: Option<usize>,
 }
 
@@ -125,18 +127,13 @@ impl StreamConfig {
     }
 }
 
-/// One unit of worker work.
-struct Batch {
-    reads: Vec<SequencedRead>,
-}
-
 /// Run the streaming engine over `stream`, calling SNPs at end of input.
 ///
 /// With `A = FixedAccumulator` the returned calls are bit-identical to
 /// `run_serial::<FixedAccumulator>` on the same reads, for any worker
 /// count, batch size, chunking or checkpoint/resume split. The observer
-/// gets one [`Event::Batch`] per stolen micro-batch (tagged with the
-/// stealing worker's index), an [`Event::Checkpoint`] for every
+/// gets one [`Event::Batch`] per micro-batch (tagged with the index of
+/// the worker that mapped it), an [`Event::Checkpoint`] for every
 /// checkpoint record written, and stage timings taken on the scheduler
 /// thread. A shape [`StreamConfig::validate`] rejects is an
 /// [`ExecError::InvalidConfig`].
@@ -183,8 +180,6 @@ pub fn run_stream<A: GenomeAccumulator>(
     // ---- plumbing ------------------------------------------------------
     let (chunk_tx, chunk_rx) = channel::bounded::<Vec<SequencedRead>>(sc.channel_capacity);
     let (done_tx, done_rx) = channel::unbounded::<BatchCounts>();
-    let injector = Injector::<Batch>::new();
-    let shutdown = AtomicBool::new(false);
     let source_stall_nanos = AtomicU64::new(0);
     let source_error: Mutex<Option<ExecError>> = Mutex::new(None);
 
@@ -199,7 +194,7 @@ pub fn run_stream<A: GenomeAccumulator>(
     let mut aborted = false;
 
     let map_timer = StageTimer::start(observer, Stage::Map);
-    let worker_outcomes = std::thread::scope(|scope| -> Result<Vec<(f64, f64)>, ExecError> {
+    let pool = std::thread::scope(|scope| {
         // Source thread: chunk the stream into the bounded channel. It
         // owns the only sender, so the channel disconnects (and the
         // scheduler sees end of stream) the moment this thread returns.
@@ -226,113 +221,93 @@ pub fn run_stream<A: GenomeAccumulator>(
             }
         });
 
-        // Worker pool: steal batches, map, deposit.
-        let workers: Vec<_> = (0..sc.workers)
-            .map(|worker_index| {
-                let injector = &injector;
-                let shutdown = &shutdown;
-                let sharded = &sharded;
-                let engine = &engine;
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    let cpu = ThreadCpuTimer::start();
-                    let mut stall = Duration::ZERO;
-                    let mut backoff = Backoff::new();
-                    // Per-worker scratch arena, reused for every stolen
-                    // batch this thread ever processes.
-                    let mut scratch = AlignScratch::new();
-                    loop {
-                        match injector.steal() {
-                            Steal::Success(batch) => {
-                                backoff.reset();
-                                let mut counts = BatchCounts::default();
-                                for read in &batch.reads {
-                                    counts.map_read(
-                                        engine,
-                                        read,
-                                        &mut scratch,
-                                        |start, weight, columns| {
-                                            sharded.deposit(start, weight, columns)
-                                        },
-                                    );
-                                }
-                                counts.emit(observer, worker_index);
-                                let _ = done_tx.send(counts);
-                            }
-                            Steal::Retry => {}
-                            Steal::Empty => {
-                                if shutdown.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let idle = Instant::now();
-                                backoff.snooze();
-                                stall += idle.elapsed();
-                            }
+        // Workers map each batch and deposit straight into the sharded
+        // accumulator; the scheduler below feeds them windows.
+        let work = |worker: &mut PoolWorker, batch: Vec<SequencedRead>| {
+            let mut counts = BatchCounts::default();
+            for read in &batch {
+                counts.map_read(
+                    &engine,
+                    read,
+                    &mut worker.scratch,
+                    |start, weight, columns| sharded.deposit(start, weight, columns),
+                );
+            }
+            counts.emit(observer, worker.index);
+            let _ = done_tx.send(counts);
+        };
+
+        // Scheduler: windows → sorted micro-batches → (barrier → checkpoint).
+        // Returning drops `chunk_rx`, which unblocks a source stuck on a
+        // full channel, and the batch sender, which lets the workers exit.
+        run_pool(sc.workers, work, |batches| -> Result<(), ExecError> {
+            let chunk_rx = chunk_rx;
+            let mut pending: Vec<SequencedRead> = Vec::with_capacity(window_reads);
+            let mut source_done = false;
+            // Batches sent whose counts have not come back yet.
+            let mut in_flight = 0usize;
+            while !source_done || !pending.is_empty() {
+                // Fill a window (or take what is left at end of stream).
+                while pending.len() < window_reads && !source_done {
+                    match chunk_rx.recv() {
+                        Ok(chunk) => {
+                            let depth = chunk_rx.len();
+                            max_queue_depth = max_queue_depth.max(depth);
+                            queue_depth_sum += depth;
+                            queue_samples += 1;
+                            pending.extend(chunk);
                         }
+                        Err(_) => source_done = true,
                     }
-                    (cpu.elapsed(), stall.as_secs_f64())
-                })
-            })
-            .collect();
-
-        // Scheduler: windows → sorted micro-batches → barrier → checkpoint.
-        let mut pending: Vec<SequencedRead> = Vec::with_capacity(window_reads);
-        let mut source_done = false;
-        'windows: while !source_done || !pending.is_empty() {
-            // Fill a window (or take what is left at end of stream).
-            while pending.len() < window_reads && !source_done {
-                match chunk_rx.recv() {
-                    Ok(chunk) => {
-                        let depth = chunk_rx.len();
-                        max_queue_depth = max_queue_depth.max(depth);
-                        queue_depth_sum += depth;
-                        queue_samples += 1;
-                        pending.extend(chunk);
-                    }
-                    Err(_) => source_done = true,
                 }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            let window: Vec<SequencedRead> = if pending.len() > window_reads {
-                let rest = pending.split_off(window_reads);
-                std::mem::replace(&mut pending, rest)
-            } else {
-                std::mem::take(&mut pending)
-            };
-            let window_len = window.len();
+                if pending.is_empty() {
+                    break;
+                }
+                let window: Vec<SequencedRead> = if pending.len() > window_reads {
+                    let rest = pending.split_off(window_reads);
+                    std::mem::replace(&mut pending, rest)
+                } else {
+                    std::mem::take(&mut pending)
+                };
+                cursor += window.len();
 
-            // Length-sorted micro-batches: similar-length reads cost
-            // similar Pair-HMM time, keeping batch runtimes even. The
-            // sort is stable, so composition is deterministic.
-            let mut sorted = window;
-            sorted.sort_by_key(SequencedRead::len);
-            let mut window_batches = 0usize;
-            while !sorted.is_empty() {
-                let tail = sorted.split_off(sorted.len().min(sc.batch_size));
-                let batch = std::mem::replace(&mut sorted, tail);
-                reads_dispatched += batch.len();
-                injector.push(Batch { reads: batch });
-                window_batches += 1;
-            }
-            batches_dispatched += window_batches;
-            batches_since_checkpoint += window_batches;
+                let mut window_batches = 0usize;
+                for batch in length_sorted_batches(window, sc.batch_size, SequencedRead::len) {
+                    reads_dispatched += batch.len();
+                    batches
+                        .send(batch)
+                        .expect("pool workers outlive the scheduler");
+                    window_batches += 1;
+                }
+                in_flight += window_batches;
+                batches_dispatched += window_batches;
+                batches_since_checkpoint += window_batches;
+                while let Ok(done) = done_rx.try_recv() {
+                    mapped_total += done.mapped as usize;
+                    in_flight -= 1;
+                }
 
-            // Window barrier: every dispatched batch reports back.
-            let mut window_reads_done = 0usize;
-            for _ in 0..window_batches {
-                let done = done_rx.recv().expect("workers outlive the scheduler");
-                mapped_total += done.mapped as usize;
-                window_reads_done += done.reads as usize;
-            }
-            debug_assert_eq!(window_reads_done, window_len);
-            cursor += window_len;
+                // The next window goes out while this one is still being
+                // mapped, unless a checkpoint or the kill hook is due: then
+                // every dispatched batch must report back first (the
+                // window barrier), so the snapshot matches the cursor.
+                let checkpoint_due = sc
+                    .checkpoint
+                    .as_ref()
+                    .filter(|policy| batches_since_checkpoint >= policy.every_batches);
+                let abort_due = sc
+                    .abort_after_batches
+                    .is_some_and(|limit| batches_dispatched >= limit);
+                if checkpoint_due.is_none() && !abort_due {
+                    continue;
+                }
+                for _ in 0..in_flight {
+                    let done = done_rx.recv().expect("workers outlive the scheduler");
+                    mapped_total += done.mapped as usize;
+                }
+                in_flight = 0;
 
-            // Periodic checkpoint, at a barrier so the snapshot is
-            // consistent with the cursor.
-            if let Some(policy) = &sc.checkpoint {
-                if batches_since_checkpoint >= policy.every_batches {
+                if let Some(policy) = checkpoint_due {
                     checkpoint::save(
                         &policy.path,
                         &Checkpoint {
@@ -348,28 +323,24 @@ pub fn run_stream<A: GenomeAccumulator>(
                         reads_mapped: mapped_total as u64,
                     });
                 }
-            }
 
-            // Kill hook: die after the barrier, like a SIGKILL between
-            // windows — whatever checkpoint exists on disk is all a
-            // restart will see.
-            if let Some(limit) = sc.abort_after_batches {
-                if batches_dispatched >= limit {
+                // Kill hook: die after the barrier, like a SIGKILL between
+                // windows — whatever checkpoint exists on disk is all a
+                // restart will see.
+                if abort_due {
                     aborted = true;
-                    break 'windows;
+                    break;
                 }
             }
-        }
-
-        // Drain and stop: workers exit at the next Empty steal.
-        shutdown.store(true, Ordering::Release);
-        drop(chunk_rx); // unblock a source stuck on a full channel
-        let mut outcomes = Vec::with_capacity(sc.workers);
-        for w in workers {
-            outcomes.push(w.join().expect("worker panicked"));
-        }
-        Ok(outcomes)
-    })?;
+            Ok(())
+        })
+    });
+    pool.result?;
+    // The pool has drained: the counts of batches sent after the last
+    // barrier are all in.
+    while let Ok(done) = done_rx.try_recv() {
+        mapped_total += done.mapped as usize;
+    }
     map_timer.finish(observer);
 
     if let Some(e) = source_error.into_inner() {
@@ -379,8 +350,6 @@ pub fn run_stream<A: GenomeAccumulator>(
         return Err(ExecError::Aborted { cursor });
     }
 
-    let rank_cpu_secs: Vec<f64> = worker_outcomes.iter().map(|&(cpu, _)| cpu).collect();
-    let worker_stall_secs: f64 = worker_outcomes.iter().map(|&(_, stall)| stall).sum();
     let stats = StreamStats {
         workers: sc.workers,
         batch_size: sc.batch_size,
@@ -397,7 +366,7 @@ pub fn run_stream<A: GenomeAccumulator>(
             queue_depth_sum as f64 / queue_samples as f64
         },
         source_stall_secs: source_stall_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-        worker_stall_secs,
+        worker_stall_secs: pool.wait_secs.iter().sum(),
         checkpoints_written,
         resumed_from_checkpoint: resumed,
     };
@@ -412,7 +381,7 @@ pub fn run_stream<A: GenomeAccumulator>(
         reads_processed: cursor,
         reads_mapped: mapped_total,
         accumulator_bytes,
-        rank_cpu_secs,
+        rank_cpu_secs: pool.cpu_secs,
         stream: Some(stats),
         accumulator_digest: Some(full.digest()),
         ..RunReport::default()
@@ -425,6 +394,7 @@ mod tests {
     use super::*;
     use crate::stream::MemoryStream;
     use gnumap_core::accum::FixedAccumulator;
+    use std::time::Duration;
 
     fn tiny_workload() -> (DnaSeq, Vec<SequencedRead>) {
         use rand::SeedableRng;
@@ -601,6 +571,57 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// A source that is silent for `delay` before its first chunk.
+    struct SlowStartStream {
+        delay: Option<Duration>,
+        inner: MemoryStream,
+    }
+
+    impl ReadStream for SlowStartStream {
+        fn next_chunk(&mut self, max: usize) -> Result<Vec<SequencedRead>, ExecError> {
+            if let Some(delay) = self.delay.take() {
+                std::thread::sleep(delay);
+            }
+            self.inner.next_chunk(max)
+        }
+
+        fn skip(&mut self, n: usize) -> Result<(), ExecError> {
+            self.inner.skip(n)
+        }
+    }
+
+    #[test]
+    fn idle_workers_block_instead_of_spinning() {
+        let (genome, reads) = tiny_workload();
+        let mut stream = SlowStartStream {
+            delay: Some(Duration::from_millis(300)),
+            inner: MemoryStream::new(reads[..20].to_vec()),
+        };
+        let sc = StreamConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let report = run_stream::<FixedAccumulator>(
+            &genome,
+            &mut stream,
+            &GnumapConfig::default(),
+            &sc,
+            &Observer::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.reads_processed, 20);
+        let cpu: f64 = report.rank_cpu_secs.iter().sum();
+        assert!(
+            cpu < 0.1,
+            "two workers waiting 300 ms for input burned {cpu:.3} CPU seconds"
+        );
+        let stall = report.stream.unwrap().worker_stall_secs;
+        assert!(
+            stall >= 0.5,
+            "both workers were blocked ~300 ms: {stall:.3} s"
+        );
     }
 
     #[test]

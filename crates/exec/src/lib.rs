@@ -9,9 +9,11 @@
 //! * [`stream`] — a chunked [`stream::ReadStream`] trait with FASTQ-file,
 //!   simulator-backed and in-memory implementations, feeding a bounded
 //!   channel so a slow consumer applies backpressure to the source;
+//! * [`pool`] — the worker pool the streaming driver and the server share:
+//!   workers block on a bounded batch channel, each with its own scratch
+//!   arena, and [`pool::length_sorted_batches`] is the one micro-batch cut;
 //! * [`driver`] — a batch scheduler that groups arriving reads into
-//!   length-sorted micro-batches and dispatches them to a work-stealing
-//!   worker pool;
+//!   length-sorted micro-batches and sends them to that pool;
 //! * [`sharded`] — a striped-lock wrapper over any
 //!   [`gnumap_core::accum::GenomeAccumulator`], so workers deposit evidence
 //!   concurrently without a global merge barrier;
@@ -26,6 +28,7 @@
 pub mod checkpoint;
 pub mod driver;
 pub mod error;
+pub mod pool;
 pub mod sharded;
 pub mod stream;
 

@@ -4,8 +4,9 @@
 //! request/response API: clients open a session, stream read chunks, and
 //! finalize to receive SNP calls. Internally the server coalesces reads
 //! from *all* live sessions into length-sorted micro-batches (the same
-//! scheduling idea as the `exec` streaming driver) served by a worker
-//! pool with per-worker scratch arenas; per-session
+//! scheduling idea as the `exec` streaming driver) served by that
+//! driver's worker pool (`exec::pool`), whose workers each keep a scratch
+//! arena and share the server's one `MappingEngine`; per-session
 //! `ShardedAccumulator<FixedAccumulator>`s keep evidence isolated while
 //! deposits commute bit-exactly, so every session's digest and calls are
 //! bit-identical to a serial run over the same reads regardless of batch

@@ -1,8 +1,8 @@
 //! A std-only bounded MPMC queue (mutex + condvars).
 //!
-//! This is the admission-control primitive: both the ingress queue
-//! (client chunks → batcher) and the dispatch queue (batches → workers)
-//! are instances, so no stage of the server can grow without bound. A
+//! This is the admission-control primitive behind the ingress queue
+//! (client chunks → batcher): admission needs a push that gives up after
+//! a timeout, which the pool's blocking batch channel does not offer. A
 //! full queue pushes back with [`PushError::Full`] after the caller's
 //! timeout — the connection handler translates that into a typed `Busy`
 //! response rather than buffering.

@@ -4,25 +4,28 @@
 //!  clients ──► connection threads ──► ingress queue (bounded)
 //!                                          │
 //!                                      batcher: coalesce + length-sort
+//!                                          │     (the pool's `schedule`)
+//!                              bounded batch channel (4 × workers)
 //!                                          │
-//!                                     dispatch queue (bounded)
-//!                                          │
-//!                                   worker pool (AlignScratch each)
-//!                                          │
+//!                  exec::pool workers (AlignScratch each, one shared
+//!                                          │         MappingEngine)
 //!                              per-session ShardedAccumulators
 //! ```
 //!
-//! Backpressure is a chain of bounded queues: a full dispatch queue
+//! Backpressure is a chain of bounded queues: a full batch channel
 //! blocks the batcher, the ingress queue then fills, and further submits
 //! are shed with a typed `Busy` after the admission timeout — memory use
 //! is bounded at every stage and the server stays live under overload.
 //!
-//! The batcher reuses the exec scheduler's idea: a stable sort of
-//! buffered reads by length, cut into fixed-size micro-batches, so
-//! adjacent Pair-HMM problems have similar dynamic-program shapes.
-//! Because every session's `FixedAccumulator` deposit commutes
-//! bit-exactly, coalescing reads across sessions changes nothing about
-//! each session's final digest.
+//! The batcher runs the streaming driver's pool ([`exec::pool::run_pool`])
+//! and cuts with the same helper
+//! ([`exec::pool::length_sorted_batches`]): a stable sort of buffered
+//! reads by length, cut into fixed-size micro-batches, so adjacent
+//! Pair-HMM problems have similar dynamic-program shapes. The batcher
+//! thread owns the server's one `MappingEngine` (and so its one
+//! `KmerIndex`), which every worker borrows. Because every session's
+//! `FixedAccumulator` deposit commutes bit-exactly, coalescing reads
+//! across sessions changes nothing about each session's final digest.
 
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::protocol::{
@@ -30,15 +33,15 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, PopOutcome, PushError};
 use crate::session::{Registry, SessionState};
+use exec::pool::{length_sorted_batches, run_pool, PoolWorker, SendError, Sender};
 use genome::index::KmerIndex;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::GenomeAccumulator;
 use gnumap_core::config::GnumapConfig;
-use gnumap_core::mapping::{AlignScratch, MappingEngine};
+use gnumap_core::mapping::MappingEngine;
 use gnumap_core::pipeline::BatchCounts;
 use gnumap_core::snpcall::call_snps;
-use mpisim::ThreadCpuTimer;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,8 +58,6 @@ pub struct ServerConfig {
     pub batch_size: usize,
     /// Ingress queue capacity, in submitted chunks.
     pub ingress_capacity: usize,
-    /// Dispatch queue capacity, in micro-batches.
-    pub dispatch_capacity: usize,
     /// Stripes per session accumulator.
     pub shards: usize,
     /// How long a submit may wait for ingress space before `Busy`.
@@ -75,7 +76,6 @@ impl Default for ServerConfig {
             workers: 2,
             batch_size: 32,
             ingress_capacity: 64,
-            dispatch_capacity: 8,
             shards: 16,
             submit_timeout: Duration::from_secs(2),
             default_deadline: Duration::from_secs(30),
@@ -87,14 +87,13 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// Reject a configuration the daemon cannot run: no workers, empty
-    /// micro-batches or a zero-capacity queue, each an
+    /// micro-batches or a zero-capacity ingress queue, each an
     /// [`io::ErrorKind::InvalidInput`] error naming the field.
     pub fn validate(&self) -> io::Result<()> {
         for (field, value) in [
             ("workers", self.workers),
             ("batch_size", self.batch_size),
             ("ingress_capacity", self.ingress_capacity),
-            ("dispatch_capacity", self.dispatch_capacity),
         ] {
             if value == 0 {
                 return Err(io::Error::new(
@@ -121,21 +120,14 @@ struct WorkItem {
     enqueued: Instant,
 }
 
-/// One length-sorted micro-batch.
-struct Batch {
-    items: Vec<WorkItem>,
-}
-
 /// State shared by every server thread.
 struct Shared {
     reference: DnaSeq,
-    index: KmerIndex,
     base: GnumapConfig,
     cfg: ServerConfig,
     registry: Registry,
     metrics: Metrics,
     ingress: BoundedQueue<Chunk>,
-    dispatch: BoundedQueue<Batch>,
     shutting_down: AtomicBool,
     addr: SocketAddr,
 }
@@ -153,7 +145,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -182,7 +173,7 @@ impl ServerHandle {
     }
 
     /// Wait for the drain to finish: connections close, the batcher
-    /// flushes its buffer, workers finish every dispatched batch.
+    /// flushes its buffer, workers finish every queued batch.
     pub fn join(mut self) -> StatsSnapshot {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -196,13 +187,11 @@ impl ServerHandle {
                 None => break,
             }
         }
-        // All producers are gone: close ingress, let the batcher drain it
-        // into dispatch, then let the workers drain dispatch.
+        // All producers are gone: close ingress and let the batcher drain
+        // it into the pool; the batcher thread returns once the workers
+        // have drained the batch channel.
         self.shared.ingress.close();
         if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
         self.shared.snapshot()
@@ -227,12 +216,10 @@ pub fn start(
     let genome_len = reference.len();
     let shared = Arc::new(Shared {
         reference,
-        index,
         base,
         registry: Registry::new(genome_len, cfg.shards),
         metrics: Metrics::new(cfg.workers),
         ingress: BoundedQueue::new(cfg.ingress_capacity),
-        dispatch: BoundedQueue::new(cfg.dispatch_capacity),
         shutting_down: AtomicBool::new(false),
         addr: bound,
         cfg,
@@ -244,17 +231,19 @@ pub fn start(
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("gnumap-batcher".into())
-            .spawn(move || batcher_loop(&shared))?
+            .spawn(move || {
+                let engine =
+                    MappingEngine::with_index(&shared.reference, index, shared.base.mapping);
+                let pool = run_pool(
+                    shared.cfg.workers,
+                    |worker, batch| map_batch(&shared, &engine, worker, batch),
+                    |batches| batcher_loop(&shared, batches),
+                );
+                for (worker, cpu) in pool.cpu_secs.into_iter().enumerate() {
+                    shared.metrics.publish_worker_cpu(worker, cpu);
+                }
+            })?
     };
-
-    let workers = (0..shared.cfg.workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("gnumap-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
 
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -268,7 +257,6 @@ pub fn start(
         shared,
         acceptor: Some(acceptor),
         batcher: Some(batcher),
-        workers,
         connections,
     })
 }
@@ -506,11 +494,12 @@ fn handle_request(request: Request, shared: &Arc<Shared>, owned: &mut Vec<u64>) 
     }
 }
 
-/// Coalesce ingress chunks into length-sorted micro-batches.
-fn batcher_loop(shared: &Arc<Shared>) {
+/// Coalesce ingress chunks into length-sorted micro-batches and send
+/// them to the pool until ingress closes and the buffer is flushed.
+fn batcher_loop(shared: &Arc<Shared>, batches: Sender<Vec<WorkItem>>) {
     let batch_size = shared.cfg.batch_size;
     // Buffer enough to keep the pool busy without hoarding the backlog.
-    let max_buffer = batch_size * shared.cfg.workers.max(1) * 4;
+    let max_buffer = batch_size * shared.cfg.workers * 4;
     let mut buffer: Vec<WorkItem> = Vec::new();
     let mut closed = false;
 
@@ -549,40 +538,23 @@ fn batcher_loop(shared: &Arc<Shared>) {
             continue;
         }
 
-        // The exec scheduler's trick: stable length sort so each batch
-        // holds similarly-sized Pair-HMM problems.
-        buffer.sort_by_key(|item| item.read.len());
-        let take = buffer.len().min(batch_size * shared.cfg.workers.max(1));
-        let rest = buffer.split_off(take);
-        let mut sorted = std::mem::replace(&mut buffer, rest);
-        while !sorted.is_empty() {
-            let tail = sorted.split_off(sorted.len().min(batch_size));
-            let batch = Batch { items: sorted };
-            sorted = tail;
+        // One round: the oldest `workers × batch_size` buffered reads.
+        let rest = buffer.split_off(buffer.len().min(batch_size * shared.cfg.workers));
+        let round = std::mem::replace(&mut buffer, rest);
+        for batch in length_sorted_batches(round, batch_size, |item| item.read.len()) {
             publish_batch_metrics(shared, &batch);
-            // Blocking push: a full dispatch queue is the backpressure
-            // that ultimately surfaces as `Busy` at admission.
-            let mut pending = batch;
-            loop {
-                match shared
-                    .dispatch
-                    .push_timeout(pending, Duration::from_secs(3600))
-                {
-                    Ok(()) => break,
-                    Err(PushError::Full(b)) => pending = b,
-                    Err(PushError::Closed(b)) => {
-                        // Dispatch never closes before the batcher exits;
-                        // complete the reads defensively anyway.
-                        for item in b.items {
-                            item.session.complete_read(false);
-                        }
-                        return;
-                    }
+            // Blocking send: a full batch channel is the backpressure
+            // that ultimately surfaces as `Busy` at admission. It fails
+            // only if every worker has died; complete the reads so no
+            // finalize waits on them.
+            if let Err(SendError(batch)) = batches.send(batch) {
+                for item in batch {
+                    item.session.complete_read(false);
                 }
+                return;
             }
         }
     }
-    shared.dispatch.close();
 }
 
 fn absorb(buffer: &mut Vec<WorkItem>, chunk: Chunk) {
@@ -600,8 +572,8 @@ fn absorb(buffer: &mut Vec<WorkItem>, chunk: Chunk) {
     }
 }
 
-fn publish_batch_metrics(shared: &Arc<Shared>, batch: &Batch) {
-    let mut session_ids: Vec<u64> = batch.items.iter().map(|i| i.session.id).collect();
+fn publish_batch_metrics(shared: &Arc<Shared>, batch: &[WorkItem]) {
+    let mut session_ids: Vec<u64> = batch.iter().map(|i| i.session.id).collect();
     session_ids.sort_unstable();
     session_ids.dedup();
     shared
@@ -611,7 +583,7 @@ fn publish_batch_metrics(shared: &Arc<Shared>, batch: &Batch) {
     shared
         .metrics
         .batch_reads
-        .fetch_add(batch.items.len() as u64, Ordering::Relaxed);
+        .fetch_add(batch.len() as u64, Ordering::Relaxed);
     shared
         .metrics
         .batch_sessions
@@ -624,42 +596,35 @@ fn publish_batch_metrics(shared: &Arc<Shared>, batch: &Batch) {
     }
 }
 
-/// Map batches and deposit evidence into each read's session.
-fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
-    let engine =
-        MappingEngine::with_index(&shared.reference, shared.index.clone(), shared.base.mapping);
-    let mut scratch = AlignScratch::new();
-    let timer = ThreadCpuTimer::start();
-
-    loop {
-        let batch = match shared.dispatch.pop_timeout(Duration::from_millis(100)) {
-            PopOutcome::Item(batch) => batch,
-            PopOutcome::Empty => continue,
-            PopOutcome::Closed => break,
-        };
-        if let Some(delay) = shared.cfg.worker_delay {
-            thread::sleep(delay);
-        }
-        for item in batch.items {
-            let mut counts = BatchCounts::default();
-            let mapped =
-                counts.map_read(&engine, &item.read, &mut scratch, |start, weight, cols| {
-                    item.session.deposit(start, weight, cols)
-                });
-            // Count the read before completing it: completing the last
-            // read wakes `finalize`, and a `Stats` request right after it
-            // must already see this read.
-            shared.metrics.record_read(worker_id, &counts);
-            shared
-                .metrics
-                .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);
-            item.session.complete_read(mapped);
-        }
+/// Map one batch on a pool worker and deposit evidence into each read's
+/// session.
+fn map_batch(
+    shared: &Shared,
+    engine: &MappingEngine<'_>,
+    worker: &mut PoolWorker,
+    batch: Vec<WorkItem>,
+) {
+    if let Some(delay) = shared.cfg.worker_delay {
+        thread::sleep(delay);
+    }
+    for item in batch {
+        let mut counts = BatchCounts::default();
+        let mapped = counts.map_read(
+            engine,
+            &item.read,
+            &mut worker.scratch,
+            |start, weight, cols| item.session.deposit(start, weight, cols),
+        );
+        // Count the read before completing it: completing the last read
+        // wakes `finalize`, and a `Stats` request right after it must
+        // already see this read.
+        shared.metrics.record_read(worker.index, &counts);
         shared
             .metrics
-            .publish_worker_cpu(worker_id, timer.elapsed());
+            .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);
+        item.session.complete_read(mapped);
     }
     shared
         .metrics
-        .publish_worker_cpu(worker_id, timer.elapsed());
+        .publish_worker_cpu(worker.index, worker.cpu_secs());
 }

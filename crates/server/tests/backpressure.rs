@@ -62,7 +62,6 @@ fn full_ingress_sheds_busy_and_recovers() {
             workers: 1,
             batch_size: 4,
             ingress_capacity: 1,
-            dispatch_capacity: 1,
             submit_timeout: Duration::from_millis(30),
             worker_delay: Some(Duration::from_millis(80)),
             ..ServerConfig::default()

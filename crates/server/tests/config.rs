@@ -44,12 +44,3 @@ fn zero_ingress_capacity_is_invalid_input() {
     };
     assert_rejected(cfg, "ingress_capacity");
 }
-
-#[test]
-fn zero_dispatch_capacity_is_invalid_input() {
-    let cfg = ServerConfig {
-        dispatch_capacity: 0,
-        ..ServerConfig::default()
-    };
-    assert_rejected(cfg, "dispatch_capacity");
-}

@@ -159,6 +159,43 @@ grep -qv "^#" "$smoke_dir/served.vcf" || {
     echo "served VCF has no call records"; exit 1;
 }
 
+echo "==> serve memory smoke: the workers share one index"
+# The server's workers share one MappingEngine, so the ~8 MB k-mer index
+# of a 1 Mbp reference is resident once however many workers run: four
+# workers may cost at most half an index (4 MiB) more than one. Both
+# servers must also write the same calls for the same reads.
+mem_dir="target/serve-mem-smoke"
+rm -rf "$mem_dir"
+mkdir -p "$mem_dir"
+target/release/gnumap simulate --out-dir "$mem_dir" \
+    --genome-len 1000000 --snps 20 --coverage 2 --seed 808 >/dev/null
+declare -A rss_kib
+for workers in 1 4; do
+    target/release/gnumap serve --reference "$mem_dir/reference.fa" \
+        --addr 127.0.0.1:0 --workers "$workers" --port-file "$mem_dir/port$workers" \
+        > "$mem_dir/serve$workers.log" 2>&1 &
+    mem_pid=$!
+    for _ in $(seq 1 300); do
+        [[ -s "$mem_dir/port$workers" ]] && break
+        kill -0 "$mem_pid" 2>/dev/null || { cat "$mem_dir/serve$workers.log"; exit 1; }
+        sleep 0.1
+    done
+    addr="$(cat "$mem_dir/port$workers")"
+    target/release/gnumap client --addr "$addr" --ping >/dev/null
+    rss_kib[$workers]="$(awk '/^VmRSS:/ { print $2 }' "/proc/$mem_pid/status")"
+    target/release/gnumap client --addr "$addr" --reads "$mem_dir/reads.fq" \
+        --out "$mem_dir/served$workers.vcf" >/dev/null
+    target/release/gnumap client --addr "$addr" --shutdown >/dev/null
+    wait "$mem_pid"
+done
+echo "VmRSS after the first ping: ${rss_kib[1]} KiB with 1 worker, ${rss_kib[4]} KiB with 4"
+(( rss_kib[4] - rss_kib[1] < 4096 )) || {
+    echo "4 workers hold $(( rss_kib[4] - rss_kib[1] )) KiB more than 1 (limit 4096)"; exit 1;
+}
+cmp -s "$mem_dir/served1.vcf" "$mem_dir/served4.vcf" || {
+    echo "1- and 4-worker servers wrote different calls"; exit 1;
+}
+
 echo "==> benchmark harness smoke: scripts/bench.sh --quick"
 scripts/bench.sh --quick
 

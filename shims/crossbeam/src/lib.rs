@@ -1,17 +1,13 @@
 //! Offline stand-in for `crossbeam` (see `shims/README.md`).
 //!
-//! Two modules are provided, matching the subset this workspace uses:
-//!
-//! * [`channel`] — multi-producer multi-consumer channels, unbounded or
-//!   bounded with blocking backpressure, with crossbeam's disconnect
-//!   semantics (a `recv` on an empty channel whose senders are gone
-//!   fails; a `send` fails once all receivers are gone).
-//! * [`deque`] — the `Injector`/`Worker`/`Stealer` work-stealing triple.
+//! One module is provided, the subset this workspace uses:
+//! [`channel`] — multi-producer multi-consumer channels, unbounded or
+//! bounded with blocking backpressure, with crossbeam's disconnect
+//! semantics (a `recv` on an empty channel whose senders are gone fails;
+//! a `send` fails once all receivers are gone).
 //!
 //! Everything is built on `std::sync` primitives: correctness and API
 //! shape over raw throughput, which is ample for the thread counts this
 //! workspace runs.
 
 pub mod channel;
-pub mod deque;
-pub mod utils;

@@ -22,7 +22,6 @@ pub(super) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> 
         batch_size,
         shards,
         ingress_capacity,
-        dispatch_capacity: workers * 4,
         submit_timeout: std::time::Duration::from_millis(submit_timeout_ms),
         default_deadline: std::time::Duration::from_millis(deadline_ms),
         ..Default::default()
