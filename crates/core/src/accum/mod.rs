@@ -56,6 +56,19 @@ pub fn position_hash(pos: u64, counts: &[f64; NUM_SYMBOLS]) -> u64 {
     h
 }
 
+/// Digest of an all-zero accumulator over `len` positions: the XOR of
+/// [`position_hash`] of the zero vector at every position in `0..len`.
+///
+/// XOR is its own inverse, so a store that holds evidence for only some
+/// positions digests bit for bit as the dense
+/// [`GenomeAccumulator::digest`] would: this value XOR, over each held
+/// position, `position_hash(pos, counts) ^ position_hash(pos, &[0.0; 5])`.
+/// It costs one hash per position, so a server computes it once per
+/// reference, not once per session.
+pub fn zero_digest(len: usize) -> u64 {
+    (0..len as u64).fold(0, |h, pos| h ^ position_hash(pos, &[0.0; NUM_SYMBOLS]))
+}
+
 /// A genome-length accumulator of per-position evidence vectors.
 pub trait GenomeAccumulator: Send + Sized {
     /// Flat representation shipped between ranks by the MPI drivers.
@@ -316,6 +329,22 @@ mod tests {
         interleaved_digest_is_the_plain_fold::<CharDiscAccumulator>();
         interleaved_digest_is_the_plain_fold::<CentDiscAccumulator>();
         interleaved_digest_is_the_plain_fold::<FixedAccumulator>();
+    }
+
+    #[test]
+    fn zero_digest_is_the_digest_of_an_empty_accumulator() {
+        for len in (0..=9).chain([1023, 1024, 1025]) {
+            assert_eq!(
+                zero_digest(len),
+                FixedAccumulator::new(len).digest(),
+                "len {len}"
+            );
+            assert_eq!(
+                zero_digest(len),
+                NormAccumulator::new(len).digest(),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

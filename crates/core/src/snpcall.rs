@@ -7,7 +7,7 @@
 //! a Benjamini–Hochberg FDR level over all testable positions — "a p-value
 //! cutoff or a false discovery control", as the abstract puts it.
 
-use crate::accum::GenomeAccumulator;
+use crate::accum::{GenomeAccumulator, NUM_SYMBOLS};
 use genome::alphabet::{Base, GAP_INDEX};
 use genome::seq::DnaSeq;
 use gnumap_stats::fdr::benjamini_hochberg;
@@ -115,22 +115,39 @@ struct Candidate {
 /// Run the LRT across the accumulator and call SNPs against `reference`.
 ///
 /// `offset` maps accumulator indices to genome coordinates (non-zero for
-/// genome-split shards).
+/// genome-split shards). Every position goes through [`call_snps_over`].
 pub fn call_snps_with_offset<A: GenomeAccumulator>(
     acc: &A,
     reference: &DnaSeq,
     offset: usize,
     config: &SnpCallConfig,
 ) -> Vec<SnpCall> {
+    let evidence = (0..acc.len()).map(|idx| (offset + idx, acc.counts(idx)));
+    call_snps_over(evidence, reference, config)
+}
+
+/// Run the LRT over `evidence`, `(genome position, counts)` pairs in
+/// ascending position order, and call SNPs against `reference`: the one
+/// calling core behind [`call_snps_with_offset`].
+///
+/// A position left out of `evidence` is a position of total 0, and such
+/// a position is never called: `lrt` returns `None` at total 0 whatever
+/// `min_total` is, so it neither becomes a candidate nor enters the
+/// Benjamini–Hochberg p-value list (and the server's protocol rejects a
+/// negative `min_total` anyway). A sparse store may therefore feed only
+/// the positions it holds and get the dense calls exactly.
+pub fn call_snps_over(
+    evidence: impl IntoIterator<Item = (usize, [f64; NUM_SYMBOLS])>,
+    reference: &DnaSeq,
+    config: &SnpCallConfig,
+) -> Vec<SnpCall> {
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut all_pvalues: Vec<f64> = Vec::new();
 
-    for idx in 0..acc.len() {
-        let pos = offset + idx;
+    for (pos, counts) in evidence {
         let Some(reference_base) = reference.get(pos) else {
             continue; // no call against an N reference
         };
-        let counts = acc.counts(idx);
         let total: f64 = counts.iter().sum();
         if total < config.min_total {
             continue;
@@ -370,6 +387,32 @@ mod tests {
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].pos, 8);
         assert_eq!(calls[0].allele, Base::C);
+    }
+
+    #[test]
+    fn fdr_ignores_zero_total_positions() {
+        let r = reference(&"A".repeat(200));
+        let mut acc = NormAccumulator::new(200);
+        pour(&mut acc, 10, 2, 20);
+        for pos in (40..120).step_by(3) {
+            pour(&mut acc, pos, 0, 3);
+            pour(&mut acc, pos, 3, 1);
+        }
+        pour(&mut acc, 150, 1, 6);
+        pour(&mut acc, 150, 0, 2);
+        for ploidy in [Ploidy::Monoploid, Ploidy::Diploid] {
+            let cfg = SnpCallConfig {
+                ploidy,
+                cutoff: Cutoff::Fdr(0.2),
+                min_total: 0.0,
+            };
+            let touched = (0..acc.len())
+                .map(|pos| (pos, acc.counts(pos)))
+                .filter(|(_, counts)| counts.iter().sum::<f64>() > 0.0);
+            let dense = call_snps(&acc, &r, &cfg);
+            assert!(!dense.is_empty());
+            assert_eq!(call_snps_over(touched, &r, &cfg), dense, "{ploidy:?}");
+        }
     }
 
     #[test]

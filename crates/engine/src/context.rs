@@ -35,7 +35,7 @@ pub struct RunContext<'r> {
     pub channel_capacity: usize,
     /// Micro-batches per worker per scheduling window (stream driver).
     pub batches_per_worker: usize,
-    /// Lock stripes in the shared accumulator (stream and server drivers).
+    /// Lock stripes in the shared accumulator (stream driver).
     pub shards: usize,
     /// Periodic checkpointing (stream driver only).
     pub checkpoint: Option<CheckpointPolicy>,

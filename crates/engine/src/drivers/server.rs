@@ -60,7 +60,6 @@ impl Driver for ServerDriver {
         let cfg = server::ServerConfig {
             workers: ctx.threads.max(1),
             batch_size: ctx.batch_size,
-            shards: ctx.shards,
             ..Default::default()
         };
         let handle = server::start(ctx.reference.clone(), ctx.config, cfg, "127.0.0.1:0")

@@ -6,6 +6,7 @@
 //! aggregate CPU spend and the critical-path (busiest-worker) time that
 //! the repo's simulated-parallel throughput convention divides by.
 
+use crate::session::EvidenceGauge;
 use gnumap_core::pipeline::BatchCounts;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -70,6 +71,10 @@ pub struct StatsSnapshot {
     pub worker_cpu_secs: f64,
     /// CPU seconds of the busiest worker (the critical path).
     pub max_worker_cpu_secs: f64,
+    /// Heap bytes held by the evidence of every live session.
+    pub evidence_bytes: u64,
+    /// Highest `evidence_bytes` observed.
+    pub evidence_bytes_peak: u64,
 }
 
 /// The per-read counters of one worker, in the order of
@@ -186,9 +191,15 @@ impl Metrics {
         self.worker_cpu_nanos[worker].store(nanos, Ordering::Relaxed);
     }
 
-    /// Snapshot every counter. `sessions_open` and `ingress_depth` are
-    /// owned by other structures, so the caller passes them in.
-    pub fn snapshot(&self, sessions_open: usize, ingress_depth: usize) -> StatsSnapshot {
+    /// Snapshot every counter. `sessions_open`, `ingress_depth` and the
+    /// session evidence gauge are owned by other structures, so the
+    /// caller passes them in.
+    pub fn snapshot(
+        &self,
+        sessions_open: usize,
+        ingress_depth: usize,
+        evidence: &EvidenceGauge,
+    ) -> StatsSnapshot {
         let batches = self.batches_dispatched.load(Ordering::Relaxed);
         let (p50, p99) = {
             let r = self.latency.lock().unwrap();
@@ -247,6 +258,8 @@ impl Metrics {
             p99_service_micros: p99,
             worker_cpu_secs: cpu.iter().sum(),
             max_worker_cpu_secs: cpu.iter().fold(0.0, |a, &b| a.max(b)),
+            evidence_bytes: evidence.live(),
+            evidence_bytes_peak: evidence.peak(),
         }
     }
 }
@@ -266,7 +279,7 @@ mod tests {
         }
         m.publish_worker_cpu(0, 1.5);
         m.publish_worker_cpu(1, 0.5);
-        let s = m.snapshot(3, 7);
+        let s = m.snapshot(3, 7, &EvidenceGauge::default());
         assert_eq!(s.sessions_open, 3);
         assert_eq!(s.ingress_depth, 7);
         assert!((s.mean_batch_occupancy - 24.0).abs() < 1e-9);
@@ -288,7 +301,8 @@ mod tests {
             m.record_read(worker, &read);
         }
         assert_eq!(m.worker_reads(), [1, 0, 2]);
-        assert_eq!(m.snapshot(0, 0).reads_processed, 3);
+        let s = m.snapshot(0, 0, &EvidenceGauge::default());
+        assert_eq!(s.reads_processed, 3);
     }
 
     #[test]

@@ -494,6 +494,8 @@ fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
     put_u64(buf, s.fallbacks);
     put_u64(buf, s.underflowed);
     put_u64(buf, s.survivors);
+    put_u64(buf, s.evidence_bytes);
+    put_u64(buf, s.evidence_bytes_peak);
 }
 
 fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
@@ -522,6 +524,8 @@ fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
         fallbacks: p.u64("fallbacks")?,
         underflowed: p.u64("underflowed")?,
         survivors: p.u64("survivors")?,
+        evidence_bytes: p.u64("evidence_bytes")?,
+        evidence_bytes_peak: p.u64("evidence_bytes_peak")?,
     })
 }
 
@@ -894,6 +898,8 @@ mod tests {
             fallbacks: 2,
             underflowed: 3,
             survivors: 640,
+            evidence_bytes: 82_000,
+            evidence_bytes_peak: 3_145_728,
             ..StatsSnapshot::default()
         }));
         round_trip_response(Response::ShuttingDown);

@@ -9,7 +9,7 @@
 //!                                          │
 //!                  exec::pool workers (AlignScratch each, one shared
 //!                                          │         MappingEngine)
-//!                              per-session ShardedAccumulators
+//!                              per-session paged SessionEvidence
 //! ```
 //!
 //! Backpressure is a chain of bounded queues: a full batch channel
@@ -37,11 +37,9 @@ use exec::pool::{length_sorted_batches, run_pool, PoolWorker, SendError, Sender}
 use genome::index::KmerIndex;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use gnumap_core::accum::GenomeAccumulator;
 use gnumap_core::config::GnumapConfig;
 use gnumap_core::mapping::MappingEngine;
 use gnumap_core::pipeline::BatchCounts;
-use gnumap_core::snpcall::call_snps;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,8 +56,6 @@ pub struct ServerConfig {
     pub batch_size: usize,
     /// Ingress queue capacity, in submitted chunks.
     pub ingress_capacity: usize,
-    /// Stripes per session accumulator.
-    pub shards: usize,
     /// How long a submit may wait for ingress space before `Busy`.
     pub submit_timeout: Duration,
     /// Finalize deadline when the frame says 0.
@@ -76,7 +72,6 @@ impl Default for ServerConfig {
             workers: 2,
             batch_size: 32,
             ingress_capacity: 64,
-            shards: 16,
             submit_timeout: Duration::from_secs(2),
             default_deadline: Duration::from_secs(30),
             frame_stall: Duration::from_secs(10),
@@ -134,8 +129,11 @@ struct Shared {
 
 impl Shared {
     fn snapshot(&self) -> StatsSnapshot {
-        self.metrics
-            .snapshot(self.registry.len(), self.ingress.len())
+        self.metrics.snapshot(
+            self.registry.len(),
+            self.ingress.len(),
+            self.registry.evidence_gauge(),
+        )
     }
 }
 
@@ -217,7 +215,7 @@ pub fn start(
     let shared = Arc::new(Shared {
         reference,
         base,
-        registry: Registry::new(genome_len, cfg.shards),
+        registry: Registry::new(genome_len),
         metrics: Metrics::new(cfg.workers),
         ingress: BoundedQueue::new(cfg.ingress_capacity),
         shutting_down: AtomicBool::new(false),
@@ -464,15 +462,17 @@ fn handle_request(request: Request, shared: &Arc<Shared>, owned: &mut Vec<u64>) 
                     ),
                 );
             }
-            let Some(sharded) = state.take_accumulator() else {
+            let Some(mut evidence) = state.take_accumulator() else {
                 return error(
                     ErrorKind::SessionClosed,
                     format!("session {session} already finalized"),
                 );
             };
-            let full = sharded.into_full();
-            let digest = full.digest();
-            let calls = call_snps(&full, &shared.reference, &state.calling);
+            // Both walk the allocated pages only; the genome-length part
+            // of the digest is the registry's one zero digest.
+            let digest = evidence.digest(shared.registry.zero_digest());
+            let calls = evidence.call_snps(&shared.reference, &state.calling);
+            drop(evidence);
             shared.registry.remove(session);
             owned.retain(|&id| id != session);
             Response::SnpCalls(CallResult {

@@ -100,6 +100,8 @@ fn responses() -> impl Strategy<Value = Response> {
                 p99_service_micros: extra[3],
                 mean_batch_occupancy: (n % 100) as f64 / 3.0,
                 worker_cpu_secs: (n % 7) as f64,
+                evidence_bytes: n,
+                evidence_bytes_peak: n.saturating_add(extra[0] % 4096),
                 ..StatsSnapshot::default()
             }),
             5 => Response::ShuttingDown,

@@ -159,16 +159,24 @@ grep -qv "^#" "$smoke_dir/served.vcf" || {
     echo "served VCF has no call records"; exit 1;
 }
 
-echo "==> serve memory smoke: the workers share one index"
+echo "==> serve memory smoke: one shared index, session evidence sized by its reads"
 # The server's workers share one MappingEngine, so the ~8 MB k-mer index
 # of a 1 Mbp reference is resident once however many workers run: four
-# workers may cost at most half an index (4 MiB) more than one. Both
-# servers must also write the same calls for the same reads.
+# workers may cost at most half an index (4 MiB) more than one. A
+# session's evidence is paged, so a panel session (reads tiling the first
+# 64 kbp, 64 pages of 1,024 positions) must peak under 4 MiB of evidence
+# where a dense session would hold 40 MB, and must free it at finalize.
+# Both servers must also write the same calls for the same reads.
 mem_dir="target/serve-mem-smoke"
 rm -rf "$mem_dir"
 mkdir -p "$mem_dir"
 target/release/gnumap simulate --out-dir "$mem_dir" \
     --genome-len 1000000 --snps 20 --coverage 2 --seed 808 >/dev/null
+awk 'NR > 1 { printf "%s", $0 }' "$mem_dir/reference.fa" |
+    awk -v q="$(printf 'I%.0s' $(seq 62))" '{
+        for (i = 1; i + 61 <= 65536; i += 16)
+            printf "@panel_%d\n%s\n+\n%s\n", i - 1, substr($0, i, 62), q
+    }' > "$mem_dir/panel.fq"
 declare -A rss_kib
 for workers in 1 4; do
     target/release/gnumap serve --reference "$mem_dir/reference.fa" \
@@ -183,6 +191,16 @@ for workers in 1 4; do
     addr="$(cat "$mem_dir/port$workers")"
     target/release/gnumap client --addr "$addr" --ping >/dev/null
     rss_kib[$workers]="$(awk '/^VmRSS:/ { print $2 }' "/proc/$mem_pid/status")"
+    target/release/gnumap client --addr "$addr" --reads "$mem_dir/panel.fq" \
+        --out "$mem_dir/panel$workers.vcf" >/dev/null
+    target/release/gnumap client --addr "$addr" --stats > "$mem_dir/stats$workers.txt"
+    live="$(awk '/^evidence/ { print $2 }' "$mem_dir/stats$workers.txt")"
+    peak="$(awk '/^evidence/ { print $5 }' "$mem_dir/stats$workers.txt")"
+    echo "panel session evidence with $workers worker(s): peak $peak B, $live B live after finalize"
+    [[ -n "$peak" ]] && (( peak < 4194304 && live == 0 )) || {
+        echo "panel session evidence must peak under 4 MiB and be freed"
+        cat "$mem_dir/stats$workers.txt"; exit 1;
+    }
     target/release/gnumap client --addr "$addr" --reads "$mem_dir/reads.fq" \
         --out "$mem_dir/served$workers.vcf" >/dev/null
     target/release/gnumap client --addr "$addr" --shutdown >/dev/null
@@ -192,9 +210,11 @@ echo "VmRSS after the first ping: ${rss_kib[1]} KiB with 1 worker, ${rss_kib[4]}
 (( rss_kib[4] - rss_kib[1] < 4096 )) || {
     echo "4 workers hold $(( rss_kib[4] - rss_kib[1] )) KiB more than 1 (limit 4096)"; exit 1;
 }
-cmp -s "$mem_dir/served1.vcf" "$mem_dir/served4.vcf" || {
-    echo "1- and 4-worker servers wrote different calls"; exit 1;
-}
+for run in served panel; do
+    cmp -s "$mem_dir/${run}1.vcf" "$mem_dir/${run}4.vcf" || {
+        echo "1- and 4-worker servers wrote different $run calls"; exit 1;
+    }
+done
 
 echo "==> benchmark harness smoke: scripts/bench.sh --quick"
 scripts/bench.sh --quick

@@ -42,7 +42,8 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
              batches  {} ({:.2} reads/batch, {:.2} sessions/batch, {} cross-session)\n\
              ingress  {} now, {} peak; {} busy, {} timeout(s)\n\
              latency  p50 {} µs, p99 {} µs\n\
-             cpu      {:.3}s total, {:.3}s busiest worker",
+             cpu      {:.3}s total, {:.3}s busiest worker\n\
+             evidence {} B live, {} B peak",
             s.sessions_open,
             s.sessions_opened,
             s.sessions_aborted,
@@ -67,6 +68,8 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             s.p99_service_micros,
             s.worker_cpu_secs,
             s.max_worker_cpu_secs,
+            s.evidence_bytes,
+            s.evidence_bytes_peak,
         )
         .map_err(|e| e.to_string());
     }

@@ -164,7 +164,7 @@ USAGE:
   gnumap verify      [--fast]
   gnumap trace-check --trace trace.jsonl
   gnumap serve       --reference ref.fa [--addr HOST:PORT] [--workers N]
-                     [--batch-size N] [--shards N] [--ingress-capacity N]
+                     [--batch-size N] [--ingress-capacity N]
                      [--submit-timeout-ms MS] [--deadline-ms MS]
                      [--port-file PATH]
   gnumap client      --addr HOST:PORT (--ping | --stats | --shutdown |

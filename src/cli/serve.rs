@@ -9,7 +9,6 @@ pub(super) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> 
     let addr: String = args.get("addr", "127.0.0.1:0".to_string())?;
     let workers: usize = args.get("workers", 2usize)?;
     let batch_size: usize = args.get("batch-size", 32usize)?;
-    let shards: usize = args.get("shards", 16usize)?;
     let ingress_capacity: usize = args.get("ingress-capacity", 64usize)?;
     let submit_timeout_ms: u64 = args.get("submit-timeout-ms", 2_000u64)?;
     let deadline_ms: u64 = args.get("deadline-ms", 30_000u64)?;
@@ -20,7 +19,6 @@ pub(super) fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), String> 
     let cfg = server::ServerConfig {
         workers,
         batch_size,
-        shards,
         ingress_capacity,
         submit_timeout: std::time::Duration::from_millis(submit_timeout_ms),
         default_deadline: std::time::Duration::from_millis(deadline_ms),
