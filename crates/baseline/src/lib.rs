@@ -22,11 +22,9 @@
 pub mod caller;
 pub mod consensus;
 pub mod mapper;
-pub mod nw;
 pub mod pileup;
 
 pub use caller::{run_baseline, BaselineConfig, BaselineReport};
 pub use consensus::{call_consensus_snps, BaselineSnp, ConsensusConfig};
 pub use mapper::{MaqConfig, MaqHit, MaqMapper};
-pub use nw::{align as nw_align, NwAlignment, NwParams};
 pub use pileup::Pileup;

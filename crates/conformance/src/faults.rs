@@ -86,7 +86,6 @@ fn stream_ctx<'r>(wl: &'r Workload) -> RunContext<'r> {
     ctx.batch_size = 16;
     ctx.chunk_size = 32;
     ctx.batches_per_worker = 2;
-    ctx.shards = 8;
     ctx
 }
 

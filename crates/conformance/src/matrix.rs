@@ -247,15 +247,11 @@ fn compare_drivers(
                 ctx.batch_size = [16, 32, 64][workload % 3];
                 ctx.chunk_size = [64, 128][workload % 2];
                 ctx.batches_per_worker = 1 + workload % 3;
-                ctx.shards = [4, 16, 32][workload % 3];
                 run_and_assert(
                     out,
                     workload,
                     driver,
-                    &format!(
-                        "stream(workers {}, batch {}, shards {})",
-                        ctx.threads, ctx.batch_size, ctx.shards
-                    ),
+                    &format!("stream(workers {}, batch {})", ctx.threads, ctx.batch_size),
                     &ctx,
                     wl,
                     reference,
@@ -263,9 +259,9 @@ fn compare_drivers(
             }
             // The serving layer: a loopback TCP round trip through the
             // batching daemon must also be bit-identical. One workload
-            // suffices — the server reuses the per-session sharded
-            // fixed-point accumulator, so this row guards the wire +
-            // session plumbing, not the arithmetic.
+            // suffices — a server session holds the same paged
+            // fixed-point evidence as the stream driver, so this row
+            // guards the wire + session plumbing, not the arithmetic.
             "server" => {
                 if workload != 0 {
                     continue;

@@ -71,7 +71,6 @@ fn every_registry_driver_runs_twice_identically() {
         ctx.batch_size = 16;
         ctx.chunk_size = 48;
         ctx.batches_per_worker = 2;
-        ctx.shards = 8;
 
         let run = |d: &dyn Driver| {
             d.run(&ctx, ReadSource::Slice(&wl.reads), &mut NullSink)

@@ -35,8 +35,6 @@ pub struct RunContext<'r> {
     pub channel_capacity: usize,
     /// Micro-batches per worker per scheduling window (stream driver).
     pub batches_per_worker: usize,
-    /// Lock stripes in the shared accumulator (stream driver).
-    pub shards: usize,
     /// Periodic checkpointing (stream driver only).
     pub checkpoint: Option<CheckpointPolicy>,
     /// Kill hook for tests (stream driver only).
@@ -59,7 +57,6 @@ impl<'r> RunContext<'r> {
             chunk_size: sc.chunk_size,
             channel_capacity: sc.channel_capacity,
             batches_per_worker: sc.batches_per_worker,
-            shards: sc.shards,
             checkpoint: None,
             abort_after_batches: None,
             observer: Observer::disabled(),
@@ -74,7 +71,6 @@ impl<'r> RunContext<'r> {
             chunk_size: self.chunk_size,
             channel_capacity: self.channel_capacity,
             batches_per_worker: self.batches_per_worker,
-            shards: self.shards,
             checkpoint: self.checkpoint.clone(),
             abort_after_batches: self.abort_after_batches,
         }
@@ -131,9 +127,9 @@ mod tests {
     fn zero_fields_are_rejected() {
         let reference: DnaSeq = "ACGT".parse().unwrap();
         let mut ctx = RunContext::new(&reference);
-        ctx.shards = 0;
+        ctx.batch_size = 0;
         let err = ctx.validate().unwrap_err();
-        assert!(err.to_string().contains("shards"), "{err}");
+        assert!(err.to_string().contains("batch_size"), "{err}");
     }
 
     /// The error for a context whose index config was edited by `f`.

@@ -6,18 +6,18 @@ use crate::error::EngineError;
 use crate::sink::{deliver, CallSink};
 use crate::source::ReadSource;
 use exec::{run_stream, MemoryStream, ReadStream};
-use gnumap_core::accum::{AccumulatorMode, FixedAccumulator};
+use gnumap_core::accum::AccumulatorMode;
 use gnumap_core::report::RunReport;
 
 /// Micro-batch pipeline over an unbounded source and a blocking worker
-/// pool, with
-/// backpressure, a sharded shared accumulator, and checkpoint/resume —
-/// the shared-memory driver, so it also answers to `rayon`, `threads`
-/// and `shared`. Always accumulates in fixed point — integer deposits
-/// commute, so any worker count, batch shape or checkpoint split is
-/// bit-identical to serial. `NORM` is accepted as a selection (fixed
-/// point quantizes the same normalized posteriors) and runs the
-/// identical fixed-point path.
+/// pool, with backpressure, one shared paged evidence store
+/// (`exec::PagedEvidence`, the store server sessions use), and
+/// checkpoint/resume — the shared-memory driver, so it also answers to
+/// `rayon`, `threads` and `shared`. Always accumulates in fixed point —
+/// integer deposits commute, so any worker count, batch shape or
+/// checkpoint split is bit-identical to serial. `NORM` is accepted as a
+/// selection (fixed point quantizes the same normalized posteriors) and
+/// runs the identical fixed-point path.
 pub struct StreamDriver;
 
 impl Driver for StreamDriver {
@@ -59,8 +59,7 @@ impl Driver for StreamDriver {
                 &mut memory
             }
         };
-        let report =
-            run_stream::<FixedAccumulator>(ctx.reference, stream, &ctx.config, &sc, &ctx.observer)?;
+        let report = run_stream(ctx.reference, stream, &ctx.config, &sc, &ctx.observer)?;
         deliver(report, sink)
     }
 }

@@ -27,31 +27,27 @@
 //! runs reproducible.
 //!
 //! **Workers** ([`run_pool`]) block until a batch arrives, map each read,
-//! and deposit evidence directly into the [`ShardedAccumulator`] — no
-//! per-worker replica, no final merge. With [`FixedAccumulator`] deposits
-//! commute bit-exactly, so whichever worker takes a batch, the
-//! accumulator is identical.
-//!
-//! [`FixedAccumulator`]: gnumap_core::accum::FixedAccumulator
+//! and deposit evidence directly into the run's [`PagedEvidence`] — no
+//! per-worker replica, no final merge. Fixed-point deposits commute
+//! bit-exactly, so whichever worker takes a batch, the evidence is
+//! identical. At end of input the digest and the calls read the
+//! evidence's pages in place.
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::ExecError;
+use crate::evidence::PagedEvidence;
 use crate::pool::{length_sorted_batches, run_pool, PoolWorker};
-use crate::sharded::ShardedAccumulator;
 use crate::stream::ReadStream;
 use crossbeam::channel;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use gnumap_core::accum::GenomeAccumulator;
+use gnumap_core::accum::zero_digest;
 use gnumap_core::observe::{Event, Observer, RunTimer, Stage, StageTimer};
 use gnumap_core::pipeline::BatchCounts;
 use gnumap_core::report::{RunReport, StreamStats};
-use gnumap_core::snpcall::call_snps;
 use gnumap_core::{GnumapConfig, MappingEngine};
-use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// When and where to snapshot engine state.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,8 +76,6 @@ pub struct StreamConfig {
     pub channel_capacity: usize,
     /// Micro-batches per worker per scheduling window.
     pub batches_per_worker: usize,
-    /// Lock stripes in the shared accumulator.
-    pub shards: usize,
     /// Periodic checkpointing; `None` disables it.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Kill hook for tests: abort (as if killed) at the first window
@@ -98,7 +92,6 @@ impl Default for StreamConfig {
             chunk_size: 256,
             channel_capacity: 4,
             batches_per_worker: 2,
-            shards: 16,
             checkpoint: None,
             abort_after_batches: None,
         }
@@ -115,7 +108,6 @@ impl StreamConfig {
             (self.batch_size, "batch_size"),
             (self.chunk_size, "chunk_size"),
             (self.batches_per_worker, "batches_per_worker"),
-            (self.shards, "shards"),
         ] {
             if value == 0 {
                 return Err(ExecError::InvalidConfig(format!(
@@ -129,15 +121,15 @@ impl StreamConfig {
 
 /// Run the streaming engine over `stream`, calling SNPs at end of input.
 ///
-/// With `A = FixedAccumulator` the returned calls are bit-identical to
-/// `run_serial::<FixedAccumulator>` on the same reads, for any worker
-/// count, batch size, chunking or checkpoint/resume split. The observer
-/// gets one [`Event::Batch`] per micro-batch (tagged with the index of
-/// the worker that mapped it), an [`Event::Checkpoint`] for every
-/// checkpoint record written, and stage timings taken on the scheduler
-/// thread. A shape [`StreamConfig::validate`] rejects is an
+/// The run accumulates in fixed point: the returned calls and digest are
+/// bit-identical to `run_serial::<FixedAccumulator>` on the same reads,
+/// for any worker count, batch size, chunking or checkpoint/resume split.
+/// The observer gets one [`Event::Batch`] per micro-batch (tagged with
+/// the index of the worker that mapped it), an [`Event::Checkpoint`] for
+/// every checkpoint record written, and stage timings taken on the
+/// scheduler thread. A shape [`StreamConfig::validate`] rejects is an
 /// [`ExecError::InvalidConfig`].
-pub fn run_stream<A: GenomeAccumulator>(
+pub fn run_stream(
     reference: &DnaSeq,
     stream: &mut dyn ReadStream,
     config: &GnumapConfig,
@@ -148,7 +140,11 @@ pub fn run_stream<A: GenomeAccumulator>(
     let run = RunTimer::start(observer, "stream", config.accumulator);
 
     // ---- resume --------------------------------------------------------
-    let sharded = ShardedAccumulator::<A>::new(reference.len(), sc.shards);
+    // A stream's reads cover the genome, so its pages are allocated here
+    // rather than by the pool's workers, which are spawned afresh for
+    // each run.
+    let mut evidence = PagedEvidence::new(reference.len(), Default::default());
+    evidence.allocate_all();
     let mut cursor = 0usize;
     let mut mapped_total = 0usize;
     let mut resumed = false;
@@ -163,7 +159,7 @@ pub fn run_stream<A: GenomeAccumulator>(
                         reference.len()
                     )));
                 }
-                sharded.load_counts(&cp.counts);
+                evidence.load_counts(&cp.counts);
                 cursor = cp.cursor;
                 mapped_total = cp.reads_mapped;
                 stream.skip(cursor)?;
@@ -180,8 +176,6 @@ pub fn run_stream<A: GenomeAccumulator>(
     // ---- plumbing ------------------------------------------------------
     let (chunk_tx, chunk_rx) = channel::bounded::<Vec<SequencedRead>>(sc.channel_capacity);
     let (done_tx, done_rx) = channel::unbounded::<BatchCounts>();
-    let source_stall_nanos = AtomicU64::new(0);
-    let source_error: Mutex<Option<ExecError>> = Mutex::new(None);
 
     // ---- stats ---------------------------------------------------------
     let mut batches_dispatched = 0usize;
@@ -194,35 +188,29 @@ pub fn run_stream<A: GenomeAccumulator>(
     let mut aborted = false;
 
     let map_timer = StageTimer::start(observer, Stage::Map);
-    let pool = std::thread::scope(|scope| {
-        // Source thread: chunk the stream into the bounded channel. It
-        // owns the only sender, so the channel disconnects (and the
-        // scheduler sees end of stream) the moment this thread returns.
-        let source_error_ref = &source_error;
-        let source_stall_ref = &source_stall_nanos;
-        scope.spawn(move || {
+    let (pool, source) = std::thread::scope(|scope| {
+        // Source thread: chunk the stream into the bounded channel and
+        // return the time it spent blocked on it. It owns the only
+        // sender, so the channel disconnects (and the scheduler sees end
+        // of stream) the moment this thread returns.
+        let source = scope.spawn(move || -> Result<Duration, ExecError> {
             let tx = chunk_tx;
+            let mut stall = Duration::ZERO;
             loop {
-                let chunk = match stream.next_chunk(sc.chunk_size) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        *source_error_ref.lock() = Some(e);
-                        break;
-                    }
-                };
+                let chunk = stream.next_chunk(sc.chunk_size)?;
                 if chunk.is_empty() {
-                    break; // end of stream
+                    return Ok(stall); // end of stream
                 }
                 let blocked = Instant::now();
                 if tx.send(chunk).is_err() {
-                    break; // scheduler gone (abort): stop producing
+                    return Ok(stall); // scheduler gone (abort): stop producing
                 }
-                source_stall_ref.fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                stall += blocked.elapsed();
             }
         });
 
-        // Workers map each batch and deposit straight into the sharded
-        // accumulator; the scheduler below feeds them windows.
+        // Workers map each batch and deposit straight into the paged
+        // evidence; the scheduler below feeds them windows.
         let work = |worker: &mut PoolWorker, batch: Vec<SequencedRead>| {
             let mut counts = BatchCounts::default();
             for read in &batch {
@@ -230,7 +218,7 @@ pub fn run_stream<A: GenomeAccumulator>(
                     &engine,
                     read,
                     &mut worker.scratch,
-                    |start, weight, columns| sharded.deposit(start, weight, columns),
+                    |start, weight, columns| evidence.deposit(start, weight, columns),
                 );
             }
             counts.emit(observer, worker.index);
@@ -240,7 +228,7 @@ pub fn run_stream<A: GenomeAccumulator>(
         // Scheduler: windows → sorted micro-batches → (barrier → checkpoint).
         // Returning drops `chunk_rx`, which unblocks a source stuck on a
         // full channel, and the batch sender, which lets the workers exit.
-        run_pool(sc.workers, work, |batches| -> Result<(), ExecError> {
+        let pool = run_pool(sc.workers, work, |batches| -> Result<(), ExecError> {
             let chunk_rx = chunk_rx;
             let mut pending: Vec<SequencedRead> = Vec::with_capacity(window_reads);
             let mut source_done = false;
@@ -313,7 +301,7 @@ pub fn run_stream<A: GenomeAccumulator>(
                         &Checkpoint {
                             cursor,
                             reads_mapped: mapped_total,
-                            counts: sharded.snapshot_counts(),
+                            counts: evidence.snapshot_counts(),
                         },
                     )?;
                     checkpoints_written += 1;
@@ -333,7 +321,12 @@ pub fn run_stream<A: GenomeAccumulator>(
                 }
             }
             Ok(())
-        })
+        });
+        let source = source.join();
+        (
+            pool,
+            source.unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        )
     });
     pool.result?;
     // The pool has drained: the counts of batches sent after the last
@@ -343,9 +336,7 @@ pub fn run_stream<A: GenomeAccumulator>(
     }
     map_timer.finish(observer);
 
-    if let Some(e) = source_error.into_inner() {
-        return Err(e);
-    }
+    let source_stall = source?;
     if aborted {
         return Err(ExecError::Aborted { cursor });
     }
@@ -365,25 +356,23 @@ pub fn run_stream<A: GenomeAccumulator>(
         } else {
             queue_depth_sum as f64 / queue_samples as f64
         },
-        source_stall_secs: source_stall_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+        source_stall_secs: source_stall.as_secs_f64(),
         worker_stall_secs: pool.wait_secs.iter().sum(),
         checkpoints_written,
         resumed_from_checkpoint: resumed,
     };
 
-    let accumulator_bytes = sharded.heap_bytes();
-    let full = sharded.into_full();
     let timer = StageTimer::start(observer, Stage::Call);
-    let calls = call_snps(&full, reference, &config.calling);
+    let calls = evidence.call_snps(reference, &config.calling);
     timer.finish(observer);
     let report = RunReport {
         calls,
         reads_processed: cursor,
         reads_mapped: mapped_total,
-        accumulator_bytes,
+        accumulator_bytes: evidence.heap_bytes(),
         rank_cpu_secs: pool.cpu_secs,
         stream: Some(stats),
-        accumulator_digest: Some(full.digest()),
+        accumulator_digest: Some(evidence.digest(zero_digest(reference.len()))),
         ..RunReport::default()
     };
     Ok(run.finish(observer, report))
@@ -393,8 +382,6 @@ pub fn run_stream<A: GenomeAccumulator>(
 mod tests {
     use super::*;
     use crate::stream::MemoryStream;
-    use gnumap_core::accum::FixedAccumulator;
-    use std::time::Duration;
 
     fn tiny_workload() -> (DnaSeq, Vec<SequencedRead>) {
         use rand::SeedableRng;
@@ -427,7 +414,7 @@ mod tests {
     fn empty_stream_produces_empty_report() {
         let (genome, _) = tiny_workload();
         let mut stream = MemoryStream::new(Vec::new());
-        let report = run_stream::<FixedAccumulator>(
+        let report = run_stream(
             &genome,
             &mut stream,
             &GnumapConfig::default(),
@@ -454,7 +441,7 @@ mod tests {
             chunk_size: 32,
             ..Default::default()
         };
-        let report = run_stream::<FixedAccumulator>(
+        let report = run_stream(
             &genome,
             &mut stream,
             &GnumapConfig::default(),
@@ -483,8 +470,7 @@ mod tests {
         let cfg = GnumapConfig::default();
         let baseline = {
             let mut s = MemoryStream::new(reads.clone());
-            run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &StreamConfig::default(), &quiet)
-                .unwrap()
+            run_stream(&genome, &mut s, &cfg, &StreamConfig::default(), &quiet).unwrap()
         };
         for (workers, batch_size, chunk_size) in [(2, 8, 16), (3, 31, 7), (4, 64, 500)] {
             let mut s = MemoryStream::new(reads.clone());
@@ -494,7 +480,7 @@ mod tests {
                 chunk_size,
                 ..Default::default()
             };
-            let r = run_stream::<FixedAccumulator>(&genome, &mut s, &cfg, &sc, &quiet).unwrap();
+            let r = run_stream(&genome, &mut s, &cfg, &sc, &quiet).unwrap();
             assert_eq!(
                 r.calls, baseline.calls,
                 "workers={workers} batch={batch_size} chunk={chunk_size}"
@@ -511,7 +497,7 @@ mod tests {
         let cfg = GnumapConfig::default();
         let plain = {
             let mut s = MemoryStream::new(reads.clone());
-            run_stream::<FixedAccumulator>(
+            run_stream(
                 &genome,
                 &mut s,
                 &cfg,
@@ -535,14 +521,8 @@ mod tests {
         };
         let sink = Arc::new(MemorySink::new());
         let mut s = MemoryStream::new(reads.clone());
-        let observed = run_stream::<FixedAccumulator>(
-            &genome,
-            &mut s,
-            &cfg,
-            &sc,
-            &Observer::new(sink.clone()),
-        )
-        .unwrap();
+        let observed =
+            run_stream(&genome, &mut s, &cfg, &sc, &Observer::new(sink.clone())).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(observed.accumulator_digest, plain.accumulator_digest);
 
@@ -603,7 +583,7 @@ mod tests {
             workers: 2,
             ..Default::default()
         };
-        let report = run_stream::<FixedAccumulator>(
+        let report = run_stream(
             &genome,
             &mut stream,
             &GnumapConfig::default(),
@@ -627,23 +607,16 @@ mod tests {
     #[test]
     fn zero_shape_fields_are_invalid_config() {
         let (genome, reads) = tiny_workload();
-        for field in [
-            "workers",
-            "batch_size",
-            "chunk_size",
-            "batches_per_worker",
-            "shards",
-        ] {
+        for field in ["workers", "batch_size", "chunk_size", "batches_per_worker"] {
             let mut sc = StreamConfig::default();
             *match field {
                 "workers" => &mut sc.workers,
                 "batch_size" => &mut sc.batch_size,
                 "chunk_size" => &mut sc.chunk_size,
-                "batches_per_worker" => &mut sc.batches_per_worker,
-                _ => &mut sc.shards,
+                _ => &mut sc.batches_per_worker,
             } = 0;
             let mut stream = MemoryStream::new(reads[..50].to_vec());
-            let err = run_stream::<FixedAccumulator>(
+            let err = run_stream(
                 &genome,
                 &mut stream,
                 &GnumapConfig::default(),
@@ -670,7 +643,7 @@ mod tests {
             abort_after_batches: Some(3),
             ..Default::default()
         };
-        let err = run_stream::<FixedAccumulator>(
+        let err = run_stream(
             &genome,
             &mut stream,
             &GnumapConfig::default(),

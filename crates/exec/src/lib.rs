@@ -14,26 +14,28 @@
 //!   arena, and [`pool::length_sorted_batches`] is the one micro-batch cut;
 //! * [`driver`] — a batch scheduler that groups arriving reads into
 //!   length-sorted micro-batches and sends them to that pool;
-//! * [`sharded`] — a striped-lock wrapper over any
-//!   [`gnumap_core::accum::GenomeAccumulator`], so workers deposit evidence
-//!   concurrently without a global merge barrier;
-//! * [`checkpoint`] — periodic atomic snapshots of the accumulator plus the
+//! * [`evidence`] — [`evidence::PagedEvidence`], the one concurrent
+//!   evidence store (the stream driver's and every server session's):
+//!   fixed-point pages allocated on first deposit, each behind its own
+//!   lock, digested and called in place with no end-of-run merge;
+//! * [`checkpoint`] — periodic atomic snapshots of the evidence plus the
 //!   stream cursor, giving kill/resume semantics.
 //!
-//! Pair the engine with [`gnumap_core::accum::FixedAccumulator`] and the
-//! result is **bit-identical** to a serial run for any worker count, batch
-//! size or checkpoint schedule: integer deposits commute, and the scheduler
-//! derives batch composition only from stream order, never from timing.
+//! The engine accumulates in fixed point, so the result is
+//! **bit-identical** to a serial `FixedAccumulator` run for any worker
+//! count, batch size or checkpoint schedule: integer deposits commute,
+//! and the scheduler derives batch composition only from stream order,
+//! never from timing.
 
 pub mod checkpoint;
 pub mod driver;
 pub mod error;
+pub mod evidence;
 pub mod pool;
-pub mod sharded;
 pub mod stream;
 
 pub use checkpoint::Checkpoint;
 pub use driver::{run_stream, CheckpointPolicy, StreamConfig};
 pub use error::ExecError;
-pub use sharded::ShardedAccumulator;
+pub use evidence::{EvidenceGauge, PagedEvidence};
 pub use stream::{FastqStream, MemoryStream, ReadStream, SimReadStream};

@@ -126,7 +126,7 @@ fn every_driver_counts_scored_candidates_alike() {
             ..StreamConfig::default()
         };
         let mut source = MemoryStream::new(reads.clone());
-        run_stream::<FixedAccumulator>(&reference, &mut source, &cfg, &sc, o).unwrap();
+        run_stream(&reference, &mut source, &cfg, &sc, o).unwrap();
     });
     let genome_split = candidates(|o| {
         run_genome_split::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();
@@ -208,7 +208,7 @@ fn every_driver_counts_an_underflowed_read() {
             ..StreamConfig::default()
         };
         let mut source = MemoryStream::new(reads.clone());
-        run_stream::<FixedAccumulator>(&reference, &mut source, &cfg, &sc, o).unwrap();
+        run_stream(&reference, &mut source, &cfg, &sc, o).unwrap();
     });
     let genome_split = underflowed_and_mapped(|o| {
         run_genome_split::<FixedAccumulator>(&reference, &reads, &cfg, 3, o).unwrap();

@@ -1,7 +1,10 @@
-//! Differential test: paged session evidence against one dense
-//! `FixedAccumulator` fed the same deposits. Digests, calls and the page
-//! heap must agree with the dense layout for every page geometry.
+//! Differential test: paged evidence against one dense `FixedAccumulator`
+//! fed the same deposits. Digests, calls, the checkpoint snapshot and the
+//! page heap must agree with the dense layout for every page geometry,
+//! and a snapshot loaded into fresh evidence must allocate only the pages
+//! that hold counts and digest the same.
 
+use exec::evidence::{EvidenceGauge, PagedEvidence, PAGE};
 use genome::alphabet::Base;
 use genome::seq::DnaSeq;
 use gnumap_core::accum::{zero_digest, FixedAccumulator, GenomeAccumulator};
@@ -10,7 +13,6 @@ use gnumap_core::snpcall::{call_snps, Cutoff, SnpCallConfig};
 use gnumap_stats::lrt::Ploidy;
 use pairhmm::marginal::ColumnPosterior;
 use proptest::prelude::*;
-use server::session::{EvidenceGauge, SessionEvidence, PAGE};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -88,7 +90,7 @@ proptest! {
         let len = genome_len(len_kind, len_raw);
         let reference = reference(len);
         let gauge = Arc::new(EvidenceGauge::default());
-        let mut paged = SessionEvidence::new(len, Arc::clone(&gauge));
+        let mut paged = PagedEvidence::new(len, Arc::clone(&gauge));
         let mut dense = FixedAccumulator::new(len);
         let mut touched = BTreeSet::new();
         for (kind, raw, n, weight, purity) in windows {
@@ -102,6 +104,9 @@ proptest! {
             touched.extend((start..(start + n).min(len)).map(|pos| pos / PAGE));
         }
 
+        let snapshot = paged.snapshot_counts();
+        let dense_counts: Vec<_> = (0..len).map(|pos| dense.counts(pos)).collect();
+        prop_assert_eq!(&snapshot, &dense_counts);
         prop_assert_eq!(paged.digest(zero_digest(len)), dense.digest());
         for cfg in configs(alpha as f64 / 1000.0) {
             prop_assert_eq!(
@@ -121,5 +126,11 @@ proptest! {
             .sum();
         prop_assert_eq!(paged.page_heap_bytes(), page_heap);
         prop_assert_eq!(gauge.live(), paged.heap_bytes() as u64);
+
+        // A resumed run loads the snapshot: same digest, same pages.
+        let mut loaded = PagedEvidence::new(len, Arc::clone(&gauge));
+        loaded.load_counts(&snapshot);
+        prop_assert_eq!(loaded.digest(zero_digest(len)), dense.digest());
+        prop_assert_eq!(loaded.page_heap_bytes(), page_heap);
     }
 }

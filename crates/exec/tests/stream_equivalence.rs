@@ -1,12 +1,13 @@
 //! Decomposition-independence for the streaming engine: on a ~100 kb
-//! genome with planted SNPs, `run_stream::<FixedAccumulator>` must call
+//! genome with planted SNPs, the fixed-point `run_stream` must call
 //! exactly the same SNPs as the serial pipeline — for any worker count,
 //! batch size, and checkpoint/kill/resume split. Integer accumulation
 //! makes this bit-exact, not approximately equal.
 
+use exec::evidence::{PAGE, SLOT_BYTES};
 use exec::{run_stream, CheckpointPolicy, ExecError, FastqStream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
-use gnumap_core::accum::FixedAccumulator;
+use gnumap_core::accum::{FixedAccumulator, GenomeAccumulator};
 use gnumap_core::observe::Observer;
 use gnumap_core::pipeline::run_serial;
 use gnumap_core::{GnumapConfig, RunReport};
@@ -80,6 +81,19 @@ fn serial_reference() -> &'static RunReport {
     })
 }
 
+/// Heap of the stream's paged evidence, which holds every page: one
+/// table slot and one `FixedAccumulator` page per `PAGE` positions, the
+/// last page short.
+fn every_page_bytes(len: usize) -> usize {
+    (0..len)
+        .step_by(PAGE)
+        .map(|start| {
+            let cells = FixedAccumulator::new(PAGE.min(len - start)).heap_bytes();
+            SLOT_BYTES + std::mem::size_of::<FixedAccumulator>() + cells
+        })
+        .sum()
+}
+
 /// Small windows so runs span many scheduling windows and barriers.
 fn small_windows() -> StreamConfig {
     StreamConfig {
@@ -124,7 +138,7 @@ fn stream_calls_match_serial_bit_exactly() {
             chunk_size,
             ..Default::default()
         };
-        let report = run_stream::<FixedAccumulator>(
+        let report = run_stream(
             &w.reference,
             &mut stream,
             &config,
@@ -138,7 +152,11 @@ fn stream_calls_match_serial_bit_exactly() {
         );
         assert_eq!(report.reads_processed, w.reads.len());
         assert_eq!(report.reads_mapped, serial.reads_mapped);
-        assert_eq!(report.accumulator_bytes, serial.accumulator_bytes);
+        assert_eq!(report.accumulator_digest, serial.accumulator_digest);
+        assert_eq!(
+            report.accumulator_bytes,
+            every_page_bytes(w.reference.len())
+        );
         let stats = report.stream.expect("streaming driver reports stats");
         assert_eq!(stats.workers, workers);
         assert_eq!(report.rank_cpu_secs.len(), workers);
@@ -156,7 +174,7 @@ fn fastq_streamed_run_matches_serial() {
         genome::fastq::write_fastq(&mut f, &w.reads).unwrap();
     }
     let mut stream = FastqStream::open(&path).unwrap();
-    let report = run_stream::<FixedAccumulator>(
+    let report = run_stream(
         &w.reference,
         &mut stream,
         &GnumapConfig::default(),
@@ -191,9 +209,7 @@ fn checkpoint_kill_resume_matches_uninterrupted() {
         ..small_windows()
     };
     let mut stream = MemoryStream::new(w.reads.clone());
-    let err =
-        run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &killed_cfg, &quiet)
-            .unwrap_err();
+    let err = run_stream(&w.reference, &mut stream, &config, &killed_cfg, &quiet).unwrap_err();
     let killed_cursor = match err {
         ExecError::Aborted { cursor } => cursor,
         other => panic!("expected kill, got {other}"),
@@ -218,9 +234,7 @@ fn checkpoint_kill_resume_matches_uninterrupted() {
         ..small_windows()
     };
     let mut stream = MemoryStream::new(w.reads.clone());
-    let resumed =
-        run_stream::<FixedAccumulator>(&w.reference, &mut stream, &config, &resume_cfg, &quiet)
-            .unwrap();
+    let resumed = run_stream(&w.reference, &mut stream, &config, &resume_cfg, &quiet).unwrap();
 
     assert_eq!(resumed.calls, serial.calls, "resumed calls diverged");
     assert_eq!(resumed.reads_processed, w.reads.len());
@@ -245,7 +259,7 @@ fn resume_without_checkpoint_file_starts_from_scratch() {
         ..small_windows()
     };
     let mut stream = MemoryStream::new(w.reads.clone());
-    let report = run_stream::<FixedAccumulator>(
+    let report = run_stream(
         &w.reference,
         &mut stream,
         &GnumapConfig::default(),

@@ -9,7 +9,7 @@
 //!                                          │
 //!                  exec::pool workers (AlignScratch each, one shared
 //!                                          │         MappingEngine)
-//!                              per-session paged SessionEvidence
+//!                              per-session PagedEvidence
 //! ```
 //!
 //! Backpressure is a chain of bounded queues: a full batch channel

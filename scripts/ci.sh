@@ -159,7 +159,7 @@ grep -qv "^#" "$smoke_dir/served.vcf" || {
     echo "served VCF has no call records"; exit 1;
 }
 
-echo "==> serve memory smoke: one shared index, session evidence sized by its reads"
+echo "==> serve memory smoke: one shared index, session evidence sized by its reads, stream calls equal served calls"
 # The server's workers share one MappingEngine, so the ~8 MB k-mer index
 # of a 1 Mbp reference is resident once however many workers run: four
 # workers may cost at most half an index (4 MiB) more than one. A
@@ -213,6 +213,18 @@ echo "VmRSS after the first ping: ${rss_kib[1]} KiB with 1 worker, ${rss_kib[4]}
 for run in served panel; do
     cmp -s "$mem_dir/${run}1.vcf" "$mem_dir/${run}4.vcf" || {
         echo "1- and 4-worker servers wrote different $run calls"; exit 1;
+    }
+done
+# The stream driver deposits into the same paged evidence store as a
+# session, so `gnumap call` with the calling options the clients used
+# (the defaults) must write the served calls byte for byte.
+for run in panel:panel reads:served; do
+    reads="${run%%:*}" served="${run##*:}"
+    target/release/gnumap call --reference "$mem_dir/reference.fa" \
+        --reads "$mem_dir/$reads.fq" --out "$mem_dir/stream-$reads.vcf" \
+        --driver stream --threads 2 --accumulator fixed >/dev/null
+    cmp -s "$mem_dir/stream-$reads.vcf" "$mem_dir/${served}1.vcf" || {
+        echo "the stream driver and the server wrote different calls for $reads.fq"; exit 1;
     }
 done
 

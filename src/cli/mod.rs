@@ -152,7 +152,7 @@ USAGE:
                      [--ploidy monoploid|diploid] [--alpha A | --fdr Q]
                      [--accumulator norm|chardisc|centdisc|fixed]
                      [--driver NAME] [--threads N]
-                     [--batch-size N] [--shards N]
+                     [--batch-size N]
                      [--checkpoint-dir DIR] [--resume]
                      [--trace-json PATH]
                      [--min-coverage X] [--sample NAME]

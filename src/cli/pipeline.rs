@@ -36,7 +36,6 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let default_driver = if threads > 1 { "stream" } else { "serial" };
     let driver_s: String = args.get("driver", default_driver.to_string())?;
     let batch_size: usize = args.get("batch-size", 64usize)?;
-    let shards: usize = args.get("shards", 16usize)?;
     let checkpoint_dir = args.optional("checkpoint-dir");
     let resume = args.flag("resume");
     let trace_json = args.optional("trace-json");
@@ -92,7 +91,6 @@ pub(super) fn cmd_call(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     };
     ctx.threads = threads;
     ctx.batch_size = batch_size;
-    ctx.shards = shards;
     ctx.checkpoint = match &checkpoint_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
