@@ -4,12 +4,14 @@
 
 use bench::WorkloadSpec;
 use criterion::{criterion_group, criterion_main, Criterion};
-use gnumap_core::accum::{CharDiscAccumulator, GenomeAccumulator, NormAccumulator};
+use gnumap_core::accum::{CharDiscAccumulator, NormAccumulator};
+use gnumap_core::evidence::PagedEvidence;
 use gnumap_core::mapping::MappingEngine;
 use gnumap_core::observe::Observer;
 use gnumap_core::pipeline::accumulate_reads;
 use gnumap_core::GnumapConfig;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_map_read(c: &mut Criterion) {
     let w = WorkloadSpec {
@@ -50,22 +52,23 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("norm", |b| {
         b.iter(|| {
-            let mut acc = NormAccumulator::new(w.reference.len());
+            let evidence = PagedEvidence::<NormAccumulator>::new(w.reference.len(), Arc::default());
             black_box(accumulate_reads(
                 &engine,
                 &w.reads,
-                &mut acc,
+                &evidence,
                 &Observer::disabled(),
             ))
         })
     });
     group.bench_function("chardisc", |b| {
         b.iter(|| {
-            let mut acc = CharDiscAccumulator::new(w.reference.len());
+            let evidence =
+                PagedEvidence::<CharDiscAccumulator>::new(w.reference.len(), Arc::default());
             black_box(accumulate_reads(
                 &engine,
                 &w.reads,
-                &mut acc,
+                &evidence,
                 &Observer::disabled(),
             ))
         })

@@ -42,7 +42,8 @@ use genome::alphabet::Base;
 use genome::index::KmerIndex;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use gnumap_core::accum::{GenomeAccumulator, NormAccumulator};
+use gnumap_core::accum::NormAccumulator;
+use gnumap_core::evidence::PagedEvidence;
 use gnumap_core::mapping::AlignScratch;
 use gnumap_core::observe::Observer;
 use gnumap_core::pipeline::accumulate_reads;
@@ -58,6 +59,7 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured quantity: name, value in the unit its name ends with
@@ -307,11 +309,11 @@ fn main() {
     let engine = MappingEngine::new(&wl.reference, config.mapping);
     let n_reads = wl.reads.len() as u64;
     let (per_sec, iters) = measure(window.max(0.1), n_reads, || {
-        let mut acc = NormAccumulator::new(wl.reference.len());
+        let evidence = PagedEvidence::<NormAccumulator>::new(wl.reference.len(), Arc::default());
         black_box(accumulate_reads(
             &engine,
             &wl.reads,
-            &mut acc,
+            &evidence,
             &Observer::disabled(),
         ));
     });

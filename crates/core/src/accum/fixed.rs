@@ -14,6 +14,24 @@ use super::{GenomeAccumulator, NUM_SYMBOLS};
 /// One fixed-point quantum is 2⁻³²; a unit of evidence is `SCALE` quanta.
 const SCALE: f64 = 4_294_967_296.0; // 2^32
 
+/// 2⁵²: below it, `x - trunc(x)` is exact for every non-negative `x`.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64` without a libm call: for `0 ≤ x < 2⁵²` the
+/// fraction `x - trunc(x)` is exact, so comparing it with ½ rounds half
+/// away from zero as `round` does; every other value takes `round`. The
+/// truncation goes through `i64`, exact in that range, because x86-64
+/// converts signed integers in one instruction and unsigned ones in many.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    if (0.0..TWO_52).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// Order-independent fixed-point accumulator (`u64` per symbol).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedAccumulator {
@@ -34,11 +52,12 @@ impl GenomeAccumulator for FixedAccumulator {
         self.cells.len() / NUM_SYMBOLS
     }
 
+    #[inline]
     fn add(&mut self, pos: usize, delta: &[f64; NUM_SYMBOLS]) {
         let base = pos * NUM_SYMBOLS;
         for (k, &d) in delta.iter().enumerate() {
             debug_assert!(d >= 0.0, "negative evidence component");
-            self.cells[base + k] += (d * SCALE).round() as u64;
+            self.cells[base + k] += round_to_u64(d * SCALE);
         }
     }
 
@@ -70,6 +89,30 @@ impl GenomeAccumulator for FixedAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// An evidence component whose quanta `d · 2³²` are, by `kind`: 0, a
+    /// subnormal, an exact `.5` tie, within 2¹¹ of 2⁵² on either side, or
+    /// any non-negative finite double.
+    fn component(kind: u64, raw: u64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => f64::from_bits(1 + raw % (1 << 52)),
+            2 => ((raw % (1 << 51)) as f64 + 0.5) / SCALE,
+            3 => (TWO_52 + (raw % 4096) as f64 - 2048.0 + (raw >> 62) as f64 * 0.25) / SCALE,
+            _ => f64::from_bits(raw % (f64::MAX.to_bits() + 1)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn integer_round_matches_libm_round(kind in 0u64..5, raw in 0u64..u64::MAX) {
+            let x = component(kind, raw) * SCALE;
+            prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+        }
+    }
 
     #[test]
     fn conformance() {

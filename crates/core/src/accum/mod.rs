@@ -56,17 +56,45 @@ pub fn position_hash(pos: u64, counts: &[f64; NUM_SYMBOLS]) -> u64 {
     h
 }
 
-/// Digest of an all-zero accumulator over `len` positions: the XOR of
-/// [`position_hash`] of the zero vector at every position in `0..len`.
+/// Positions hashed per step by [`fold_hashes`], in independent chains.
+const CHAINS: usize = 8;
+
+/// The XOR over `i` in `0..len` of `position_hash(offset + i, &counts(i))`,
+/// [`CHAINS`] positions per step and the tail one at a time.
+#[inline]
+fn fold_hashes(offset: usize, len: usize, counts: impl Fn(usize) -> [f64; NUM_SYMBOLS]) -> u64 {
+    let body = len - len % CHAINS;
+    let mut lanes = [0u64; CHAINS];
+    for pos in (0..body).step_by(CHAINS) {
+        let counts: [_; CHAINS] = std::array::from_fn(|l| counts(pos + l));
+        let mut h: [u64; CHAINS] =
+            std::array::from_fn(|l| mix64((offset + pos + l) as u64 ^ POSITION_SEED));
+        for i in 0..NUM_SYMBOLS {
+            for (h, counts) in h.iter_mut().zip(&counts) {
+                *h = mix64(*h ^ counts[i].to_bits());
+            }
+        }
+        for (lane, h) in lanes.iter_mut().zip(h) {
+            *lane ^= h;
+        }
+    }
+    let mut h = lanes.iter().fold(0, |a, &b| a ^ b);
+    for pos in body..len {
+        h ^= position_hash((offset + pos) as u64, &counts(pos));
+    }
+    h
+}
+
+/// Digest of an all-zero accumulator over `positions`: the XOR of
+/// [`position_hash`] of the zero vector at every position in the range.
 ///
 /// XOR is its own inverse, so a store that holds evidence for only some
 /// positions digests bit for bit as the dense
-/// [`GenomeAccumulator::digest`] would: this value XOR, over each held
-/// position, `position_hash(pos, counts) ^ position_hash(pos, &[0.0; 5])`.
-/// It costs one hash per position, so a server computes it once per
-/// reference, not once per session.
-pub fn zero_digest(len: usize) -> u64 {
-    (0..len as u64).fold(0, |h, pos| h ^ position_hash(pos, &[0.0; NUM_SYMBOLS]))
+/// [`GenomeAccumulator::digest`] would: the zero digest of the positions
+/// it does not hold XOR the digests of those it does. It costs one hash
+/// per position, so a store caches it rather than recomputing it per run.
+pub fn zero_digest(positions: std::ops::Range<usize>) -> u64 {
+    fold_hashes(positions.start, positions.len(), |_| [0.0; NUM_SYMBOLS])
 }
 
 /// A genome-length accumulator of per-position evidence vectors.
@@ -116,31 +144,11 @@ pub trait GenomeAccumulator: Send + Sized {
     /// digest of the full-genome accumulator — which is how the
     /// genome-split driver reports a digest comparable to the serial one.
     ///
-    /// Four positions are hashed per step in independent chains, so their
-    /// mixes overlap in the pipeline; the tail goes one position at a time.
-    /// XOR commutes, so the value is that of the plain per-position fold.
+    /// Eight positions are hashed per step in independent chains, so
+    /// their mixes overlap in the pipeline; XOR commutes, so the value is
+    /// that of the plain per-position fold.
     fn digest_with_offset(&self, offset: usize) -> u64 {
-        let len = self.len();
-        let body = len - len % 4;
-        let mut lanes = [0u64; 4];
-        for pos in (0..body).step_by(4) {
-            let counts: [_; 4] = std::array::from_fn(|l| self.counts(pos + l));
-            let mut h: [u64; 4] =
-                std::array::from_fn(|l| mix64((offset + pos + l) as u64 ^ POSITION_SEED));
-            for i in 0..NUM_SYMBOLS {
-                for (h, counts) in h.iter_mut().zip(&counts) {
-                    *h = mix64(*h ^ counts[i].to_bits());
-                }
-            }
-            for (lane, h) in lanes.iter_mut().zip(h) {
-                *lane ^= h;
-            }
-        }
-        let mut h = lanes.iter().fold(0, |a, &b| a ^ b);
-        for pos in body..len {
-            h ^= position_hash((offset + pos) as u64, &self.counts(pos));
-        }
-        h
+        fold_hashes(offset, self.len(), |pos| self.counts(pos))
     }
 
     /// [`GenomeAccumulator::digest_with_offset`] at offset 0.
@@ -299,7 +307,7 @@ mod tests {
     }
 
     fn interleaved_digest_is_the_plain_fold<A: GenomeAccumulator>() {
-        for len in 0..10 {
+        for len in 0..18 {
             let mut acc = A::new(len);
             fill(&mut acc, 0);
             for offset in [0, 1, 1_000_003] {
@@ -333,17 +341,24 @@ mod tests {
 
     #[test]
     fn zero_digest_is_the_digest_of_an_empty_accumulator() {
-        for len in (0..=9).chain([1023, 1024, 1025]) {
+        for len in (0..=17).chain([1023, 1024, 1025]) {
             assert_eq!(
-                zero_digest(len),
+                zero_digest(0..len),
                 FixedAccumulator::new(len).digest(),
                 "len {len}"
             );
             assert_eq!(
-                zero_digest(len),
+                zero_digest(0..len),
                 NormAccumulator::new(len).digest(),
                 "len {len}"
             );
+            for start in [1, 1023, 1_000_003] {
+                assert_eq!(
+                    zero_digest(start..start + len),
+                    NormAccumulator::new(len).digest_with_offset(start),
+                    "len {len}, start {start}"
+                );
+            }
         }
     }
 

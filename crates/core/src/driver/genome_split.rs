@@ -34,7 +34,7 @@
 
 use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
-use crate::driver::{decode_calls, encode_calls, CallWireError};
+use crate::driver::{decode_calls, encode_calls, CallWireError, DriverError};
 use crate::mapping::{AlignScratch, MappingEngine};
 use crate::observe::{Observer, RunTimer, Stage, StageTimer};
 use crate::pipeline::{deposit, BatchCounts};
@@ -65,15 +65,17 @@ const MARGIN_TAG: u64 = 11;
 /// are carried by rank 0's event), with stage timings taken on rank 0.
 /// Survivors are counted per shard too, and sum to the serial driver's;
 /// their posterior lanes do not, because each rank chunks only the
-/// survivors it owns.
+/// survivors it owns. Zero `ranks` is [`DriverError::NoRanks`].
 pub fn run_genome_split<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
     ranks: usize,
     observer: &Observer,
-) -> Result<RunReport, CallWireError> {
-    assert!(ranks >= 1, "need at least one rank");
+) -> Result<RunReport, DriverError> {
+    if ranks == 0 {
+        return Err(DriverError::NoRanks);
+    }
     let run = RunTimer::start(observer, "genome-split", config.accumulator);
     let world = World::new(ranks);
     let disabled = Observer::disabled();

@@ -50,6 +50,32 @@ impl std::fmt::Display for CallWireError {
 
 impl std::error::Error for CallWireError {}
 
+/// Why an MPI decomposition could not run or finish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriverError {
+    /// Zero ranks were asked for; a decomposition needs at least one.
+    NoRanks,
+    /// A rank-to-rank call wire failed to decode.
+    Wire(CallWireError),
+}
+
+impl std::fmt::Display for DriverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DriverError::NoRanks => f.write_str("a decomposition needs at least one rank, got 0"),
+            DriverError::Wire(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for DriverError {}
+
+impl From<CallWireError> for DriverError {
+    fn from(e: CallWireError) -> Self {
+        DriverError::Wire(e)
+    }
+}
+
 /// Encode calls into a flat `Vec<f64>` wire form.
 pub fn encode_calls(calls: &[SnpCall]) -> Vec<f64> {
     let mut out = Vec::with_capacity(calls.len() * CALL_STRIDE);
@@ -124,6 +150,26 @@ mod tests {
     #[test]
     fn empty_wire() {
         assert!(decode_calls(&encode_calls(&[])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn zero_ranks_is_an_error() {
+        use crate::accum::NormAccumulator;
+        let (reference, _, reads) = crate::pipeline::tests::fixture(2_000, 1, 2.0, 5);
+        let (cfg, quiet) = (Default::default(), crate::observe::Observer::disabled());
+        let split = |ranks| {
+            read_split::run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet)
+        };
+        assert_eq!(split(0).unwrap_err(), DriverError::NoRanks);
+        assert!(split(1).is_ok());
+        let ring = read_split::run_read_split_ring(&reference, &reads, &cfg, 0, &quiet);
+        assert_eq!(ring.unwrap_err(), DriverError::NoRanks);
+        let genome =
+            genome_split::run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 0, &quiet);
+        assert_eq!(genome.unwrap_err(), DriverError::NoRanks);
+        assert!(DriverError::NoRanks
+            .to_string()
+            .contains("at least one rank"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::accum::{AccumulatorMode, GenomeAccumulator, NormAccumulator};
 use crate::config::GnumapConfig;
-use crate::driver::{decode_calls, encode_calls, CallWireError};
+use crate::driver::{decode_calls, encode_calls, DriverError};
 use crate::mapping::{AlignScratch, MappingEngine};
 use crate::observe::{Observer, RunTimer, Stage, StageTimer};
 use crate::pipeline::{deposit, BatchCounts};
@@ -28,14 +28,17 @@ use mpisim::{Rank, World};
 /// a star gather of the accumulators at rank 0. The observer gets one
 /// [`crate::observe::Event::Batch`] per rank, with stage timings taken on
 /// rank 0 (every rank does the same index/map work, so rank 0 is
-/// representative).
+/// representative). Zero `ranks` is [`DriverError::NoRanks`].
 pub fn run_read_split<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
     ranks: usize,
     observer: &Observer,
-) -> Result<RunReport, CallWireError> {
+) -> Result<RunReport, DriverError> {
+    if ranks == 0 {
+        return Err(DriverError::NoRanks);
+    }
     let run = RunTimer::start(observer, "read-split", config.accumulator);
     let len = reference.len();
     let report = run_ranks(
@@ -67,14 +70,17 @@ pub fn run_read_split<A: GenomeAccumulator>(
 /// through rank 0, so the root receives `(ranks−1) × 20 B/base`; the ring
 /// moves `≈ 2 × 20 B/base` through *every* rank regardless of rank count —
 /// the standard bandwidth-optimal alternative, included as an ablation of
-/// the reduction strategy. Events as for [`run_read_split`].
+/// the reduction strategy. Events and errors as for [`run_read_split`].
 pub fn run_read_split_ring(
     reference: &DnaSeq,
     reads: &[SequencedRead],
     config: &GnumapConfig,
     ranks: usize,
     observer: &Observer,
-) -> Result<RunReport, CallWireError> {
+) -> Result<RunReport, DriverError> {
+    if ranks == 0 {
+        return Err(DriverError::NoRanks);
+    }
     let run = RunTimer::start(observer, "read-split-ring", AccumulatorMode::Norm);
     let len = reference.len();
     let report = run_ranks(
@@ -109,8 +115,7 @@ fn run_ranks<A: GenomeAccumulator>(
     ranks: usize,
     observer: &Observer,
     reduce: impl Fn(&mut Rank, A, u64) -> Option<(A, u64)> + Sync,
-) -> Result<RunReport, CallWireError> {
-    assert!(ranks >= 1, "need at least one rank");
+) -> Result<RunReport, DriverError> {
     let disabled = Observer::disabled();
     let (mut results, world_report) = World::new(ranks).run_with_report(|rank| {
         // Stage timings come from rank 0 only.

@@ -1,38 +1,69 @@
-//! Paged evidence: the one store that workers deposit into concurrently.
+//! Paged evidence: the one store every driver but the MPI pair deposits
+//! into.
 //!
-//! The stream driver holds one [`PagedEvidence`] over the reference for a
-//! run; the server holds one per client session. The genome is cut into
-//! pages of [`PAGE`] positions, each behind its own lock and allocated on
-//! the first deposit into it (or all at once, by
+//! The serial driver holds one [`PagedEvidence`] over the reference for a
+//! run, in whichever accumulator layout it runs; the stream driver holds
+//! one in fixed point; the server holds one per client session. The
+//! genome is cut into pages of [`PAGE`] positions, each behind its own
+//! lock and allocated on the first deposit into it (or all at once, by
 //! [`PagedEvidence::allocate_all`]), so a deposit locks only the one or
-//! two pages its window overlaps, there is no end-of-run merge, and a
-//! session holds what its reads cover rather than the genome. Digest and
-//! calls read the allocated pages in place and equal the dense
-//! [`FixedAccumulator`]'s bit for bit.
+//! two pages its window overlaps, there is no end-of-run merge, and a run
+//! holds what its reads cover rather than the genome. Digest and calls
+//! read the allocated pages in place and equal the dense accumulator's
+//! bit for bit.
 
+use crate::accum::{zero_digest, FixedAccumulator, GenomeAccumulator, NUM_SYMBOLS};
+use crate::pipeline::deposit;
+use crate::snpcall::{call_snps_over, SnpCall, SnpCallConfig};
 use genome::seq::DnaSeq;
-use gnumap_core::accum::{position_hash, FixedAccumulator, GenomeAccumulator, NUM_SYMBOLS};
-use gnumap_core::pipeline::deposit;
-use gnumap_core::snpcall::{call_snps_over, SnpCall, SnpCallConfig};
 use pairhmm::marginal::ColumnPosterior;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// Genome positions per evidence page: 1,024 positions of 40 B each is
-/// a 40 KiB page. Fixed, not a knob: a 256-read panel session touches a
-/// handful of pages, and a whole-genome run fills nearly all of them.
+/// Genome positions per evidence page: 40 KiB in fixed point, 20 KiB in
+/// NORM. Fixed, not a knob: a 256-read panel session touches a handful
+/// of pages, and a whole-genome run fills nearly all of them.
 pub const PAGE: usize = 1024;
 
 /// One page slot of the table: empty until the first deposit into it.
-type Slot = Mutex<Option<Box<FixedAccumulator>>>;
+type Slot<A> = Mutex<Option<Box<A>>>;
 
-/// Table bytes per page slot, allocated or not: the part of the store
-/// that grows with the genome (16 B per 1,024 positions).
-pub const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+/// Table bytes per page slot, allocated or not, in every layout: the part
+/// of the store that grows with the genome (16 B per 1,024 positions).
+pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<FixedAccumulator>>();
 
 const POISONED: &str = "a worker panicked while depositing into this page";
 
 const ZERO: [f64; NUM_SYMBOLS] = [0.0; NUM_SYMBOLS];
+
+/// [`zero_digest`] of every whole page, by page index. A zero digest
+/// depends on the positions alone, so one table serves every store in
+/// the process: it grows to the longest genome digested, at 8 B a page,
+/// and an empty page costs a digest one lookup instead of 1,024 hashes.
+static ZERO_PAGES: RwLock<Vec<u64>> = RwLock::new(Vec::new());
+
+/// Run `f` on [`ZERO_PAGES`], first grown to at least `pages` entries.
+fn with_zero_pages<R>(pages: usize, f: impl FnOnce(&[u64]) -> R) -> R {
+    // Every push leaves the table right, so a poisoned lock's table is
+    // still usable.
+    let table = ZERO_PAGES.read().unwrap_or_else(PoisonError::into_inner);
+    if table.len() >= pages {
+        return f(&table);
+    }
+    drop(table);
+    let mut table = ZERO_PAGES.write().unwrap_or_else(PoisonError::into_inner);
+    for page in table.len()..pages {
+        table.push(zero_digest(page * PAGE..(page + 1) * PAGE));
+    }
+    f(&table)
+}
+
+/// Compute the zero digests of the whole pages of a genome of `len`
+/// positions now, so that no later [`PagedEvidence::digest`] over it
+/// hashes an empty page (a server does this once, after it starts).
+pub fn cache_zero_digests(len: usize) {
+    with_zero_pages(len / PAGE, |_| ());
+}
 
 /// Live and peak heap bytes of every [`PagedEvidence`] counted in it.
 #[derive(Debug, Default)]
@@ -63,20 +94,21 @@ impl EvidenceGauge {
 }
 
 /// Evidence over a genome of `len` positions, paged: a table of
-/// `ceil(len / PAGE)` slots, each holding a [`FixedAccumulator`] of its
-/// page's positions once something is deposited there. Deposits lock
-/// only the one or two pages their window overlaps. The heap it holds is
-/// counted in an [`EvidenceGauge`] from creation to drop.
-pub struct PagedEvidence {
+/// `ceil(len / PAGE)` slots, each holding an accumulator `A` over its
+/// page's positions (`A::new(page_len)`) once something is deposited
+/// there. Deposits lock only the one or two pages their window overlaps.
+/// The heap it holds is counted in an [`EvidenceGauge`] from creation to
+/// drop.
+pub struct PagedEvidence<A: GenomeAccumulator> {
     len: usize,
-    pages: Box<[Slot]>,
+    pages: Box<[Slot<A>]>,
     gauge: Arc<EvidenceGauge>,
 }
 
-impl PagedEvidence {
+impl<A: GenomeAccumulator> PagedEvidence<A> {
     /// Empty evidence over `len` positions, counted in `gauge`.
-    pub fn new(len: usize, gauge: Arc<EvidenceGauge>) -> PagedEvidence {
-        let pages: Box<[Slot]> = (0..len.div_ceil(PAGE)).map(|_| Mutex::new(None)).collect();
+    pub fn new(len: usize, gauge: Arc<EvidenceGauge>) -> PagedEvidence<A> {
+        let pages: Box<[Slot<A>]> = (0..len.div_ceil(PAGE)).map(|_| Mutex::new(None)).collect();
         gauge.grow(pages.len() * SLOT_BYTES);
         PagedEvidence { len, pages, gauge }
     }
@@ -87,14 +119,10 @@ impl PagedEvidence {
     }
 
     /// The accumulator of page `page`, allocated on first use.
-    fn page<'s>(
-        &self,
-        slot: &'s mut Option<Box<FixedAccumulator>>,
-        page: usize,
-    ) -> &'s mut FixedAccumulator {
+    fn page<'s>(&self, slot: &'s mut Option<Box<A>>, page: usize) -> &'s mut A {
         slot.get_or_insert_with(|| {
-            let acc = Box::new(FixedAccumulator::new(self.page_len(page)));
-            self.gauge.grow(page_bytes(&acc));
+            let acc = Box::new(A::new(self.page_len(page)));
+            self.gauge.grow(page_bytes(&*acc));
             acc
         })
     }
@@ -111,7 +139,7 @@ impl PagedEvidence {
     }
 
     /// Deposit one alignment's weighted columns through
-    /// [`gnumap_core::pipeline::deposit`], page by page, allocating a
+    /// [`crate::pipeline::deposit`], page by page, allocating a
     /// page on the first deposit into it. Columns past the genome end are
     /// clipped, as the dense accumulator clips them.
     pub fn deposit(&self, window_start: usize, weight: f64, columns: &[ColumnPosterior]) {
@@ -180,16 +208,35 @@ impl PagedEvidence {
     }
 
     /// The dense accumulator's [`GenomeAccumulator::digest`], bit for
-    /// bit, from the allocated pages alone: `zero` (which must be the
-    /// [`gnumap_core::accum::zero_digest`] of the genome length) XOR,
-    /// over each held position with evidence,
-    /// `position_hash(pos, counts) ^ position_hash(pos, 0)`.
-    pub fn digest(&mut self, zero: u64) -> u64 {
-        self.held()
-            .filter(|(_, counts)| *counts != ZERO)
-            .fold(zero, |h, (pos, counts)| {
-                h ^ position_hash(pos as u64, &counts) ^ position_hash(pos as u64, &ZERO)
-            })
+    /// bit: the XOR of each allocated page's digest at its offset, one
+    /// hash per position it holds, and of the cached [`zero_digest`] of
+    /// each page never allocated. Only a short last page left empty is
+    /// hashed here, at most `PAGE - 1` zero positions.
+    pub fn digest(&mut self) -> u64 {
+        let mut digest = 0;
+        let mut empty_pages = false;
+        for (page, slot) in self.pages.iter_mut().enumerate() {
+            match slot.get_mut().expect(POISONED) {
+                Some(acc) => digest ^= acc.digest_with_offset(page * PAGE),
+                None => empty_pages = true,
+            }
+        }
+        if !empty_pages {
+            return digest;
+        }
+        let whole = self.len / PAGE;
+        with_zero_pages(whole, |zero| {
+            for (page, slot) in self.pages.iter_mut().enumerate() {
+                if slot.get_mut().expect(POISONED).is_none() {
+                    digest ^= if page < whole {
+                        zero[page]
+                    } else {
+                        zero_digest(page * PAGE..self.len)
+                    };
+                }
+            }
+        });
+        digest
     }
 
     /// The dense accumulator's calls, exactly, from the allocated pages
@@ -219,15 +266,15 @@ impl PagedEvidence {
     }
 }
 
-impl Drop for PagedEvidence {
+impl<A: GenomeAccumulator> Drop for PagedEvidence<A> {
     fn drop(&mut self) {
         self.gauge.shrink(self.heap_bytes());
     }
 }
 
 /// Heap bytes of one allocated page: its cells and its box.
-fn page_bytes(acc: &FixedAccumulator) -> usize {
-    std::mem::size_of::<FixedAccumulator>() + acc.heap_bytes()
+fn page_bytes<A: GenomeAccumulator>(acc: &A) -> usize {
+    std::mem::size_of::<A>() + acc.heap_bytes()
 }
 
 #[cfg(test)]
@@ -250,7 +297,7 @@ mod tests {
         let mut page_heaps = Vec::new();
         for len in [200_000, 20_000_000] {
             let gauge = Arc::new(EvidenceGauge::default());
-            let evidence = PagedEvidence::new(len, Arc::clone(&gauge));
+            let evidence = PagedEvidence::<FixedAccumulator>::new(len, Arc::clone(&gauge));
             for (start, n) in deposits {
                 evidence.deposit(start, 0.5, &columns(n));
             }
@@ -273,7 +320,7 @@ mod tests {
         let len = 5 * PAGE - 7;
         let start = |t: usize, rep: usize| (t * 811 + rep * 173) % len;
         let cols = columns(300);
-        let mut evidence = PagedEvidence::new(len, Arc::default());
+        let mut evidence = PagedEvidence::<FixedAccumulator>::new(len, Arc::default());
         std::thread::scope(|s| {
             for t in 0..4 {
                 let (evidence, cols) = (&evidence, &cols);
@@ -292,7 +339,6 @@ mod tests {
         }
         let dense: Vec<_> = (0..len).map(|pos| serial.counts(pos)).collect();
         assert_eq!(evidence.snapshot_counts(), dense);
-        let zero = gnumap_core::accum::zero_digest(len);
-        assert_eq!(evidence.digest(zero), serial.digest());
+        assert_eq!(evidence.digest(), serial.digest());
     }
 }

@@ -11,7 +11,8 @@
 //!    their posterior weights and summed into a genome-length
 //!    **accumulator** ([`accum`] — with the paper's three memory layouts:
 //!    full floats, nucleotide-byte discretization, centroid
-//!    discretization).
+//!    discretization), held in pages allocated where reads deposit
+//!    ([`evidence`]).
 //! 3. **Test** — a likelihood ratio test per genome position calls bases
 //!    above background and reports SNPs against the reference, with
 //!    p-value or FDR cutoffs ([`snpcall`]).
@@ -28,6 +29,7 @@
 pub mod accum;
 pub mod config;
 pub mod driver;
+pub mod evidence;
 pub mod footprint;
 pub mod mapping;
 pub mod observe;

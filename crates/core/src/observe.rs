@@ -133,6 +133,9 @@ pub enum Event {
         reads_mapped: u64,
         /// SNP calls produced.
         calls: u64,
+        /// Heap bytes of the run's evidence (the report's
+        /// `accumulator_bytes`); 0 in traces written before it was added.
+        accumulator_bytes: u64,
         /// End-to-end wall seconds.
         wall_secs: f64,
     },
@@ -241,12 +244,13 @@ impl Event {
                 reads_processed,
                 reads_mapped,
                 calls,
+                accumulator_bytes,
                 wall_secs,
             } => {
                 let _ = write!(
                     s,
                     ",\"reads_processed\":{reads_processed},\"reads_mapped\":{reads_mapped},\
-                     \"calls\":{calls}"
+                     \"calls\":{calls},\"accumulator_bytes\":{accumulator_bytes}"
                 );
                 s.push_str(",\"wall_secs\":");
                 put_f64(&mut s, *wall_secs);
@@ -335,6 +339,7 @@ impl Event {
                 reads_processed: get_u64("reads_processed")?,
                 reads_mapped: get_u64("reads_mapped")?,
                 calls: get_u64("calls")?,
+                accumulator_bytes: get_u64_or_0("accumulator_bytes")?,
                 wall_secs: get_num("wall_secs")?,
             },
             other => {
@@ -621,6 +626,7 @@ impl RunTimer {
             reads_processed: report.reads_processed as u64,
             reads_mapped: report.reads_mapped as u64,
             calls: report.calls.len() as u64,
+            accumulator_bytes: report.accumulator_bytes as u64,
             wall_secs: report.elapsed_secs,
         });
         report
@@ -701,6 +707,7 @@ mod tests {
                 reads_processed: 2048,
                 reads_mapped: 2000,
                 calls: 7,
+                accumulator_bytes: 80_080,
                 wall_secs: 1.5,
             },
         ]
@@ -735,6 +742,22 @@ mod tests {
         );
         let bad = line.replace("180}", r#"180,"abandoned":-1}"#);
         assert!(Event::parse_json_line(&bad).is_err());
+    }
+
+    #[test]
+    fn run_end_lines_without_accumulator_bytes_parse_as_zero() {
+        let line =
+            r#"{"event":"run_end","reads_processed":4,"reads_mapped":3,"calls":1,"wall_secs":0.5}"#;
+        assert_eq!(
+            Event::parse_json_line(line).unwrap(),
+            Event::RunEnd {
+                reads_processed: 4,
+                reads_mapped: 3,
+                calls: 1,
+                accumulator_bytes: 0,
+                wall_secs: 0.5,
+            }
+        );
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
+use crate::evidence::PagedEvidence;
 use crate::mapping::{AlignScratch, MappingEngine};
 use crate::observe::{Event, Observer, RunTimer, Stage, StageTimer};
 use crate::report::RunReport;
-use crate::snpcall::call_snps;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use pairhmm::marginal::ColumnPosterior;
@@ -100,13 +100,13 @@ impl BatchCounts {
 }
 
 /// Map `reads` with `engine` and deposit their weighted evidence into
-/// `acc`, emitting one [`Event::Batch`] per [`OBSERVED_BATCH_READS`]
+/// `evidence`, emitting one [`Event::Batch`] per [`OBSERVED_BATCH_READS`]
 /// reads. Returns the number of reads that produced at least one
 /// alignment.
 pub fn accumulate_reads<A: GenomeAccumulator>(
     engine: &MappingEngine<'_>,
     reads: &[SequencedRead],
-    acc: &mut A,
+    evidence: &PagedEvidence<A>,
     observer: &Observer,
 ) -> usize {
     // One scratch arena, reused for every read.
@@ -116,7 +116,7 @@ pub fn accumulate_reads<A: GenomeAccumulator>(
         let mut counts = BatchCounts::default();
         for read in batch {
             counts.map_read(engine, read, &mut scratch, |start, weight, columns| {
-                deposit(acc, start, weight, columns)
+                evidence.deposit(start, weight, columns)
             });
         }
         counts.emit(observer, 0);
@@ -151,6 +151,10 @@ pub fn deposit<A: GenomeAccumulator>(
 
 /// Run the whole pipeline serially with accumulator type `A`, reporting
 /// stage timings, per-batch counters and run events to `observer`.
+///
+/// Evidence goes into a [`PagedEvidence`] of `A` pages, so the run holds
+/// the pages its reads touch, not a genome-length accumulator; calls and
+/// digest read those pages and equal the dense accumulator's bit for bit.
 pub fn run_serial<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
@@ -162,21 +166,21 @@ pub fn run_serial<A: GenomeAccumulator>(
     let engine = MappingEngine::new(reference, config.mapping);
     timer.finish(observer);
 
-    let mut acc = A::new(reference.len());
+    let mut evidence = PagedEvidence::<A>::new(reference.len(), Default::default());
     let timer = StageTimer::start(observer, Stage::Map);
-    let mapped = accumulate_reads(&engine, reads, &mut acc, observer);
+    let mapped = accumulate_reads(&engine, reads, &evidence, observer);
     timer.finish(observer);
 
     let timer = StageTimer::start(observer, Stage::Call);
-    let calls = call_snps(&acc, reference, &config.calling);
+    let calls = evidence.call_snps(reference, &config.calling);
     timer.finish(observer);
 
     let report = RunReport {
         calls,
         reads_processed: reads.len(),
         reads_mapped: mapped,
-        accumulator_bytes: acc.heap_bytes(),
-        accumulator_digest: Some(acc.digest()),
+        accumulator_bytes: evidence.heap_bytes(),
+        accumulator_digest: Some(evidence.digest()),
         ..RunReport::default()
     };
     run.finish(observer, report)
@@ -198,6 +202,7 @@ pub fn run_pipeline(
 pub(crate) mod tests {
     use super::*;
     use crate::accum::{AccumulatorMode, FixedAccumulator, NormAccumulator};
+    use crate::evidence::{PAGE, SLOT_BYTES};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use simulate::reads::{simulate_reads, ReadSimConfig, ReadSource};
@@ -273,7 +278,64 @@ pub(crate) mod tests {
             "too many false positives: {accuracy:?}"
         );
         assert!(report.seqs_per_sec() > 0.0);
-        assert_eq!(report.accumulator_bytes, 6_000 * 20);
+        // 14× coverage touches every page of the genome.
+        assert_eq!(
+            report.accumulator_bytes,
+            every_page_bytes::<NormAccumulator>(6_000)
+        );
+    }
+
+    /// Heap of paged evidence holding every page of a `len`-position
+    /// genome: one table slot and one boxed `A` page per `PAGE` positions,
+    /// the last page short.
+    fn every_page_bytes<A: GenomeAccumulator>(len: usize) -> usize {
+        (0..len)
+            .step_by(PAGE)
+            .map(|start| {
+                let page = A::new(PAGE.min(len - start)).heap_bytes();
+                SLOT_BYTES + std::mem::size_of::<A>() + page
+            })
+            .sum()
+    }
+
+    #[test]
+    fn serial_evidence_follows_the_reads_not_the_genome() {
+        // A panel: reads from the first 3 kbp of a 64 kbp genome, mapped
+        // against that genome and against its first 32 kbp.
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let genome = generate_genome(
+            &GenomeConfig {
+                length: 64 * PAGE,
+                repeat_families: 0,
+                ..GenomeConfig::default()
+            },
+            &mut rng,
+        );
+        let panel = genome.window(0, 3_000);
+        let reads: Vec<_> = simulate_reads(
+            &ReadSource::Monoploid(&panel),
+            400,
+            &ReadSimConfig::default(),
+            &mut rng,
+        )
+        .into_iter()
+        .map(|r| r.read)
+        .collect();
+        let half = genome.window(0, 32 * PAGE);
+        for mode in [AccumulatorMode::Norm, AccumulatorMode::Fixed] {
+            let config = GnumapConfig {
+                accumulator: mode,
+                ..GnumapConfig::default()
+            };
+            let whole = run_pipeline(&genome, &reads, &config);
+            let short = run_pipeline(&half, &reads, &config);
+            // The panel's three pages, not the genome's 64 or 32.
+            let page = crate::with_accumulator!(mode, |A| every_page_bytes::<A>(PAGE));
+            let pages = 3 * (page - SLOT_BYTES);
+            assert_eq!(whole.accumulator_bytes, 64 * SLOT_BYTES + pages, "{mode}");
+            assert_eq!(short.accumulator_bytes, 32 * SLOT_BYTES + pages, "{mode}");
+            assert_eq!(whole.calls, short.calls, "{mode}");
+        }
     }
 
     #[test]
@@ -349,7 +411,10 @@ pub(crate) mod tests {
         );
         let acc = crate::report::score_snp_calls(&report.calls, &truth);
         assert!(acc.true_positives >= 3, "{acc:?}");
-        assert_eq!(report.accumulator_bytes, 3_000 * 40);
+        assert_eq!(
+            report.accumulator_bytes,
+            every_page_bytes::<FixedAccumulator>(3_000)
+        );
     }
 
     #[test]

@@ -89,7 +89,9 @@ pub struct RunReport {
     pub reads_mapped: usize,
     /// Wall-clock seconds for mapping + accumulation + calling.
     pub elapsed_secs: f64,
-    /// Accumulator heap bytes (the Table II/III "MEM" column contribution).
+    /// Evidence heap bytes (the Table II/III "MEM" column contribution):
+    /// the paged store's table and allocated pages for the serial and
+    /// stream drivers, the dense accumulators for the MPI drivers.
     pub accumulator_bytes: usize,
     /// Communication statistics when a message-passing driver ran.
     pub traffic: Option<TrafficStats>,

@@ -74,6 +74,7 @@ fn event() -> impl Strategy<Value = Event> {
                     reads_processed: n1,
                     reads_mapped: n2,
                     calls: n3,
+                    accumulator_bytes: n4,
                     wall_secs: f1,
                 },
             },
@@ -98,11 +99,13 @@ fn sanitised(event: &Event) -> Event {
             reads_processed,
             reads_mapped,
             calls,
+            accumulator_bytes,
             wall_secs,
         } => Event::RunEnd {
             reads_processed,
             reads_mapped,
             calls,
+            accumulator_bytes,
             wall_secs: fix(wall_secs),
         },
         other => other,

@@ -11,7 +11,9 @@ use gnumap_core::report::RunReport;
 use gnumap_core::with_accumulator;
 
 /// Single-threaded pipeline: the reference implementation every parallel
-/// decomposition is measured against.
+/// decomposition is measured against. Its evidence is paged
+/// (`gnumap_core::evidence::PagedEvidence`), so it holds the pages its
+/// reads touch in any layout.
 pub struct SerialDriver;
 
 impl Driver for SerialDriver {

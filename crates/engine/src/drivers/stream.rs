@@ -11,7 +11,8 @@ use gnumap_core::report::RunReport;
 
 /// Micro-batch pipeline over an unbounded source and a blocking worker
 /// pool, with backpressure, one shared paged evidence store
-/// (`exec::PagedEvidence`, the store server sessions use), and
+/// (`gnumap_core::evidence::PagedEvidence`, the store the serial driver
+/// and server sessions use), and
 /// checkpoint/resume — the shared-memory driver, so it also answers to
 /// `rayon`, `threads` and `shared`. Always accumulates in fixed point —
 /// integer deposits commute, so any worker count, batch shape or

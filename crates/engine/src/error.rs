@@ -1,7 +1,7 @@
 //! Typed errors for driver resolution and execution.
 
 use gnumap_core::accum::AccumulatorMode;
-use gnumap_core::driver::CallWireError;
+use gnumap_core::driver::DriverError;
 
 /// Anything that can go wrong resolving a driver from the registry or
 /// running one against a read source.
@@ -31,8 +31,9 @@ pub enum EngineError {
     },
     /// A [`crate::RunContext`] field is out of range for the driver.
     InvalidContext(String),
-    /// A rank-to-rank call wire failed to decode (MPI drivers).
-    Wire(CallWireError),
+    /// An MPI decomposition failed (zero ranks, or a rank-to-rank call
+    /// wire that failed to decode).
+    Driver(DriverError),
     /// The streaming engine failed (source I/O, checkpoint, abort hook).
     Exec(exec::ExecError),
     /// The loopback server round trip failed.
@@ -68,7 +69,7 @@ impl std::fmt::Display for EngineError {
                 )
             }
             EngineError::InvalidContext(msg) => write!(f, "invalid run context: {msg}"),
-            EngineError::Wire(e) => write!(f, "{e}"),
+            EngineError::Driver(e) => write!(f, "{e}"),
             EngineError::Exec(e) => write!(f, "{e}"),
             EngineError::Server(msg) => write!(f, "server: {msg}"),
             EngineError::Sink(msg) => write!(f, "sink: {msg}"),
@@ -78,9 +79,9 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-impl From<CallWireError> for EngineError {
-    fn from(e: CallWireError) -> Self {
-        EngineError::Wire(e)
+impl From<DriverError> for EngineError {
+    fn from(e: DriverError) -> Self {
+        EngineError::Driver(e)
     }
 }
 

@@ -198,14 +198,16 @@ fn every_driver_emits_run_events_through_the_context_observer() {
                 reads_processed,
                 reads_mapped,
                 calls,
+                accumulator_bytes,
                 wall_secs,
             }) => {
                 assert_eq!(
-                    (*reads_processed, *reads_mapped, *calls),
+                    (*reads_processed, *reads_mapped, *calls, *accumulator_bytes),
                     (
                         report.reads_processed as u64,
                         report.reads_mapped as u64,
-                        report.calls.len() as u64
+                        report.calls.len() as u64,
+                        report.accumulator_bytes as u64
                     ),
                     "{}: run_end counts differ from the report",
                     driver.name()

@@ -35,13 +35,13 @@
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::error::ExecError;
-use crate::evidence::PagedEvidence;
 use crate::pool::{length_sorted_batches, run_pool, PoolWorker};
 use crate::stream::ReadStream;
 use crossbeam::channel;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use gnumap_core::accum::zero_digest;
+use gnumap_core::accum::FixedAccumulator;
+use gnumap_core::evidence::PagedEvidence;
 use gnumap_core::observe::{Event, Observer, RunTimer, Stage, StageTimer};
 use gnumap_core::pipeline::BatchCounts;
 use gnumap_core::report::{RunReport, StreamStats};
@@ -143,7 +143,7 @@ pub fn run_stream(
     // A stream's reads cover the genome, so its pages are allocated here
     // rather than by the pool's workers, which are spawned afresh for
     // each run.
-    let mut evidence = PagedEvidence::new(reference.len(), Default::default());
+    let mut evidence = PagedEvidence::<FixedAccumulator>::new(reference.len(), Default::default());
     evidence.allocate_all();
     let mut cursor = 0usize;
     let mut mapped_total = 0usize;
@@ -372,7 +372,7 @@ pub fn run_stream(
         accumulator_bytes: evidence.heap_bytes(),
         rank_cpu_secs: pool.cpu_secs,
         stream: Some(stats),
-        accumulator_digest: Some(evidence.digest(zero_digest(reference.len()))),
+        accumulator_digest: Some(evidence.digest()),
         ..RunReport::default()
     };
     Ok(run.finish(observer, report))

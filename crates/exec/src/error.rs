@@ -1,6 +1,5 @@
 //! Error type for the streaming engine.
 
-use gnumap_core::driver::CallWireError;
 use std::fmt;
 
 /// Anything that can stop a streaming run.
@@ -14,9 +13,6 @@ pub enum ExecError {
     Checkpoint(String),
     /// A [`crate::StreamConfig`] field is out of range.
     InvalidConfig(String),
-    /// A call wire failed to decode (kept for API parity with the MPI
-    /// drivers; the in-process engine itself never ships call wires).
-    Wire(CallWireError),
     /// The run was killed by [`crate::StreamConfig::abort_after_batches`]
     /// after dispatching this many batches (test hook for kill/resume).
     Aborted {
@@ -32,7 +28,6 @@ impl fmt::Display for ExecError {
             ExecError::Source(msg) => write!(f, "read source: {msg}"),
             ExecError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
             ExecError::InvalidConfig(msg) => write!(f, "invalid stream config: {msg}"),
-            ExecError::Wire(e) => write!(f, "{e}"),
             ExecError::Aborted { cursor } => {
                 write!(f, "run aborted by kill hook at stream cursor {cursor}")
             }
@@ -44,7 +39,6 @@ impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExecError::Io(e) => Some(e),
-            ExecError::Wire(e) => Some(e),
             _ => None,
         }
     }
@@ -53,11 +47,5 @@ impl std::error::Error for ExecError {
 impl From<std::io::Error> for ExecError {
     fn from(e: std::io::Error) -> Self {
         ExecError::Io(e)
-    }
-}
-
-impl From<CallWireError> for ExecError {
-    fn from(e: CallWireError) -> Self {
-        ExecError::Wire(e)
     }
 }

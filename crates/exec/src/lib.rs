@@ -14,12 +14,13 @@
 //!   arena, and [`pool::length_sorted_batches`] is the one micro-batch cut;
 //! * [`driver`] — a batch scheduler that groups arriving reads into
 //!   length-sorted micro-batches and sends them to that pool;
-//! * [`evidence`] — [`evidence::PagedEvidence`], the one concurrent
-//!   evidence store (the stream driver's and every server session's):
-//!   fixed-point pages allocated on first deposit, each behind its own
-//!   lock, digested and called in place with no end-of-run merge;
 //! * [`checkpoint`] — periodic atomic snapshots of the evidence plus the
 //!   stream cursor, giving kill/resume semantics.
+//!
+//! Workers deposit into `gnumap_core::evidence::PagedEvidence`, the
+//! store the serial driver and every server session use too: pages each
+//! behind their own lock, digested and called in place with no
+//! end-of-run merge.
 //!
 //! The engine accumulates in fixed point, so the result is
 //! **bit-identical** to a serial `FixedAccumulator` run for any worker
@@ -30,12 +31,10 @@
 pub mod checkpoint;
 pub mod driver;
 pub mod error;
-pub mod evidence;
 pub mod pool;
 pub mod stream;
 
 pub use checkpoint::Checkpoint;
 pub use driver::{run_stream, CheckpointPolicy, StreamConfig};
 pub use error::ExecError;
-pub use evidence::{EvidenceGauge, PagedEvidence};
 pub use stream::{FastqStream, MemoryStream, ReadStream, SimReadStream};

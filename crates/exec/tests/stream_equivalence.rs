@@ -4,10 +4,10 @@
 //! batch size, and checkpoint/kill/resume split. Integer accumulation
 //! makes this bit-exact, not approximately equal.
 
-use exec::evidence::{PAGE, SLOT_BYTES};
 use exec::{run_stream, CheckpointPolicy, ExecError, FastqStream, MemoryStream, StreamConfig};
 use genome::{DnaSeq, SequencedRead};
 use gnumap_core::accum::{FixedAccumulator, GenomeAccumulator};
+use gnumap_core::evidence::{PAGE, SLOT_BYTES};
 use gnumap_core::observe::Observer;
 use gnumap_core::pipeline::run_serial;
 use gnumap_core::{GnumapConfig, RunReport};

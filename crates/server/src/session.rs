@@ -7,24 +7,24 @@
 //! composition, worker count, and scheduling order vary without changing
 //! a session's final digest.
 //!
-//! A session's evidence is paged: a page of [`exec::evidence::PAGE`]
-//! positions is allocated on the first deposit into it, so a session
-//! holds what its reads cover, not the genome. Finalize digests and calls
-//! over the allocated pages only; both equal the dense accumulator's bit
-//! for bit.
+//! A session's evidence is paged: a page of
+//! [`gnumap_core::evidence::PAGE`] positions is allocated on the first
+//! deposit into it, so a session holds what its reads cover, not the
+//! genome. Finalize digests and calls over the allocated pages only; both
+//! equal the dense accumulator's bit for bit.
 //!
 //! Lifecycle: `Open` (accepting submits) → `Finalizing` (closed to new
 //! reads, waiting for in-flight reads to drain) → removed (calls
 //! returned, or aborted on client disconnect). A finalize that times out
 //! leaves the session closed but registered, so the client can retry.
 
-use exec::evidence::{EvidenceGauge, PagedEvidence};
-use gnumap_core::accum::zero_digest;
+use gnumap_core::accum::FixedAccumulator;
+use gnumap_core::evidence::{EvidenceGauge, PagedEvidence};
 use gnumap_core::snpcall::SnpCallConfig;
 use pairhmm::marginal::ColumnPosterior;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 struct Pending {
@@ -40,7 +40,7 @@ pub struct SessionState {
     pub calling: SnpCallConfig,
     // `None` once the evidence has been taken (finalize) or dropped
     // (abort). Deposits through a read lock keep workers concurrent.
-    evidence: RwLock<Option<PagedEvidence>>,
+    evidence: RwLock<Option<PagedEvidence<FixedAccumulator>>>,
     pending: Mutex<Pending>,
     drained: Condvar,
     reads_submitted: AtomicU64,
@@ -49,7 +49,11 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    fn new(id: u64, calling: SnpCallConfig, evidence: PagedEvidence) -> SessionState {
+    fn new(
+        id: u64,
+        calling: SnpCallConfig,
+        evidence: PagedEvidence<FixedAccumulator>,
+    ) -> SessionState {
         SessionState {
             id,
             calling,
@@ -132,7 +136,7 @@ impl SessionState {
 
     /// Take the evidence for calling. `None` if already taken or
     /// aborted.
-    pub fn take_accumulator(&self) -> Option<PagedEvidence> {
+    pub fn take_accumulator(&self) -> Option<PagedEvidence<FixedAccumulator>> {
         self.evidence.write().unwrap().take()
     }
 
@@ -166,7 +170,6 @@ pub struct Registry {
     next_id: AtomicU64,
     genome_len: usize,
     gauge: Arc<EvidenceGauge>,
-    zero_digest: OnceLock<u64>,
 }
 
 impl Registry {
@@ -177,7 +180,6 @@ impl Registry {
             next_id: AtomicU64::new(1),
             genome_len,
             gauge: Arc::default(),
-            zero_digest: OnceLock::new(),
         }
     }
 
@@ -217,14 +219,6 @@ impl Registry {
     /// Heap held by the evidence of every live session.
     pub fn evidence_gauge(&self) -> &EvidenceGauge {
         &self.gauge
-    }
-
-    /// [`zero_digest`] of the genome, computed on the first call (the
-    /// first finalize) rather than at server start.
-    pub fn zero_digest(&self) -> u64 {
-        *self
-            .zero_digest
-            .get_or_init(|| zero_digest(self.genome_len))
     }
 }
 

@@ -159,7 +159,7 @@ grep -qv "^#" "$smoke_dir/served.vcf" || {
     echo "served VCF has no call records"; exit 1;
 }
 
-echo "==> serve memory smoke: one shared index, session evidence sized by its reads, stream calls equal served calls"
+echo "==> serve memory smoke: one shared index, session and serial evidence sized by their reads, stream and serial calls equal served calls"
 # The server's workers share one MappingEngine, so the ~8 MB k-mer index
 # of a 1 Mbp reference is resident once however many workers run: four
 # workers may cost at most half an index (4 MiB) more than one. A
@@ -227,6 +227,25 @@ for run in panel:panel reads:served; do
         echo "the stream driver and the server wrote different calls for $reads.fq"; exit 1;
     }
 done
+
+# The serial driver holds its evidence in the same paged store, in any
+# layout: on the panel its trace must report under 4 MiB of accumulator
+# (a dense fixed-point accumulator over 1 Mbp is 40 MB), and its calls
+# must be the served panel calls byte for byte.
+target/release/gnumap call --reference "$mem_dir/reference.fa" \
+    --reads "$mem_dir/panel.fq" --out "$mem_dir/serial-panel.vcf" \
+    --driver serial --accumulator fixed \
+    --trace-json "$mem_dir/serial-panel.trace.jsonl" >/dev/null
+target/release/gnumap trace-check --trace "$mem_dir/serial-panel.trace.jsonl" >/dev/null
+acc_bytes="$(sed -n 's/.*"event":"run_end".*"accumulator_bytes":\([0-9]*\).*/\1/p' \
+    "$mem_dir/serial-panel.trace.jsonl")"
+echo "serial panel evidence: $acc_bytes B"
+[[ -n "$acc_bytes" ]] && (( acc_bytes < 4194304 )) || {
+    echo "the serial driver's panel evidence must be under 4 MiB"; exit 1;
+}
+cmp -s "$mem_dir/serial-panel.vcf" "$mem_dir/panel1.vcf" || {
+    echo "the serial driver and the server wrote different calls for panel.fq"; exit 1;
+}
 
 echo "==> benchmark harness smoke: scripts/bench.sh --quick"
 scripts/bench.sh --quick

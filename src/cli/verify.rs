@@ -130,6 +130,27 @@ mod tests {
     }
 
     #[test]
+    fn trace_check_accepts_run_ends_with_and_without_accumulator_bytes() {
+        let dir = std::env::temp_dir().join(format!("gnumap-run-end-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run_start = r#"{"event":"run_start","driver":"serial","accumulator":"FIXED"}"#;
+        let old =
+            r#"{"event":"run_end","reads_processed":0,"reads_mapped":0,"calls":0,"wall_secs":0.1}"#;
+        let new = old.replace(r#","wall"#, r#","accumulator_bytes":80080,"wall"#);
+        for (name, run_end) in [("old.jsonl", old), ("new.jsonl", new.as_str())] {
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{run_start}\n{run_end}\n")).unwrap();
+            let out = run_to_string(&["trace-check", "--trace", path.to_str().unwrap()]);
+            assert_eq!(
+                out.unwrap(),
+                "2 event(s): run_end 1, run_start 1\n",
+                "{name}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn trace_check_rejects_impossible_abandon_counts() {
         let dir = std::env::temp_dir().join(format!("gnumap-abandon-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
