@@ -61,8 +61,9 @@ const MARGIN_TAG: u64 = 11;
 /// The observer gets one [`crate::observe::Event::Batch`] per rank (every
 /// rank scans all reads; scored owned candidates and deposited columns
 /// are counted per shard, so the ranks' candidate counts add up to the
-/// serial driver's, and the exact global mapped and underflowed counts
-/// are carried by rank 0's event), with stage timings taken on rank 0.
+/// serial driver's, and the reads with their exact global mapped,
+/// underflowed and no-candidate counts are carried by rank 0's event),
+/// with stage timings taken on rank 0.
 /// Survivors are counted per shard too, and sum to the serial driver's;
 /// their posterior lanes do not, because each rank chunks only the
 /// survivors it owns. Zero `ranks` is [`DriverError::NoRanks`].
@@ -98,8 +99,14 @@ pub fn run_genome_split<A: GenomeAccumulator>(
         let engine = MappingEngine::new(&slice, config.mapping);
         timer.finish(stages);
         let mut acc = A::new(slice.len());
+        // A read's outcome (mapped, underflowed, no candidates) is global:
+        // rank 0 counts it, with the read itself.
         let mut counts = BatchCounts {
-            reads: reads.len() as u64,
+            reads: if rank.id() == 0 {
+                reads.len() as u64
+            } else {
+                0
+            },
             ..BatchCounts::default()
         };
         let map_timer = StageTimer::start(stages, Stage::Map);
@@ -159,8 +166,12 @@ pub fn run_genome_split<A: GenomeAccumulator>(
                 let grand_total: f64 = merged.iter().map(|t| t.2).sum();
                 if grand_total <= 0.0 {
                     // Every rank sees the same merged list; rank 0 counts.
-                    if rank.id() == 0 && !merged.is_empty() {
-                        counts.underflowed += 1;
+                    if rank.id() == 0 {
+                        if merged.is_empty() {
+                            counts.no_candidates += 1;
+                        } else {
+                            counts.underflowed += 1;
+                        }
                     }
                     continue;
                 }

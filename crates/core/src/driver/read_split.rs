@@ -127,16 +127,21 @@ fn run_ranks<A: GenomeAccumulator>(
         timer.finish(stages);
 
         // Strided read partition: rank r maps reads r, r+n, r+2n, ...,
-        // reusing one scratch arena across its whole share.
+        // in lockstep batches, reusing one scratch arena across its whole
+        // share.
         let timer = StageTimer::start(stages, Stage::Map);
         let mut acc = A::new(reference.len());
         let mut counts = BatchCounts::default();
         let mut scratch = AlignScratch::new();
-        for read in reads.iter().skip(rank.id()).step_by(rank.size()) {
-            counts.map_read(&engine, read, &mut scratch, |start, weight, columns| {
-                deposit(&mut acc, start, weight, columns)
-            });
-        }
+        let share: Vec<&SequencedRead> =
+            reads.iter().skip(rank.id()).step_by(rank.size()).collect();
+        counts.map_batch(
+            &engine,
+            &share,
+            |read| read,
+            &mut scratch,
+            |_, start, w, columns| deposit(&mut acc, start, w, columns),
+        );
         counts.emit(observer, rank.id());
         timer.finish(stages);
 

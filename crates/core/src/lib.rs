@@ -21,8 +21,8 @@
 //! paper's two MPI decompositions, read-split and genome-split, on the
 //! `mpisim` runtime ([`driver`]). The shared-memory driver is the `exec`
 //! crate's streaming worker pool. Every driver has one run function taking
-//! an [`Observer`]; all but genome-split map reads through one per-read
-//! step ([`pipeline::BatchCounts::map_read`]), and all of them bracket the
+//! an [`Observer`]; all but genome-split map reads through one batch step
+//! ([`pipeline::BatchCounts::map_batch`]), and all of them bracket the
 //! run with [`observe::RunTimer`]. They produce identical calls for the
 //! NORM accumulator on the same input.
 

@@ -26,14 +26,23 @@
 //! candidates cannot change the bits of the grand total; when it cannot,
 //! they are rescored in full (DESIGN.md §5e). **Prune:** the totals are
 //! normalised into posterior weights and candidates below `min_weight` are
-//! dropped. **Posterior:** only the survivors get the forward planes, the
-//! backward pass and their per-column evidence, four survivors at a time
-//! in lockstep lanes ([`PhmmScratch::posterior_columns_lanes`]) and a lone
-//! survivor on its own; each lane's columns have the bits of the
-//! single-lane pass. A weight depends on forward totals alone, and the
-//! posterior recomputes the same forward bit for bit, so this equals
-//! running the full forward–backward on every candidate — at a fraction of
-//! the cost when, as is typical, most candidates are pruned.
+//! dropped, and the survivors are queued with their read. **Posterior:**
+//! only the survivors get the forward planes, the backward pass and their
+//! per-column evidence, and they get it per *batch*: the queued survivors
+//! of every read of a batch are grouped by read length and run four at a
+//! time in lockstep lanes ([`PhmmScratch::posterior_columns_lanes`]),
+//! whichever reads they come from; only a survivor left alone at the end
+//! of its length group runs on its own. Each lane's columns have the bits
+//! of the single-lane pass, and the columns are handed out in read order,
+//! then candidate order, so batching changes no result and no deposit
+//! order. [`MappingEngine::map_read_with`] is the batch of one read. A
+//! weight depends on forward totals alone, and the posterior recomputes
+//! the same forward bit for bit, so this equals running the full
+//! forward–backward on every candidate — at a fraction of the cost when,
+//! as is typical, most candidates are pruned.
+//!
+//! A read's PWM and emission profile rows, in both orientations, are looked
+//! up per base in the engine's [`QualityTable`] rather than computed.
 
 use genome::alphabet::Base;
 use genome::index::{IndexConfig, KmerIndex};
@@ -43,9 +52,8 @@ use pairhmm::bound::{fill_suffix_bounds, LaneTotals, StopRule};
 use pairhmm::kernel::LANES;
 use pairhmm::marginal::ColumnPosterior;
 use pairhmm::params::PhmmParams;
-use pairhmm::pwm::{base_code, ProfileRow, Pwm, N_CODE};
+use pairhmm::pwm::{base_code, ProfileRow, Pwm, QualityTable, N_CODE};
 use pairhmm::scratch::PhmmScratch;
-use std::cmp::Reverse;
 
 /// Scoring stops on a candidate once its likelihood is provably below this
 /// fraction of the best total its read has so far: 2⁻⁶⁴, 2⁻¹⁰ of the
@@ -100,42 +108,51 @@ impl Default for MappingConfig {
 /// Reusable per-thread scratch for the whole mapping hot path.
 ///
 /// One instance is meant to live as long as a worker thread's read batch:
-/// the Pair-HMM rows and planes, the emission profiles, the genome-code
-/// window, the candidate list and the column arena are all grow-only, so
-/// after the first few reads the engine performs **zero heap allocations
-/// per read×window pair** (per-read allocations — the reverse complement
-/// and the two PWMs — remain, but are independent of the candidate count).
-/// Results of [`MappingEngine::map_read_with`] /
-/// [`MappingEngine::map_read_raw_with`] are left inside the scratch and
-/// read back through [`AlignScratch::alignments`].
+/// the Pair-HMM rows and planes, the per-read PWM and profile rows, the
+/// reverse complement, the genome-code windows, the candidate lists and
+/// the column arena are all grow-only, so after the first few batches the
+/// engine performs **zero heap allocations per read**. Results of
+/// [`MappingEngine::map_read_with`] / [`MappingEngine::map_read_raw_with`]
+/// (and of each lockstep batch of [`crate::pipeline::BatchCounts::map_batch`])
+/// are left inside the scratch and read back through
+/// [`AlignScratch::alignments`].
 #[derive(Default)]
 pub struct AlignScratch {
     /// Pair-HMM row/plane arena (see [`PhmmScratch`]).
     phmm: PhmmScratch,
-    /// The current read's PWMs: forward orientation, reverse complement.
-    pwms: [Pwm; 2],
-    /// Emission profiles of `pwms`, built once per read and shared by all
-    /// of that orientation's candidates.
-    profiles: [Vec<ProfileRow>; 2],
+    /// Reverse complement of the current read's bases, which seeding needs.
+    rc: DnaSeq,
+    /// PWM and emission profile rows of each read of the current batch, by
+    /// the read's slot in the batch.
+    rows: Vec<ReadRows>,
+    /// Reads queued in the current batch so far.
+    batch_reads: usize,
     /// Genome window as profile codes, refilled per survivor that gets its
     /// posterior on its own.
     codes: Vec<u8>,
-    /// Suffix products of `profiles` ([`fill_suffix_bounds`]), which bound
-    /// a candidate's total from a partial forward.
+    /// Suffix products of the current read's profiles
+    /// ([`fill_suffix_bounds`]), which bound a candidate's total from a
+    /// partial forward.
     suffix: [Vec<f64>; 2],
     /// [`LANES`] genome windows interleaved by column, refilled per chunk
     /// of candidates scored, or given their posteriors, together.
     lane_codes: Vec<[u8; LANES]>,
+    /// The set of candidate starts seen for one oriented read.
+    start_set: StartSet,
     /// Sorted, deduplicated candidate starts for one oriented read, each
     /// with its seed votes (the seed hits on its diagonal).
     starts: Vec<(usize, u32)>,
-    /// Indices into `cands` in the order they are scored.
+    /// Bucket offsets of the counting sort that orders candidates by votes.
+    vote_buckets: Vec<u32>,
+    /// Indices into `cands` in the order they are scored; indices into
+    /// `queue` in the order the posterior runs them.
     order: Vec<u32>,
-    /// Column arena: every candidate given a posterior appends its
-    /// columns here.
+    /// Column arena: every queued alignment's columns, in queue order.
     cols: Vec<ColumnPosterior>,
-    /// Candidate metadata indexing into `cols`.
+    /// The current read's candidates while they are scored and pruned.
     cands: Vec<CandMeta>,
+    /// The batch's alignments, in read order, then candidate order.
+    queue: Vec<CandMeta>,
     /// Candidates the most recent read scored with the forward pass.
     scored: usize,
     /// Candidates of the most recent read whose forward stopped early.
@@ -144,12 +161,24 @@ pub struct AlignScratch {
     fallbacks: usize,
     /// Whether every candidate of the most recent read underflowed.
     underflowed: usize,
-    /// Lane slots of the most recent read's four-lane posterior chunks.
+    /// Whether the most recent read had no candidate to score.
+    no_candidates: usize,
+    /// Lane slots of the most recent batch's four-lane posterior chunks.
     posterior_lanes: usize,
+}
+
+/// One read's PWMs and emission profiles: forward orientation, reverse
+/// complement.
+#[derive(Default)]
+struct ReadRows {
+    pwms: [Pwm; 2],
+    profiles: [Vec<ProfileRow>; 2],
 }
 
 /// One candidate inside an [`AlignScratch`].
 struct CandMeta {
+    /// The read's slot in its batch.
+    read: u32,
     window_start: usize,
     placement_start: usize,
     /// Seed hits on the candidate's diagonal.
@@ -168,9 +197,11 @@ struct CandMeta {
 }
 
 impl CandMeta {
-    /// A scored candidate at placement `start`, with no columns yet.
-    fn new(reverse: bool, start: usize, votes: u32, likelihood: f64) -> CandMeta {
+    /// A scored candidate of the read in slot `read` at placement `start`,
+    /// with no columns yet.
+    fn new(read: u32, reverse: bool, start: usize, votes: u32, likelihood: f64) -> CandMeta {
         CandMeta {
+            read,
             window_start: start,
             placement_start: start,
             votes,
@@ -183,29 +214,28 @@ impl CandMeta {
         }
     }
 
-    /// Append the candidate's posterior `columns` to the arena `cols`.
-    /// `total` is the posterior pass's forward total, which must have the
-    /// bits of the scoring pass's.
-    fn append_columns(
-        &mut self,
-        total: f64,
-        columns: impl Iterator<Item = ColumnPosterior>,
-        cols: &mut Vec<ColumnPosterior>,
-    ) {
+    /// The candidate's slice of the column arena.
+    fn columns<'a>(&self, cols: &'a mut [ColumnPosterior]) -> &'a mut [ColumnPosterior] {
+        &mut cols[self.col_off..self.col_off + self.col_len]
+    }
+
+    /// Check that the posterior pass's forward `total` has the bits of the
+    /// scoring pass's.
+    fn check_total(&self, total: f64) {
         debug_assert_eq!(
             total.to_bits(),
             self.likelihood.to_bits(),
             "posterior forward diverged from the scoring pass"
         );
-        self.col_off = cols.len();
-        cols.extend(columns);
-        self.col_len = cols.len() - self.col_off;
     }
 }
 
 /// Borrowed view of one alignment stored in an [`AlignScratch`].
 #[derive(Debug, Clone, Copy)]
 pub struct AlignmentView<'a> {
+    /// Index of the alignment's read within its batch (0 after
+    /// [`MappingEngine::map_read_with`]).
+    pub read: usize,
     /// Genome position of the window's first column.
     pub window_start: usize,
     /// Genome position the seeds proposed for read base 1.
@@ -227,10 +257,12 @@ impl AlignScratch {
         AlignScratch::default()
     }
 
-    /// Iterate the alignments produced by the most recent
-    /// `map_read_with` / `map_read_raw_with` call.
+    /// Iterate the alignments of the most recent batch — after
+    /// `map_read_with` / `map_read_raw_with`, that read's — in read order,
+    /// then candidate order.
     pub fn alignments(&self) -> impl Iterator<Item = AlignmentView<'_>> + '_ {
-        self.cands.iter().map(move |c| AlignmentView {
+        self.queue.iter().map(move |c| AlignmentView {
+            read: c.read as usize,
             window_start: c.window_start,
             placement_start: c.placement_start,
             score: c.score,
@@ -268,7 +300,13 @@ impl AlignScratch {
         self.underflowed
     }
 
-    /// Lane slots the most recent read's posterior phase ran through
+    /// 1 when the most recent read had no candidate placement to score on
+    /// either strand (no seed hit that fits the genome), else 0.
+    pub fn no_candidates(&self) -> usize {
+        self.no_candidates
+    }
+
+    /// Lane slots the most recent batch's posterior phase ran through
     /// four-lane chunks, padding included: [`LANES`] per chunk of two to
     /// four survivors, nothing for a survivor run on its own. Every
     /// alignment held got one posterior pass, so this is at most twice
@@ -279,22 +317,129 @@ impl AlignScratch {
 
     /// Number of alignments currently held.
     pub fn len(&self) -> usize {
-        self.cands.len()
+        self.queue.len()
     }
 
     /// Whether the most recent mapping produced no alignments.
     pub fn is_empty(&self) -> bool {
-        self.cands.is_empty()
+        self.queue.is_empty()
     }
 
-    fn clear(&mut self) {
+    /// Start a batch: drop the previous batch's reads and alignments.
+    pub(crate) fn begin_batch(&mut self) {
+        self.batch_reads = 0;
+        self.queue.clear();
         self.cols.clear();
-        self.cands.clear();
-        self.scored = 0;
-        self.abandoned = 0;
-        self.fallbacks = 0;
-        self.underflowed = 0;
         self.posterior_lanes = 0;
+    }
+}
+
+/// The set of candidate starts of one oriented read, for the dedupe in
+/// [`MappingEngine::candidates_into`]: open addressing with linear probing
+/// over a power-of-two table of slots, each holding a start and its entry
+/// in the candidate list. Slots carry the stamp of the read that wrote
+/// them, so starting a read clears nothing.
+#[derive(Default)]
+struct StartSet {
+    slots: Vec<StartSlot>,
+    /// `64 − log2(slots.len())`: the multiplicative hash keeps the top bits.
+    shift: u32,
+    stamp: u32,
+}
+
+#[derive(Clone, Copy, Default)]
+struct StartSlot {
+    stamp: u32,
+    entry: u32,
+    start: usize,
+}
+
+impl StartSet {
+    /// Slots of a fresh table; it doubles when half full.
+    const INITIAL_SLOTS: usize = 256;
+
+    /// Start an empty set.
+    fn begin(&mut self) {
+        if self.slots.is_empty() {
+            self.resize(Self::INITIAL_SLOTS);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.resize(self.slots.len());
+        }
+    }
+
+    /// Clear every slot into a table of `len` (a power of two).
+    fn resize(&mut self, len: usize) {
+        self.slots.clear();
+        self.slots.resize(len, StartSlot::default());
+        self.shift = 64 - len.trailing_zeros();
+        self.stamp = 1;
+    }
+
+    /// The entry recorded for `start`; when there is none, records `entry`
+    /// for it and returns `None`.
+    #[inline]
+    fn find_or_insert(&mut self, start: usize, entry: u32) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = ((start as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                *slot = StartSlot {
+                    stamp: self.stamp,
+                    entry,
+                    start,
+                };
+                return None;
+            }
+            if slot.start == start {
+                return Some(slot.entry);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Keep the load at most one half once `starts` holds every start
+    /// recorded: double the table and re-record them when it is above.
+    #[inline]
+    fn reserve(&mut self, starts: &[(usize, u32)]) {
+        if 2 * starts.len() > self.slots.len() {
+            self.resize(2 * self.slots.len());
+            for (entry, &(start, _)) in starts.iter().enumerate() {
+                self.find_or_insert(start, entry as u32);
+            }
+        }
+    }
+}
+
+/// Fill `order` with `0..votes.len()` sorted by descending votes, ties in
+/// ascending index order — the permutation of `sort_by_key(|&k|
+/// (Reverse(votes[k]), k))` — by one stable counting sort over the vote
+/// values, `buckets` holding the bucket offsets.
+fn order_by_votes(
+    votes: impl Iterator<Item = u32> + Clone,
+    buckets: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) {
+    let max = votes.clone().max().unwrap_or(0) as usize;
+    // Bucket `max − v` holds the candidates with `v` votes; its count goes
+    // in slot `max − v + 1`, so the prefix sums leave each bucket's start
+    // in slot `max − v`.
+    buckets.clear();
+    buckets.resize(max + 2, 0);
+    for v in votes.clone() {
+        buckets[max - v as usize + 1] += 1;
+    }
+    for b in 1..buckets.len() {
+        buckets[b] += buckets[b - 1];
+    }
+    order.clear();
+    order.resize(buckets[max + 1] as usize, 0);
+    for (k, v) in votes.enumerate() {
+        let next = &mut buckets[max - v as usize];
+        order[*next as usize] = k as u32;
+        *next += 1;
     }
 }
 
@@ -318,6 +463,9 @@ pub struct MappingEngine<'g> {
     genome: &'g DnaSeq,
     index: KmerIndex,
     config: MappingConfig,
+    /// PWM and profile rows of every (base, Phred) pair under
+    /// `config.phmm`.
+    table: QualityTable,
     /// Fraction of a read's best total below which a candidate may be
     /// abandoned; zero disables abandoning.
     abandon_ratio: f64,
@@ -377,6 +525,7 @@ impl<'g> MappingEngine<'g> {
             genome,
             index,
             config,
+            table: QualityTable::new(&config.phmm),
             abandon_ratio: abandon_ratio(&config),
         }
     }
@@ -396,16 +545,18 @@ impl<'g> MappingEngine<'g> {
         self.genome.len()
     }
 
-    /// Candidate placement starts for one oriented read: deduplicated
-    /// diagonals from the seed hits, collected into `starts` in increasing
-    /// genome order, each with its votes — the seed hits on its diagonal
-    /// before the `max_candidates` cut-off. A sorted-insert vector replaces
-    /// the obvious `BTreeSet` so the buffer can be reused across reads; the
-    /// insert sequence, the dedup behaviour, the cut-off and the ascending
-    /// output order are all identical.
-    fn candidates_into(&self, oriented: &SequencedRead, starts: &mut Vec<(usize, u32)>) {
+    /// Candidate placement starts for one oriented read sequence:
+    /// deduplicated diagonals from the seed hits, collected into `starts`
+    /// in increasing genome order, each with its votes — the seed hits on
+    /// its diagonal before the `max_candidates` cut-off. The loop stops at
+    /// the first hit after `max_candidates` distinct starts. Distinct
+    /// starts go into `starts` in the order they are first hit, found
+    /// again through the open-addressed `set`, and are sorted once at the
+    /// end; each start is distinct, so the unstable sort is exact.
+    fn candidates_into(&self, seq: &DnaSeq, set: &mut StartSet, starts: &mut Vec<(usize, u32)>) {
         starts.clear();
-        for (qoff, gpos) in self.index.seed_hits(&oriented.seq) {
+        set.begin();
+        for (qoff, gpos) in self.index.seed_hits(seq) {
             if starts.len() >= self.config.max_candidates {
                 break;
             }
@@ -414,13 +565,17 @@ impl<'g> MappingEngine<'g> {
                 continue;
             }
             let start = gpos - qoff;
-            if start + oriented.len() <= self.genome.len() {
-                match starts.binary_search_by_key(&start, |&(s, _)| s) {
-                    Ok(pos) => starts[pos].1 += 1,
-                    Err(pos) => starts.insert(pos, (start, 1)),
+            if start + seq.len() <= self.genome.len() {
+                match set.find_or_insert(start, starts.len() as u32) {
+                    Some(entry) => starts[entry as usize].1 += 1,
+                    None => {
+                        starts.push((start, 1));
+                        set.reserve(starts);
+                    }
                 }
             }
         }
+        starts.sort_unstable_by_key(|&(start, _)| start);
     }
 
     /// Refill `codes` with the genome window of `len` bases at `start`,
@@ -459,25 +614,34 @@ impl<'g> MappingEngine<'g> {
         self.config.band.map(|w| w + self.config.window_pad)
     }
 
-    /// Start a read in `scratch`: clear the previous results and build
-    /// both orientations' PWMs and emission profiles. Returns the reverse
-    /// complement, which seeding needs.
-    fn prepare(&self, read: &SequencedRead, scratch: &mut AlignScratch) -> SequencedRead {
-        scratch.clear();
-        let rc = read.reverse_complement();
-        scratch.pwms = [Pwm::from_read(read), Pwm::from_read(&rc)];
-        for (pwm, profile) in scratch.pwms.iter().zip(&mut scratch.profiles) {
-            pwm.fill_profile(&self.config.phmm, profile);
+    /// Queue `read` as the next read of the batch in `scratch`: reset the
+    /// per-read counts and look up both orientations' PWM and emission
+    /// profile rows in the engine's [`QualityTable`]. Returns the read's
+    /// slot in the batch.
+    fn prepare(&self, read: &SequencedRead, scratch: &mut AlignScratch) -> u32 {
+        scratch.scored = 0;
+        scratch.abandoned = 0;
+        scratch.fallbacks = 0;
+        scratch.underflowed = 0;
+        scratch.no_candidates = 0;
+        let slot = scratch.batch_reads;
+        scratch.batch_reads += 1;
+        if scratch.rows.len() == slot {
+            scratch.rows.push(ReadRows::default());
         }
-        rc
+        let ReadRows { pwms, profiles } = &mut scratch.rows[slot];
+        for (o, (pwm, profile)) in pwms.iter_mut().zip(profiles).enumerate() {
+            self.table.fill(read, o == 1, pwm, profile);
+        }
+        slot as u32
     }
 
-    /// Phase 1 — score. Seed both strands of `read` and give every
-    /// candidate placement its Pair-HMM forward total. Leaves every scored
-    /// candidate in `scratch`, in evaluation order (forward placements
-    /// ascending, then reverse), with its total in
-    /// [`AlignmentView::score`] and no columns — zero totals included, so
-    /// [`AlignScratch::scored`] and [`AlignScratch::len`] agree.
+    /// Phase 1 — score, as its own batch of one read. Seed both strands of
+    /// `read` and give every candidate placement its Pair-HMM forward
+    /// total. Leaves every scored candidate in `scratch`, in evaluation
+    /// order (forward placements ascending, then reverse), with its total
+    /// in [`AlignmentView::score`] and no columns — zero totals included,
+    /// so [`AlignScratch::scored`] and [`AlignScratch::len`] agree.
     /// [`Self::map_read_raw_with`] builds on this; the genome-split driver
     /// calls it directly, because its weight cut needs every shard's
     /// totals first. Both score every candidate to the last row:
@@ -490,42 +654,51 @@ impl<'g> MappingEngine<'g> {
     /// are discarded. Each lane's total has the bits a candidate scored
     /// on its own would get, so chunking changes no result.
     pub(crate) fn score_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+        scratch.begin_batch();
         self.score(read, scratch, false);
+        scratch.queue.append(&mut scratch.cands);
     }
 
-    /// [`Self::score_read_with`], optionally abandoning candidates. With
-    /// `abandon`, candidates are scored best-voted first, and a chunk
+    /// Prepare `read` as the next read of the batch and score its
+    /// candidates into `scratch.cands`, optionally abandoning candidates.
+    /// With `abandon`, candidates are scored best-voted first, and a chunk
     /// stops once every lane's bound is below `abandon_ratio` × the best
     /// total scored so far; its candidates keep their bounds and are
     /// marked abandoned.
     fn score(&self, read: &SequencedRead, scratch: &mut AlignScratch, abandon: bool) {
-        let rc = self.prepare(read, scratch);
-        for (reverse, oriented) in [(false, read), (true, &rc)] {
-            self.candidates_into(oriented, &mut scratch.starts);
-            scratch.cands.extend(
-                scratch
-                    .starts
-                    .iter()
-                    .map(|&(start, votes)| CandMeta::new(reverse, start, votes, 0.0)),
-            );
-        }
-        scratch.scored = scratch.cands.len();
+        let slot = self.prepare(read, scratch);
+        read.seq.reverse_complement_into(&mut scratch.rc);
         let AlignScratch {
-            profiles,
+            rc,
+            rows,
             suffix,
+            start_set,
+            starts,
+            vote_buckets,
             order,
             cands,
             ..
         } = scratch;
-        order.clear();
-        order.extend(0..cands.len() as u32);
+        cands.clear();
+        for (reverse, seq) in [(false, &read.seq), (true, &*rc)] {
+            self.candidates_into(seq, start_set, starts);
+            cands.extend(
+                starts
+                    .iter()
+                    .map(|&(start, votes)| CandMeta::new(slot, reverse, start, votes, 0.0)),
+            );
+        }
+        scratch.scored = cands.len();
+        scratch.no_candidates = usize::from(cands.is_empty());
         if abandon {
-            // Best-voted first, ties in evaluation order: the keys are
-            // unique, so the unstable (allocation-free) sort is stable.
-            order.sort_unstable_by_key(|&k| (Reverse(cands[k as usize].votes), k));
-            for (profile, suffix) in profiles.iter().zip(suffix) {
+            // Best-voted first, ties in evaluation order.
+            order_by_votes(cands.iter().map(|c| c.votes), vote_buckets, order);
+            for (profile, suffix) in rows[slot as usize].profiles.iter().zip(suffix) {
                 fill_suffix_bounds(profile, self.config.phmm.q, suffix);
             }
+        } else {
+            order.clear();
+            order.extend(0..cands.len() as u32);
         }
         self.score_order(scratch, abandon);
     }
@@ -535,10 +708,10 @@ impl<'g> MappingEngine<'g> {
     /// every chunk after the first may stop early (see [`Self::score`]).
     fn score_order(&self, scratch: &mut AlignScratch, abandon: bool) {
         let band = self.band();
-        let len = scratch.pwms[0].len() + self.config.window_pad;
         let AlignScratch {
             phmm,
-            profiles,
+            rows,
+            batch_reads,
             suffix,
             lane_codes,
             order,
@@ -546,6 +719,9 @@ impl<'g> MappingEngine<'g> {
             abandoned,
             ..
         } = scratch;
+        // The read prepared last is the one being scored.
+        let ReadRows { pwms, profiles } = &rows[*batch_reads - 1];
+        let len = pwms[0].len() + self.config.window_pad;
         let mut best = 0.0f64;
         for chunk in order.chunks(LANES) {
             // Lanes past a short chunk's end repeat its last candidate.
@@ -577,62 +753,85 @@ impl<'g> MappingEngine<'g> {
         }
     }
 
-    /// Phase 3 — posterior. Forward planes + backward + marginal for every
-    /// candidate `scratch` still holds, appending its columns to the
-    /// arena in candidate order. The forward is recomputed; its total must
-    /// carry the same bits as the phase-1 score.
+    /// Phase 3 — posterior, for the whole batch. Forward planes, backward
+    /// and marginal for every alignment queued in `scratch`, each writing
+    /// its columns into the arena at the alignment's place in queue order.
+    /// The forward is recomputed; its total must carry the same bits as
+    /// the phase-1 score.
     ///
-    /// The candidates run [`LANES`] at a time through
+    /// The alignments are grouped by read length (in queue order within a
+    /// group) and run [`LANES`] at a time through
     /// [`PhmmScratch::posterior_columns_lanes`], each lane with its own
-    /// strand's PWM, profile and window. A short last chunk of two or three
-    /// repeats its last candidate in the spare lanes and discards their
-    /// columns. A chunk of one runs the single-lane
-    /// [`PhmmScratch::posterior_columns_profiled`] instead: padding it to
-    /// four lanes would cost about twice as much. Every lane's columns
-    /// have the bits of the single-lane pass, so the chunking changes no
-    /// result.
-    fn posterior_phase(&self, scratch: &mut AlignScratch) {
+    /// read's and strand's PWM and profile and its own window — the lanes
+    /// of a chunk may come from different reads. A group's short last
+    /// chunk of two or three repeats its last alignment in the spare lanes
+    /// and discards their columns. A last chunk of one runs the
+    /// single-lane [`PhmmScratch::posterior_columns_profiled`] instead:
+    /// padding it to four lanes would cost about twice as much. Every
+    /// lane's columns have the bits of the single-lane pass, so the
+    /// grouping changes no result.
+    pub(crate) fn posterior_batch(&self, scratch: &mut AlignScratch) {
         let band = self.band();
-        let len = scratch.pwms[0].len() + self.config.window_pad;
         let AlignScratch {
             phmm,
-            pwms,
-            profiles,
+            rows,
             codes,
             lane_codes,
+            order,
             cols,
-            cands,
+            queue,
             posterior_lanes,
             ..
         } = scratch;
-        for chunk in cands.chunks_mut(LANES) {
-            if let [c] = chunk {
-                let o = usize::from(c.reverse);
-                self.fill_window(c.window_start, len, codes);
-                let total = phmm.posterior_columns_profiled(
-                    &pwms[o],
-                    &profiles[o],
-                    codes,
+        let mut len = 0;
+        for c in queue.iter_mut() {
+            c.col_off = len;
+            c.col_len = rows[c.read as usize].pwms[0].len() + self.config.window_pad;
+            len += c.col_len;
+        }
+        cols.clear();
+        cols.resize(len, ColumnPosterior::default());
+        order.clear();
+        order.extend(0..queue.len() as u32);
+        order.sort_unstable_by_key(|&k| (queue[k as usize].col_len, k));
+        let same_len = |&a: &u32, &b: &u32| queue[a as usize].col_len == queue[b as usize].col_len;
+        for group in order.chunk_by(same_len) {
+            for chunk in group.chunks(LANES) {
+                if let [k] = *chunk {
+                    let c = &queue[k as usize];
+                    let o = usize::from(c.reverse);
+                    let ReadRows { pwms, profiles } = &rows[c.read as usize];
+                    self.fill_window(c.window_start, c.col_len, codes);
+                    let total = phmm.posterior_columns_profiled(
+                        &pwms[o],
+                        &profiles[o],
+                        codes,
+                        &self.config.phmm,
+                        band,
+                    );
+                    c.check_total(total);
+                    c.columns(cols).copy_from_slice(phmm.columns());
+                    continue;
+                }
+                // Lanes past a short chunk's end repeat its last alignment.
+                let lanes: [&CandMeta; LANES] =
+                    std::array::from_fn(|l| &queue[chunk[l.min(chunk.len() - 1)] as usize]);
+                self.fill_lanes(lanes.map(|c| c.window_start), lanes[0].col_len, lane_codes);
+                let sources = lanes.map(|c| (&rows[c.read as usize], usize::from(c.reverse)));
+                let totals = phmm.posterior_columns_lanes(
+                    sources.map(|(r, o)| &r.pwms[o]),
+                    sources.map(|(r, o)| &r.profiles[o][..]),
+                    lane_codes,
                     &self.config.phmm,
                     band,
                 );
-                c.append_columns(total, phmm.columns().iter().copied(), cols);
-                continue;
-            }
-            // Lanes past a short chunk's end repeat its last candidate.
-            let lanes: [usize; LANES] = std::array::from_fn(|l| l.min(chunk.len() - 1));
-            self.fill_lanes(lanes.map(|l| chunk[l].window_start), len, lane_codes);
-            let strands = lanes.map(|l| usize::from(chunk[l].reverse));
-            let totals = phmm.posterior_columns_lanes(
-                strands.map(|o| &pwms[o]),
-                strands.map(|o| &profiles[o][..]),
-                lane_codes,
-                &self.config.phmm,
-                band,
-            );
-            *posterior_lanes += LANES;
-            for (lane, (c, total)) in chunk.iter_mut().zip(totals).enumerate() {
-                c.append_columns(total, phmm.lane_columns(lane), cols);
+                *posterior_lanes += LANES;
+                for (lane, (c, total)) in lanes.iter().zip(totals).take(chunk.len()).enumerate() {
+                    c.check_total(total);
+                    for (dst, src) in c.columns(cols).iter_mut().zip(phmm.lane_columns(lane)) {
+                        *dst = src;
+                    }
+                }
             }
         }
     }
@@ -642,9 +841,11 @@ impl<'g> MappingEngine<'g> {
     /// evaluation order, each with its raw Pair-HMM total in
     /// [`AlignmentView::score`] and its columns.
     pub fn map_read_raw_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
-        self.score_read_with(read, scratch);
+        scratch.begin_batch();
+        self.score(read, scratch, false);
         scratch.cands.retain(|c| c.likelihood > 0.0);
-        self.posterior_phase(scratch);
+        scratch.queue.append(&mut scratch.cands);
+        self.posterior_batch(scratch);
     }
 
     /// Posterior columns for candidates of `read` pruned elsewhere — the
@@ -658,34 +859,45 @@ impl<'g> MappingEngine<'g> {
         survivors: impl IntoIterator<Item = (bool, usize, f64)>,
         scratch: &mut AlignScratch,
     ) {
-        self.prepare(read, scratch);
-        scratch.cands.extend(
-            survivors
-                .into_iter()
-                .map(|(reverse, start, likelihood)| CandMeta::new(reverse, start, 0, likelihood)),
-        );
-        self.posterior_phase(scratch);
+        scratch.begin_batch();
+        let slot = self.prepare(read, scratch);
+        scratch
+            .queue
+            .extend(survivors.into_iter().map(|(reverse, start, likelihood)| {
+                CandMeta::new(slot, reverse, start, 0, likelihood)
+            }));
+        self.posterior_batch(scratch);
     }
 
     /// Map one read into `scratch`: all candidate placements on both
     /// strands, posterior-normalised ([`AlignmentView::score`] holds the
-    /// weight). The scratch is left empty for unmappable reads.
+    /// weight). The scratch is left empty for unmappable reads. This is
+    /// the batch of one read: its candidates are scored and pruned, then
+    /// the survivors get their columns, as in each lockstep batch of
+    /// [`crate::pipeline::BatchCounts::map_batch`].
+    pub fn map_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+        scratch.begin_batch();
+        self.queue_read(read, scratch);
+        self.posterior_batch(scratch);
+    }
+
+    /// The per-read half of mapping: score `read`'s candidates, normalise
+    /// their totals into posterior weights, prune them by `min_weight`
+    /// and queue the survivors in `scratch`'s batch, for
+    /// [`Self::posterior_batch`] to give them their columns. Returns the
+    /// number of survivors queued.
     ///
-    /// Three phases: every candidate is scored with a forward total
-    /// (`score_read_with`); the totals are normalised and pruned
-    /// by `min_weight`; only the survivors get the backward pass and
-    /// their columns. Weights depend on forward totals alone, so the
-    /// result is bit-identical to giving every candidate its columns
-    /// first.
-    ///
-    /// Scoring runs best-voted candidates first and abandons those whose
+    /// Every candidate is scored with a forward total; weights depend on
+    /// forward totals alone, so giving only the survivors their columns is
+    /// bit-identical to giving every candidate its columns first. Scoring
+    /// runs best-voted candidates first and abandons those whose
     /// likelihood bound falls below [`ABANDON_RATIO`] of the best total so
     /// far (and provably below the `min_weight` cut). Before pruning, a
     /// certificate checks that the abandoned candidates cannot change the
-    /// bits of the grand total (`total_certified`); if it fails, they
-    /// are rescored in full. Either way the survivors, their weights and
-    /// their columns are those of full scoring, bit for bit.
-    pub fn map_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
+    /// bits of the grand total (`total_certified`); if it fails, they are
+    /// rescored in full. Either way the survivors and their weights are
+    /// those of full scoring, bit for bit.
+    pub(crate) fn queue_read(&self, read: &SequencedRead, scratch: &mut AlignScratch) -> usize {
         self.score(read, scratch, self.abandon_ratio > 0.0);
         let terms = scratch.cands.iter().map(|c| (c.likelihood, c.abandoned));
         if scratch.abandoned > 0 && !total_certified(terms) {
@@ -693,30 +905,33 @@ impl<'g> MappingEngine<'g> {
         }
         // Abandoned candidates fail the `min_weight` cut below: their
         // totals are under `abandon_ratio` of one term of the grand total.
-        scratch.cands.retain(|c| !c.abandoned && c.likelihood > 0.0);
-        let grand_total: f64 = scratch.cands.iter().map(|c| c.score).sum();
+        let cands = &mut scratch.cands;
+        cands.retain(|c| !c.abandoned && c.likelihood > 0.0);
+        let grand_total: f64 = cands.iter().map(|c| c.score).sum();
         if grand_total <= 0.0 {
             scratch.underflowed = usize::from(scratch.scored > 0);
-            scratch.cands.clear();
-            return;
+            cands.clear();
+            return 0;
         }
         // Posterior weights; drop negligible locations, renormalise.
         // `retain_mut` preserves order, so the kept set and both sums are
         // evaluated in exactly the order the Vec-returning path used.
-        scratch.cands.retain_mut(|c| {
+        cands.retain_mut(|c| {
             c.score /= grand_total;
             c.score >= self.config.min_weight
         });
-        let kept_sum: f64 = scratch.cands.iter().map(|c| c.score).sum();
+        let kept_sum: f64 = cands.iter().map(|c| c.score).sum();
         if kept_sum > 0.0 {
-            for c in &mut scratch.cands {
+            for c in cands.iter_mut() {
                 c.score /= kept_sum;
             }
         }
-        self.posterior_phase(scratch);
+        let survivors = cands.len();
+        scratch.queue.append(cands);
+        survivors
     }
 
-    /// The fallback of [`Self::map_read_with`]: score the candidates
+    /// The fallback of [`Self::queue_read`]: score the candidates
     /// [`Self::score`] abandoned to the last row, in evaluation order, and
     /// count the read as a fallback.
     fn rescore_abandoned(&self, scratch: &mut AlignScratch) {
@@ -939,6 +1154,131 @@ mod tests {
         assert!(capped_at_zero.map_read(&read).is_empty());
     }
 
+    /// The sorted-insert dedupe `candidates_into` replaced, kept as its
+    /// oracle: a binary search per hit, an insert per new start.
+    fn candidates_oracle(engine: &MappingEngine<'_>, seq: &DnaSeq) -> Vec<(usize, u32)> {
+        let mut starts: Vec<(usize, u32)> = Vec::new();
+        for (qoff, gpos) in engine.index.seed_hits(seq) {
+            if starts.len() >= engine.config.max_candidates {
+                break;
+            }
+            let gpos = gpos as usize;
+            if gpos < qoff {
+                continue;
+            }
+            let start = gpos - qoff;
+            if start + seq.len() <= engine.genome.len() {
+                match starts.binary_search_by_key(&start, |&(s, _)| s) {
+                    Ok(pos) => starts[pos].1 += 1,
+                    Err(pos) => starts.insert(pos, (start, 1)),
+                }
+            }
+        }
+        starts
+    }
+
+    /// `candidates_into` on `seq`, with a set and list reused across calls.
+    fn candidates(
+        engine: &MappingEngine<'_>,
+        seq: &DnaSeq,
+        set: &mut StartSet,
+        starts: &mut Vec<(usize, u32)>,
+    ) -> Vec<(usize, u32)> {
+        engine.candidates_into(seq, set, starts);
+        starts.clone()
+    }
+
+    #[test]
+    fn candidate_dedupe_matches_the_sorted_insert_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        // A unit repeated with a few substitutions per copy: reads from it
+        // seed many starts, most of them hit several times.
+        let unit: Vec<Base> = (0..70)
+            .map(|_| Base::from_index(rng.random_range(0..4)))
+            .collect();
+        let mut bases: Vec<Base> = (0..400)
+            .map(|_| Base::from_index(rng.random_range(0..4)))
+            .collect();
+        for copy in 0..160 {
+            let mut unit = unit.clone();
+            unit[(copy * 13) % 70] = unit[(copy * 13) % 70].transition();
+            bases.extend(unit);
+            bases.extend((0..copy % 7).map(|_| Base::from_index(rng.random_range(0..4))));
+        }
+        let g = DnaSeq::from_bases(bases);
+        let (mut set, mut starts) = (StartSet::default(), Vec::new());
+        for max_candidates in [0, 1, 2, 3, 5, 64, 1000] {
+            let engine = MappingEngine::new(
+                &g,
+                MappingConfig {
+                    max_candidates,
+                    ..cfg(8)
+                },
+            );
+            for start in (0..g.len() - 62).step_by(97) {
+                let read = g.window(start, start + 62);
+                for seq in [read.clone(), read.reverse_complement()] {
+                    assert_eq!(
+                        candidates(&engine, &seq, &mut set, &mut starts),
+                        candidates_oracle(&engine, &seq),
+                        "cap {max_candidates}, read at {start}"
+                    );
+                }
+            }
+        }
+        // Reads with over 128 distinct starts grow the table past its
+        // first size.
+        assert!(set.slots.len() > StartSet::INITIAL_SLOTS);
+    }
+
+    #[test]
+    fn candidate_cap_stops_at_the_first_hit_after_the_cap() {
+        // Read k-mers at offsets 0..=4 hit two copies, offset 0 first, so
+        // the hits run (0, a), (0, b), (1, a + 1), (1, b + 1), ...: two
+        // distinct starts, then only duplicates of them.
+        let unit = "ACGGTTCAGGCATTGCAAGCTTGGC";
+        let g = genome(&format!("{unit}TTATTATTAT{unit}"));
+        let read = genome(unit);
+        let (mut set, mut starts) = (StartSet::default(), Vec::new());
+        for (cap, want) in [
+            (0, vec![]),
+            (1, vec![(0, 1)]),
+            // The distinct starts equal the cap: the duplicate hit after
+            // them stops the loop before it votes.
+            (2, vec![(0, 1), (35, 1)]),
+            (3, vec![(0, 18), (35, 18)]),
+        ] {
+            let engine = MappingEngine::new(
+                &g,
+                MappingConfig {
+                    max_candidates: cap,
+                    ..cfg(8)
+                },
+            );
+            let got = candidates(&engine, &read, &mut set, &mut starts);
+            assert_eq!(got, candidates_oracle(&engine, &read), "cap {cap}");
+            assert_eq!(got, want, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn vote_order_is_the_sorted_permutation() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        let (mut buckets, mut order) = (Vec::new(), Vec::new());
+        for case in 0..500 {
+            let n = rng.random_range(0..80);
+            // Few distinct values force ties; some cases spread wide.
+            let top = if case % 3 == 0 { 4 } else { 60 };
+            let votes: Vec<u32> = (0..n).map(|_| rng.random_range(0..top)).collect();
+            let mut want: Vec<u32> = (0..n as u32).collect();
+            want.sort_unstable_by_key(|&k| (std::cmp::Reverse(votes[k as usize]), k));
+            order_by_votes(votes.iter().copied(), &mut buckets, &mut order);
+            assert_eq!(order, want, "votes {votes:?}");
+        }
+    }
+
     #[test]
     fn certificate_falls_back_at_a_rounding_tie() {
         // 1 + 2⁻⁵² has an odd last bit, so adding half its ulp ties and
@@ -989,11 +1329,13 @@ mod tests {
         let mut abandoned = 0;
         for start in (300..g.len() - 62).step_by(37) {
             let read = read_from(&g, start, start + 62, 30);
+            pruned.begin_batch();
             engine.score(&read, &mut pruned, true);
             abandoned += pruned.abandoned();
             engine.rescore_abandoned(&mut pruned);
             assert_eq!(pruned.fallbacks(), 1);
-            engine.score_read_with(&read, &mut full);
+            full.begin_batch();
+            engine.score(&read, &mut full, false);
             let bits = |s: &AlignScratch| -> Vec<_> {
                 s.cands
                     .iter()

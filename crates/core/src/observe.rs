@@ -117,6 +117,10 @@ pub enum Event {
         /// in, padding included; a survivor run on its own adds none. A
         /// multiple of 4 and at most twice `survivors` (0 in older traces).
         posterior_lanes: u64,
+        /// Unmapped reads that had no candidate placement to score at all
+        /// (0 in older traces). With `mapped` and `underflowed` it accounts
+        /// for every read of the batch.
+        no_candidates: u64,
     },
     /// The streaming engine wrote a checkpoint.
     Checkpoint {
@@ -224,6 +228,7 @@ impl Event {
                 underflowed,
                 survivors,
                 posterior_lanes,
+                no_candidates,
             } => {
                 let _ = write!(
                     s,
@@ -231,7 +236,7 @@ impl Event {
                      \"candidates\":{candidates},\"deposited_columns\":{deposited_columns},\
                      \"abandoned\":{abandoned},\"fallbacks\":{fallbacks},\
                      \"underflowed\":{underflowed},\"survivors\":{survivors},\
-                     \"posterior_lanes\":{posterior_lanes}"
+                     \"posterior_lanes\":{posterior_lanes},\"no_candidates\":{no_candidates}"
                 );
             }
             Event::Checkpoint {
@@ -330,6 +335,7 @@ impl Event {
                 underflowed: get_u64_or_0("underflowed")?,
                 survivors: get_u64_or_0("survivors")?,
                 posterior_lanes: get_u64_or_0("posterior_lanes")?,
+                no_candidates: get_u64_or_0("no_candidates")?,
             },
             "checkpoint" => Event::Checkpoint {
                 cursor: get_u64("cursor")?,
@@ -698,6 +704,7 @@ mod tests {
                 underflowed: 2,
                 survivors: 260,
                 posterior_lanes: 16,
+                no_candidates: 4,
             },
             Event::Checkpoint {
                 cursor: 1024,
@@ -723,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_lines_without_abandon_or_underflow_counters_parse_as_zero() {
+    fn batch_lines_without_outcome_counters_parse_as_zero() {
         let line = r#"{"event":"batch","worker":1,"reads":4,"mapped":3,"candidates":9,"deposited_columns":180}"#;
         assert_eq!(
             Event::parse_json_line(line).unwrap(),
@@ -738,6 +745,7 @@ mod tests {
                 underflowed: 0,
                 survivors: 0,
                 posterior_lanes: 0,
+                no_candidates: 0,
             }
         );
         let bad = line.replace("180}", r#"180,"abandoned":-1}"#);

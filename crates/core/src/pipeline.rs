@@ -1,9 +1,9 @@
 //! The serial end-to-end pipeline: index → map → accumulate → call.
 //!
 //! This is the reference implementation the parallel drivers must agree
-//! with. It also owns the per-read step that every driver but
-//! genome-split shares ([`BatchCounts::map_read`]): map one read, count
-//! it, deposit its evidence.
+//! with. It also owns the batch step that every driver but genome-split
+//! shares ([`BatchCounts::map_batch`]): map a batch of reads, count them,
+//! deposit their evidence.
 
 use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
@@ -18,6 +18,18 @@ use pairhmm::marginal::ColumnPosterior;
 /// Reads per [`Event::Batch`] when a driver without natural batching (the
 /// serial pipeline) runs under an enabled observer.
 pub const OBSERVED_BATCH_READS: usize = 256;
+
+/// Reads [`BatchCounts::map_batch`] maps in one lockstep batch, whose
+/// survivors share the four posterior lanes: a batch handed to it is
+/// mapped in pieces of at most this many reads. It bounds the per-worker
+/// scratch that holds a piece's profile rows.
+pub const LOCKSTEP_READS: usize = 64;
+
+/// A lockstep piece also ends once its reads have queued this many
+/// survivors. That bounds the column arena on multi-mapping reads (up to
+/// 128 survivors each) to under 64 + 128 survivors' columns, where 64
+/// reads of ten survivors each would hold 640.
+pub const LOCKSTEP_SURVIVORS: usize = 64;
 
 /// Tallies of the shared per-read step over one batch; one batch becomes
 /// one [`Event::Batch`]. Counting always runs: it is a few integer adds
@@ -42,6 +54,9 @@ pub struct BatchCounts {
     /// Unmapped reads whose every scored candidate underflowed to a zero
     /// total ([`AlignScratch::underflowed`]).
     pub underflowed: u64,
+    /// Unmapped reads that had no candidate placement to score at all
+    /// ([`AlignScratch::no_candidates`]).
+    pub no_candidates: u64,
     /// Posterior passes run: candidates that survived the `min_weight`
     /// cut and got their columns.
     pub survivors: u64,
@@ -52,33 +67,54 @@ pub struct BatchCounts {
 }
 
 impl BatchCounts {
-    /// The shared per-read step: map `read` into `scratch`,
-    /// count it, and hand each alignment's `(window_start, weight,
-    /// columns)` to `deposit` straight out of the scratch — no owned
-    /// alignments are materialised. Returns whether the read mapped.
-    #[inline]
-    pub fn map_read(
+    /// The shared batch step: map `items` (each holding the read `read`
+    /// returns) into `scratch`, count them, and hand each alignment's
+    /// `(item index, window_start, weight, columns)` to `deposit` straight
+    /// out of the scratch — no owned alignments are materialised.
+    ///
+    /// The reads are mapped in lockstep batches of up to
+    /// [`LOCKSTEP_READS`] reads, cut short once they have queued
+    /// [`LOCKSTEP_SURVIVORS`] survivors: each read is scored and pruned on its own
+    /// (`MappingEngine::queue_read`), then the posterior runs once for
+    /// the batch's survivors, packing survivors of different reads into
+    /// the same four lanes (`MappingEngine::posterior_batch`). Deposits
+    /// follow in read order, then candidate order — the order of mapping
+    /// one read at a time — so order-dependent accumulators get the same
+    /// bits.
+    pub fn map_batch<T>(
         &mut self,
         engine: &MappingEngine<'_>,
-        read: &SequencedRead,
+        items: &[T],
+        read: impl Fn(&T) -> &SequencedRead,
         scratch: &mut AlignScratch,
-        mut deposit: impl FnMut(usize, f64, &[ColumnPosterior]),
-    ) -> bool {
-        engine.map_read_with(read, scratch);
-        let mapped = !scratch.is_empty();
-        self.reads += 1;
-        self.mapped += u64::from(mapped);
-        self.candidates += scratch.scored() as u64;
-        self.abandoned += scratch.abandoned() as u64;
-        self.fallbacks += scratch.fallbacks() as u64;
-        self.underflowed += scratch.underflowed() as u64;
-        self.survivors += scratch.len() as u64;
-        self.posterior_lanes += scratch.posterior_lanes() as u64;
-        for aln in scratch.alignments() {
-            self.columns += aln.columns.len() as u64;
-            deposit(aln.window_start, aln.score, aln.columns);
+        mut deposit: impl FnMut(usize, usize, f64, &[ColumnPosterior]),
+    ) {
+        // The items of the current piece start at `first`.
+        let mut first = 0;
+        scratch.begin_batch();
+        for (i, item) in items.iter().enumerate() {
+            let survivors = engine.queue_read(read(item), scratch) as u64;
+            self.reads += 1;
+            self.mapped += u64::from(survivors > 0);
+            self.candidates += scratch.scored() as u64;
+            self.abandoned += scratch.abandoned() as u64;
+            self.fallbacks += scratch.fallbacks() as u64;
+            self.underflowed += scratch.underflowed() as u64;
+            self.no_candidates += scratch.no_candidates() as u64;
+            self.survivors += survivors;
+            let piece_full = i + 1 - first == LOCKSTEP_READS || scratch.len() >= LOCKSTEP_SURVIVORS;
+            if !piece_full && i + 1 < items.len() {
+                continue;
+            }
+            engine.posterior_batch(scratch);
+            self.posterior_lanes += scratch.posterior_lanes() as u64;
+            for aln in scratch.alignments() {
+                self.columns += aln.columns.len() as u64;
+                deposit(first + aln.read, aln.window_start, aln.score, aln.columns);
+            }
+            first = i + 1;
+            scratch.begin_batch();
         }
-        mapped
     }
 
     /// Emit these counts as one [`Event::Batch`] for `worker` (a no-op
@@ -95,6 +131,7 @@ impl BatchCounts {
             underflowed: self.underflowed,
             survivors: self.survivors,
             posterior_lanes: self.posterior_lanes,
+            no_candidates: self.no_candidates,
         });
     }
 }
@@ -114,11 +151,13 @@ pub fn accumulate_reads<A: GenomeAccumulator>(
     let mut mapped = 0;
     for batch in reads.chunks(OBSERVED_BATCH_READS) {
         let mut counts = BatchCounts::default();
-        for read in batch {
-            counts.map_read(engine, read, &mut scratch, |start, weight, columns| {
-                evidence.deposit(start, weight, columns)
-            });
-        }
+        counts.map_batch(
+            engine,
+            batch,
+            |read| read,
+            &mut scratch,
+            |_, start, w, columns| evidence.deposit(start, w, columns),
+        );
         counts.emit(observer, 0);
         mapped += counts.mapped as usize;
     }

@@ -1,9 +1,9 @@
-//! Allocation audit for the mapping hot path. After warm-up, the heap
-//! allocations `MappingEngine::map_read_with` makes per read must not grow
-//! with the number of candidates the read seeds: the emission profiles,
-//! the genome-code window, the DP rows and planes, the candidate list and
-//! the column arena all live in a reused `AlignScratch`. Only per-read
-//! work allocates (the reverse complement and the two PWMs). A counting
+//! Allocation audit for the mapping hot path. After warm-up,
+//! `MappingEngine::map_read_with` and `BatchCounts::map_batch` make no heap
+//! allocation per read, however many candidates the read seeds: the PWMs
+//! and emission profiles, the reverse complement, the genome-code window,
+//! the DP rows and planes, the candidate lists and the column arena all
+//! live in a reused `AlignScratch`. A counting
 //! `#[global_allocator]` wraps the system allocator; this lives in its own
 //! integration-test binary, with one `#[test]`, so the hook and the
 //! single-threaded counter cannot interfere with other tests.
@@ -70,6 +70,7 @@ fn allocation_count() -> u64 {
 #[test]
 fn map_read_allocations_do_not_grow_with_candidates() {
     use gnumap_core::mapping::{AlignScratch, MappingConfig, MappingEngine};
+    use gnumap_core::pipeline::BatchCounts;
 
     let (genome, copies) = common::repeat_genome(91);
     let reads = common::reads(&genome, &copies, 64, 92);
@@ -97,10 +98,34 @@ fn map_read_allocations_do_not_grow_with_candidates() {
         most.0 >= 10 * fewest.0.max(1),
         "fixture must span a wide candidate range: {fewest:?} vs {most:?}"
     );
-    let counts: Vec<u64> = per_read.iter().map(|r| r.1).collect();
     assert!(
-        counts.iter().all(|&c| c == counts[0]),
-        "per-read allocations must not depend on the candidate count \
+        per_read.iter().all(|r| r.1 == 0),
+        "map_read_with must not allocate in steady state \
          (scored candidates, allocations): {per_read:?}"
+    );
+
+    // The same reads in lockstep batches, once to warm the batch buffers.
+    let mut batches = || {
+        let mut columns = 0.0;
+        for batch in reads.chunks(16) {
+            BatchCounts::default().map_batch(
+                &engine,
+                batch,
+                |read| read,
+                &mut scratch,
+                |_, _, weight, cols| columns += weight * cols.len() as f64,
+            );
+        }
+        columns
+    };
+    let warm = batches();
+    let before = allocation_count();
+    let again = batches();
+    let after = allocation_count();
+    assert_eq!(warm, again);
+    assert_eq!(
+        after - before,
+        0,
+        "map_batch must not allocate in steady state"
     );
 }

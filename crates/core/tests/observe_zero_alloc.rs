@@ -94,6 +94,7 @@ fn disabled_observer_emits_without_allocating() {
             underflowed: 2,
             survivors: 260,
             posterior_lanes: 16,
+            no_candidates: 4,
         });
         // Cloning the handle (the per-worker pattern in the drivers) is
         // an Option<Arc> copy, not an allocation.

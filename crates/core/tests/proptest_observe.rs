@@ -65,6 +65,7 @@ fn event() -> impl Strategy<Value = Event> {
                     underflowed: n2 / 5,
                     survivors: n3,
                     posterior_lanes: n3 / 4 * 4,
+                    no_candidates: n2 / 7,
                 },
                 4 => Event::Checkpoint {
                     cursor: n1,

@@ -213,14 +213,13 @@ pub fn run_stream(
         // evidence; the scheduler below feeds them windows.
         let work = |worker: &mut PoolWorker, batch: Vec<SequencedRead>| {
             let mut counts = BatchCounts::default();
-            for read in &batch {
-                counts.map_read(
-                    &engine,
-                    read,
-                    &mut worker.scratch,
-                    |start, weight, columns| evidence.deposit(start, weight, columns),
-                );
-            }
+            counts.map_batch(
+                &engine,
+                &batch,
+                |read| read,
+                &mut worker.scratch,
+                |_, start, weight, columns| evidence.deposit(start, weight, columns),
+            );
             counts.emit(observer, worker.index);
             let _ = done_tx.send(counts);
         };

@@ -107,14 +107,16 @@ impl DnaSeq {
 
     /// Reverse complement (N stays N).
     pub fn reverse_complement(&self) -> DnaSeq {
-        DnaSeq {
-            bases: self
-                .bases
-                .iter()
-                .rev()
-                .map(|b| b.map(Base::complement))
-                .collect(),
-        }
+        let mut rc = DnaSeq::with_capacity(self.len());
+        self.reverse_complement_into(&mut rc);
+        rc
+    }
+
+    /// Overwrite `out` with the reverse complement, reusing its buffer.
+    pub fn reverse_complement_into(&self, out: &mut DnaSeq) {
+        out.bases.clear();
+        out.bases
+            .extend(self.bases.iter().rev().map(|b| b.map(Base::complement)));
     }
 
     /// Count of `N` positions.
@@ -218,6 +220,9 @@ mod tests {
         let s = seq("AACGTN");
         assert_eq!(s.reverse_complement().to_string(), "NACGTT");
         assert_eq!(s.reverse_complement().reverse_complement(), s);
+        let mut reused = seq("GGGGGGGGGG");
+        s.reverse_complement_into(&mut reused);
+        assert_eq!(reused, s.reverse_complement());
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!   `forward_totals`, the rolling-row forward every candidate gets, four
 //!   candidates of a read per call in lockstep lanes; and, only for
 //!   candidates that survive the posterior weight cut, forward planes plus
-//!   the fused backward+marginal streaming pass — four survivors of a read
-//!   per call in lanes (`posterior_columns_lanes`), or one
+//!   the fused backward+marginal streaming pass — four survivors per call
+//!   in lanes, from any reads of one length (`posterior_columns_lanes`),
+//!   or one
 //!   (`posterior_columns_profiled`, the bit reference of the lanes). A
 //!   lane's total has the bits of the single-lane posterior's total for
 //!   that candidate, and a lane's columns those of its columns.

@@ -18,10 +18,16 @@
 //! up `profile[i][code(y_j)]` from a window of [`base_code`]s. The table
 //! builders ([`Pwm::fill_emission`], [`Pwm::emission_table`]) remain for
 //! oracles, tests and benchmarks, and agree with the profile bit for bit.
+//!
+//! A PWM row and its profile row depend only on the read base and its
+//! Phred score, so the mapping engine builds them once, for every (base
+//! code, Phred) pair, in a [`QualityTable`], and fills a read's rows by
+//! lookup ([`QualityTable::fill`]) instead of one `powf` per base.
 
 use crate::emission::EmissionTable;
 use crate::params::PhmmParams;
 use genome::alphabet::Base;
+use genome::quality::base_probs;
 use genome::read::SequencedRead;
 
 /// One read row's blended emissions, indexed by [`base_code`]: `p*` against
@@ -168,9 +174,122 @@ impl Pwm {
     }
 }
 
+/// Phred scores a [`QualityTable`] covers: every `u8`.
+const PHREDS: usize = 256;
+
+/// The PWM row and emission profile row of every read base a read can
+/// hold, keyed by (base code, Phred): entry `(c, q)` holds
+/// [`base_probs`] of base code `c` ([`N_CODE`] for `N`) at Phred `q`, and
+/// that row's [`ProfileRow`] under the table's parameters — the bits
+/// [`Pwm::from_read`] and [`Pwm::fill_profile`] compute. 5 × 256 entries
+/// of nine `f64`s, about 92 KB.
+#[derive(Debug, Clone)]
+pub struct QualityTable {
+    rows: Vec<[f64; 4]>,
+    profiles: Vec<ProfileRow>,
+}
+
+impl QualityTable {
+    /// Compute every entry under `params`.
+    pub fn new(params: &PhmmParams) -> QualityTable {
+        let rows: Vec<[f64; 4]> = (0..=N_CODE)
+            .flat_map(|code| {
+                let base = (code < N_CODE).then(|| Base::from_index(usize::from(code)));
+                (0..PHREDS).map(move |q| base_probs(base, q as u8))
+            })
+            .collect();
+        let profiles = rows.iter().map(|r| Pwm::profile_row(r, params)).collect();
+        QualityTable { rows, profiles }
+    }
+
+    /// Index of the entry of profile code `code` at Phred `q`.
+    #[inline]
+    fn key(code: u8, q: u8) -> usize {
+        usize::from(code) * PHREDS + usize::from(q)
+    }
+
+    /// Refill `pwm` and `profile` with `read`'s rows — or, with
+    /// `reverse`, its reverse complement's — bit for bit those of
+    /// [`Pwm::from_read`] and [`Pwm::fill_profile`]. Allocation-free once
+    /// both have the capacity.
+    pub fn fill(
+        &self,
+        read: &SequencedRead,
+        reverse: bool,
+        pwm: &mut Pwm,
+        profile: &mut Vec<ProfileRow>,
+    ) {
+        pwm.rows.clear();
+        profile.clear();
+        let mut push = |code: u8, q: u8| {
+            let key = Self::key(code, q);
+            pwm.rows.push(self.rows[key]);
+            profile.push(self.profiles[key]);
+        };
+        let bases = read.seq.as_slice().iter().zip(&read.quals);
+        if reverse {
+            for (&b, &q) in bases.rev() {
+                push(base_code(b.map(Base::complement)), q);
+            }
+        } else {
+            for (&b, &q) in bases {
+                push(base_code(b), q);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quality_table_has_the_bits_of_the_computed_rows() {
+        let params = PhmmParams::default();
+        let table = QualityTable::new(&params);
+        let bits = |rows: &[f64]| rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let symbols = [
+            Some(Base::A),
+            Some(Base::C),
+            Some(Base::G),
+            Some(Base::T),
+            None,
+        ];
+        for (code, &y) in symbols.iter().enumerate() {
+            assert_eq!(base_code(y), code as u8);
+            for q in 0..=u8::MAX {
+                let row = base_probs(y, q);
+                let mut profile = Vec::new();
+                Pwm { rows: vec![row] }.fill_profile(&params, &mut profile);
+                let key = QualityTable::key(code as u8, q);
+                assert_eq!(bits(&table.rows[key]), bits(&row), "({code}, {q})");
+                assert_eq!(
+                    bits(&table.profiles[key]),
+                    bits(&profile[0]),
+                    "({code}, {q})"
+                );
+            }
+        }
+        // Every (base, Phred) pair in one read, filled in both orientations.
+        let seq: genome::seq::DnaSeq = "ACGTN".repeat(256).parse().unwrap();
+        let quals = (0..seq.len()).map(|i| (i / 5) as u8).collect();
+        let read = SequencedRead::new("all", seq, quals).unwrap();
+        for (reverse, oriented) in [(false, read.clone()), (true, read.reverse_complement())] {
+            let (mut pwm, mut profile) = (Pwm::default(), Vec::new());
+            table.fill(&read, reverse, &mut pwm, &mut profile);
+            let want = Pwm::from_read(&oriented);
+            let mut want_profile = Vec::new();
+            want.fill_profile(&params, &mut want_profile);
+            assert_eq!(
+                bits(pwm.rows.as_flattened()),
+                bits(want.rows.as_flattened())
+            );
+            assert_eq!(
+                bits(profile.as_flattened()),
+                bits(want_profile.as_flattened())
+            );
+        }
+    }
 
     #[test]
     fn certain_pwm_reduces_to_plain_emission() {

@@ -23,8 +23,9 @@
 //!   posterior weight needs. With a [`StopRule`] the chunk may stop early
 //!   once a bound ([`crate::bound`]) proves every lane's total negligible.
 //! * [`PhmmScratch::posterior_columns_lanes`] — only for candidates that
-//!   survive the weight cut, [`LANES`] survivors of a read at once, in
-//!   lockstep: the forward into retained planes of lane cells, then the
+//!   survive the weight cut, [`LANES`] survivors at once, in lockstep,
+//!   each lane with its own PWM and profile, so the survivors may come
+//!   from different reads of one length: the forward into retained planes of lane cells, then the
 //!   streaming backward fused with the marginals, one `[f64; LANES]`
 //!   accumulator per column symbol. Lane `l`'s columns are read back with
 //!   [`PhmmScratch::lane_columns`]. A survivor that would be alone in
@@ -455,8 +456,9 @@ impl PhmmScratch {
     }
 
     /// [`posterior_columns_profiled`] for [`LANES`] candidates of one read
-    /// at once, one per lane: lane `l` aligns `pwms[l]` (with its profile
-    /// `profiles[l]`) against the genome codes `codes[j][l]`, as in
+    /// length at once, one per lane, possibly from different reads: lane
+    /// `l` aligns `pwms[l]` (with its profile `profiles[l]`) against the
+    /// genome codes `codes[j][l]`, as in
     /// [`forward_totals`](Self::forward_totals). Returns each lane's total;
     /// lane `l`'s columns are read back through
     /// [`lane_columns`](Self::lane_columns). Every total and every column

@@ -43,6 +43,8 @@ pub struct StatsSnapshot {
     /// Unmapped reads whose every scored candidate's forward total
     /// underflowed to 0.
     pub underflowed: u64,
+    /// Unmapped reads that had no candidate placement to score at all.
+    pub no_candidates: u64,
     /// Posterior passes run: candidates that survived the `min_weight` cut
     /// and got their columns. Above `reads_mapped` when reads multi-map.
     pub survivors: u64,
@@ -77,17 +79,17 @@ pub struct StatsSnapshot {
     pub evidence_bytes_peak: u64,
 }
 
-/// The per-read counters of one worker, in the order of
+/// The read counters of one worker, in the order of
 /// [`ReadCounters::fields`]: written by that worker alone, and on cache
 /// lines of their own, so workers never contend for them.
 #[derive(Default)]
 #[repr(align(128))]
-struct ReadCounters([AtomicU64; 8]);
+struct ReadCounters([AtomicU64; 9]);
 
 impl ReadCounters {
     /// `counts` in counter order: reads, mapped, candidates, columns,
-    /// abandoned, fallbacks, underflowed, survivors.
-    fn fields(counts: &BatchCounts) -> [u64; 8] {
+    /// abandoned, fallbacks, underflowed, survivors, no candidates.
+    fn fields(counts: &BatchCounts) -> [u64; 9] {
         [
             counts.reads,
             counts.mapped,
@@ -97,6 +99,7 @@ impl ReadCounters {
             counts.fallbacks,
             counts.underflowed,
             counts.survivors,
+            counts.no_candidates,
         ]
     }
 }
@@ -147,9 +150,9 @@ impl Metrics {
         }
     }
 
-    /// Worker `worker` adds one processed read's counts (a
-    /// [`BatchCounts`] of that read alone) to its per-read counters.
-    pub fn record_read(&self, worker: usize, counts: &BatchCounts) {
+    /// Worker `worker` adds one processed batch's counts to its read
+    /// counters.
+    pub fn record_reads(&self, worker: usize, counts: &BatchCounts) {
         let fields = ReadCounters::fields(counts);
         for (counter, n) in self.read_counters[worker].0.iter().zip(fields) {
             // The worker is the only writer of its block.
@@ -217,13 +220,13 @@ impl Metrics {
             .iter()
             .map(|n| n.load(Ordering::Relaxed) as f64 / 1e9)
             .collect();
-        let mut sums = [0u64; 8];
+        let mut sums = [0u64; 9];
         for block in &self.read_counters {
             for (sum, counter) in sums.iter_mut().zip(&block.0) {
                 *sum += counter.load(Ordering::Relaxed);
             }
         }
-        let [reads_processed, reads_mapped, candidates_evaluated, deposit_columns, abandoned, fallbacks, underflowed, survivors] =
+        let [reads_processed, reads_mapped, candidates_evaluated, deposit_columns, abandoned, fallbacks, underflowed, survivors, no_candidates] =
             sums;
         StatsSnapshot {
             sessions_open: sessions_open as u64,
@@ -237,6 +240,7 @@ impl Metrics {
             abandoned,
             fallbacks,
             underflowed,
+            no_candidates,
             survivors,
             batches_dispatched: batches,
             cross_session_batches: self.cross_session_batches.load(Ordering::Relaxed),
@@ -298,7 +302,7 @@ mod tests {
             ..BatchCounts::default()
         };
         for worker in [0, 2, 2] {
-            m.record_read(worker, &read);
+            m.record_reads(worker, &read);
         }
         assert_eq!(m.worker_reads(), [1, 0, 2]);
         let s = m.snapshot(0, 0, &EvidenceGauge::default());

@@ -496,6 +496,7 @@ fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
     put_u64(buf, s.survivors);
     put_u64(buf, s.evidence_bytes);
     put_u64(buf, s.evidence_bytes_peak);
+    put_u64(buf, s.no_candidates);
 }
 
 fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
@@ -526,6 +527,7 @@ fn get_stats(p: &mut Payload<'_>) -> Result<StatsSnapshot, ProtocolError> {
         survivors: p.u64("survivors")?,
         evidence_bytes: p.u64("evidence_bytes")?,
         evidence_bytes_peak: p.u64("evidence_bytes_peak")?,
+        no_candidates: p.u64("no_candidates")?,
     })
 }
 
@@ -897,6 +899,7 @@ mod tests {
             abandoned: 1_900,
             fallbacks: 2,
             underflowed: 3,
+            no_candidates: 4,
             survivors: 640,
             evidence_bytes: 82_000,
             evidence_bytes_peak: 3_145_728,

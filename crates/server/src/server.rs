@@ -611,18 +611,23 @@ fn map_batch(
     if let Some(delay) = shared.cfg.worker_delay {
         thread::sleep(delay);
     }
-    for item in batch {
-        let mut counts = BatchCounts::default();
-        let mapped = counts.map_read(
-            engine,
-            &item.read,
-            &mut worker.scratch,
-            |start, weight, cols| item.session.deposit(start, weight, cols),
-        );
-        // Count the read before completing it: completing the last read
-        // wakes `finalize`, and a `Stats` request right after it must
-        // already see this read.
-        shared.metrics.record_read(worker.index, &counts);
+    let mut counts = BatchCounts::default();
+    let mut mapped = vec![false; batch.len()];
+    counts.map_batch(
+        engine,
+        &batch,
+        |item| &item.read,
+        &mut worker.scratch,
+        |i, start, weight, cols| {
+            mapped[i] = true;
+            batch[i].session.deposit(start, weight, cols);
+        },
+    );
+    // Count the reads before completing them: completing a session's last
+    // read wakes `finalize`, and a `Stats` request right after it must
+    // already see that read.
+    shared.metrics.record_reads(worker.index, &counts);
+    for (item, mapped) in batch.iter().zip(mapped) {
         shared
             .metrics
             .observe_latency_micros(item.enqueued.elapsed().as_micros() as u64);

@@ -198,7 +198,7 @@ fn repeat_dense_session_reports_outcome_counters() {
         coverage: 3.0,
         ..ReadSimConfig::default()
     };
-    let reads: Vec<SequencedRead> = simulate_reads(
+    let mut reads: Vec<SequencedRead> = simulate_reads(
         &ReadSource::Monoploid(&reference),
         sim.read_count(reference.len()),
         &sim,
@@ -207,17 +207,24 @@ fn repeat_dense_session_reports_outcome_counters() {
     .into_iter()
     .map(|r| r.read)
     .collect();
+    // An all-N read seeds no candidate.
+    reads.push(SequencedRead::with_uniform_quality(
+        "all-n",
+        "N".repeat(62).parse().unwrap(),
+        30,
+    ));
     let config = GnumapConfig::default();
 
     let engine = MappingEngine::new(&reference, config.mapping);
     let mut scratch = AlignScratch::new();
-    let mut expect = [0u64; 5];
+    let mut expect = [0u64; 6];
     for read in &reads {
         engine.map_read_with(read, &mut scratch);
         let counts = [
             scratch.abandoned(),
             scratch.fallbacks(),
             scratch.underflowed(),
+            scratch.no_candidates(),
             scratch.len(),
             usize::from(!scratch.is_empty()),
         ];
@@ -254,12 +261,19 @@ fn repeat_dense_session_reports_outcome_counters() {
             stats.abandoned,
             stats.fallbacks,
             stats.underflowed,
+            stats.no_candidates,
             stats.survivors,
             stats.reads_mapped,
         ],
         expect,
-        "Stats outcome counters [abandoned, fallbacks, underflowed, survivors, mapped]"
+        "Stats outcome counters [abandoned, fallbacks, underflowed, no candidates, survivors, mapped]"
     );
+    assert_eq!(
+        stats.reads_mapped + stats.underflowed + stats.no_candidates,
+        stats.reads_processed,
+        "every read is mapped, underflowed or without candidates"
+    );
+    assert_eq!(stats.no_candidates, 1, "the all-N read");
     assert!(
         stats.survivors > stats.reads_mapped,
         "repeat-dense reads must multi-map: {} survivors, {} mapped",

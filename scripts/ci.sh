@@ -94,7 +94,7 @@ abandoned="$(sed -n 's/.*"event":"batch".*"abandoned":\([0-9]*\).*/\1/p' \
     echo "the serial driver abandoned no candidates on the 300 kbp smoke"; exit 1;
 }
 
-echo "==> lane posterior smoke: multi-mapping reads run four-lane posterior chunks"
+echo "==> lane posterior smoke: multi-mapping and unique reads run four-lane posterior chunks"
 # Seven more copies of the first 1.2 kbp of a simulated genome make the
 # reads drawn from it multi-map, so their survivors run in four-lane
 # posterior chunks; a change that stops doing so leaves the summed
@@ -127,6 +127,24 @@ for driver in serial stream; do
 done
 cmp -s "$lanes_dir/serial.vcf" "$lanes_dir/stream.vcf" || {
     echo "serial and stream calls differ on the repeat smoke"; exit 1;
+}
+# The simulated reference itself has no repeats, so its reads have about
+# one survivor each: only packing lone survivors of different reads into
+# shared lanes (the batch-wide posterior) fills four-lane chunks there.
+for driver in serial stream; do
+    target/release/gnumap call --reference "$lanes_dir/reference.fa" \
+        --reads "$lanes_dir/reads.fq" --out "$lanes_dir/unique-$driver.vcf" \
+        --accumulator fixed --driver "$driver" \
+        --trace-json "$lanes_dir/unique-$driver.trace.jsonl" >/dev/null
+    target/release/gnumap trace-check --trace "$lanes_dir/unique-$driver.trace.jsonl" >/dev/null
+    lanes="$(sed -n 's/.*"event":"batch".*"posterior_lanes":\([0-9]*\).*/\1/p' \
+        "$lanes_dir/unique-$driver.trace.jsonl" | awk '{ s += $1 } END { print s + 0 }')"
+    [[ "$lanes" -gt 0 ]] || {
+        echo "the $driver driver packed no lone survivors into lanes on the unique smoke"; exit 1;
+    }
+done
+cmp -s "$lanes_dir/unique-serial.vcf" "$lanes_dir/unique-stream.vcf" || {
+    echo "serial and stream calls differ on the unique smoke"; exit 1;
 }
 
 echo "==> serve smoke: loopback server round trip + clean drain"

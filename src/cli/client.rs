@@ -38,7 +38,7 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             "sessions {}/{} open/total ({} aborted)\n\
              reads    {} accepted, {} processed, {} mapped\n\
              pairhmm  {} candidate(s) evaluated ({} abandoned), {} survivor(s), {} deposit column(s)\n\
-             outcomes {} fallback read(s), {} underflowed read(s)\n\
+             outcomes {} fallback read(s), {} underflowed read(s), {} without candidates\n\
              batches  {} ({:.2} reads/batch, {:.2} sessions/batch, {} cross-session)\n\
              ingress  {} now, {} peak; {} busy, {} timeout(s)\n\
              latency  p50 {} µs, p99 {} µs\n\
@@ -56,6 +56,7 @@ pub(super) fn cmd_client(args: &Args, out: &mut dyn Write) -> Result<(), String>
             s.deposit_columns,
             s.fallbacks,
             s.underflowed,
+            s.no_candidates,
             s.batches_dispatched,
             s.mean_batch_occupancy,
             s.mean_sessions_per_batch,

@@ -50,6 +50,7 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
             underflowed,
             survivors,
             posterior_lanes,
+            no_candidates,
             ..
         } = event
         {
@@ -66,6 +67,17 @@ pub(super) fn cmd_trace_check(args: &Args, out: &mut dyn Write) -> Result<(), St
                      only {} of its {reads} reads are unmapped",
                     lineno + 1,
                     reads.saturating_sub(mapped)
+                ));
+            }
+            // Every read mapped, underflowed or had no candidate: a read
+            // with a positive total keeps its best candidate, whose weight
+            // of at least 1 / candidates is above the configured cut
+            // (`min_weight` 1e-4, at most 2 × 64 candidates).
+            if mapped + no_candidates + underflowed != reads {
+                return Err(format!(
+                    "{trace_path}:{}: batch of {reads} reads counts {mapped} mapped, \
+                     {no_candidates} without candidates and {underflowed} underflowed",
+                    lineno + 1
                 ));
             }
             // A four-lane chunk holds 2 to 4 survivors.
@@ -190,6 +202,29 @@ mod tests {
         assert!(check("ok.jsonl", 1).is_ok());
         let err = check("underflowed.jsonl", 2).unwrap_err();
         assert!(err.contains("underflowed.jsonl:2"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_check_rejects_reads_not_accounted_for() {
+        let dir = std::env::temp_dir().join(format!("gnumap-outcomes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let run_start = r#"{"event":"run_start","driver":"serial","accumulator":"NORM"}"#;
+        let run_end =
+            r#"{"event":"run_end","reads_processed":6,"reads_mapped":3,"calls":0,"wall_secs":0.1}"#;
+        let check = |name: &str, no_candidates: u64| {
+            let batch = format!(
+                r#"{{"event":"batch","worker":0,"reads":6,"mapped":3,"candidates":9,"deposited_columns":186,"underflowed":1,"no_candidates":{no_candidates}}}"#
+            );
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{run_start}\n{batch}\n{run_end}\n")).unwrap();
+            run_to_string(&["trace-check", "--trace", path.to_str().unwrap()])
+        };
+        assert!(check("ok.jsonl", 2).is_ok());
+        let err = check("missing.jsonl", 1).unwrap_err();
+        assert!(err.contains("missing.jsonl:2"), "{err}");
+        assert!(err.contains("1 without candidates"), "{err}");
+        assert!(check("extra.jsonl", 3).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
