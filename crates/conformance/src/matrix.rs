@@ -7,8 +7,8 @@
 //! automatically — and a driver the matrix does not know how to shape
 //! fails the tier outright rather than silently escaping coverage.
 //!
-//! Bit-exact rows (everything funnelling through `FixedAccumulator`) must
-//! match the serial run on:
+//! Every row runs under `FixedAccumulator` and must match the serial run
+//! on:
 //!
 //! * the same `FixedAccumulator` digest (an XOR of per-position avalanche
 //!   hashes over the raw count bits, so one flipped ULP anywhere in the
@@ -17,12 +17,10 @@
 //!   `f64::to_bits` level, stricter than `PartialEq` on floats);
 //! * the same mapped-read count.
 //!
-//! Bit-identity is achievable because every such driver funnels deposits
+//! Bit-identity is achievable because every driver funnels deposits
 //! through the fixed-point accumulator, whose integer adds commute; the
 //! matrix exists to catch any driver that re-orders *float* arithmetic
-//! (normalisation, margin hand-off, reduction trees) instead. The one
-//! float-pinned driver (`read-split-ring`) is held to semantic agreement
-//! with a serial norm-accumulator run instead.
+//! (normalisation, margin hand-off, reduction trees) instead.
 
 use crate::workload::{build, Workload, WorkloadSpec};
 use crate::Outcome;
@@ -57,7 +55,7 @@ pub fn run(fast: bool) -> Outcome {
         out.check(reference.accumulator_digest.is_some(), || {
             format!("workload {i}: serial driver produced no accumulator digest")
         });
-        compare_drivers(&mut out, i, &registry, &wl, &reference, fast);
+        compare_drivers(&mut out, i, &registry, &wl, &reference);
     }
     out
 }
@@ -115,56 +113,6 @@ fn assert_identical(
     });
 }
 
-/// Compare two call lists up to float reordering: matched positions must
-/// agree on alleles and statistics (relative 1e-6); a position present on
-/// one side only is excused iff its evidence total sits on the `min_total`
-/// testing threshold, where summation order legitimately decides whether
-/// the position is tested at all. Returns `None` on success, or a
-/// description of the first divergence.
-fn semantically_equal(
-    a: &[gnumap_core::SnpCall],
-    b: &[gnumap_core::SnpCall],
-    min_total: f64,
-) -> Option<String> {
-    let (mut ia, mut ib) = (a.iter().peekable(), b.iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (None, None) => return None,
-            (Some(ca), Some(cb)) if ca.pos == cb.pos => {
-                if ca.allele != cb.allele
-                    || ca.second_allele != cb.second_allele
-                    || (ca.statistic - cb.statistic).abs() > 1e-6 * cb.statistic.abs().max(1.0)
-                {
-                    return Some(format!(
-                        "position {}: alleles/statistic differ ({} vs {})",
-                        ca.pos, ca.statistic, cb.statistic
-                    ));
-                }
-                ia.next();
-                ib.next();
-            }
-            // One-sided call: pick whichever side is behind (or the only
-            // one left) and check it is a threshold-edge site.
-            (sa, sb) => {
-                let lone = match (sa, sb) {
-                    (Some(ca), Some(cb)) if ca.pos < cb.pos => ia.next().unwrap(),
-                    (Some(_), Some(_)) | (None, Some(_)) => ib.next().unwrap(),
-                    (Some(_), None) => ia.next().unwrap(),
-                    (None, None) => unreachable!(),
-                };
-                let total: f64 = lone.counts.iter().sum();
-                if (total - min_total).abs() > 1e-6 {
-                    return Some(format!(
-                        "position {} called on one side only with evidence total {total} \
-                         (not a min_total = {min_total} edge)",
-                        lone.pos
-                    ));
-                }
-            }
-        }
-    }
-}
-
 /// How one registry driver is shaped and judged for workload `i`.
 ///
 /// Every driver the registry knows must resolve to a row here; an
@@ -176,7 +124,6 @@ fn compare_drivers(
     registry: &DriverRegistry,
     wl: &Workload,
     reference: &RunReport,
-    fast: bool,
 ) {
     // Vary the parallel shape with the workload index so the sweep covers
     // rank/worker/batch-size combinations without a full cross product.
@@ -202,45 +149,6 @@ fn compare_drivers(
                     wl,
                     reference,
                 );
-            }
-            // The ring variant is pinned to the float norm accumulator
-            // internally, so it lives in a different numeric domain:
-            // positions whose total mass sits exactly on the `min_total`
-            // testing threshold can be included or excluded depending on
-            // quantization, and summation order perturbs low bits. Its
-            // contract is therefore semantic agreement with a *serial
-            // norm-accumulator* run: the same sites and alleles, with
-            // statistics equal up to float reordering.
-            "read-split-ring" => {
-                if fast {
-                    continue;
-                }
-                ctx.config.accumulator = AccumulatorMode::Norm;
-                ctx.threads = ranks;
-                let norm_ref = match run_driver(registry, "serial", &ctx, wl) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        out.fail(format!("workload {workload}: serial norm run failed: {e}"));
-                        continue;
-                    }
-                };
-                match driver.run(&ctx, ReadSource::Slice(&wl.reads), &mut NullSink) {
-                    Ok(r) => {
-                        let verdict = semantically_equal(
-                            &r.calls,
-                            &norm_ref.calls,
-                            wl.config.calling.min_total,
-                        );
-                        out.check(verdict.is_none(), || {
-                            format!(
-                                "workload {workload}: read-split-ring(ranks {ranks}) calls \
-                                 diverge from the serial norm run: {}",
-                                verdict.unwrap_or_default()
-                            )
-                        });
-                    }
-                    Err(e) => out.fail(format!("workload {workload}: read-split-ring failed: {e}")),
-                }
             }
             "stream" => {
                 ctx.threads = [1, 2, 4][workload % 3];
@@ -331,7 +239,6 @@ mod tests {
                     parallel: false,
                     streaming: false,
                     checkpointing: false,
-                    bit_exact_parallel: true,
                 }
             }
             fn run(
@@ -353,7 +260,7 @@ mod tests {
         let reference = run_driver(&registry, "serial", &ctx, &wl).unwrap();
 
         let mut out = Outcome::default();
-        compare_drivers(&mut out, 0, &registry, &wl, &reference, true);
+        compare_drivers(&mut out, 0, &registry, &wl, &reference);
         assert!(
             out.failures.iter().any(|f| f.contains("no matrix row")),
             "failures: {:#?}",

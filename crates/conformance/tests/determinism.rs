@@ -59,13 +59,7 @@ fn every_registry_driver_runs_twice_identically() {
     for driver in registry.all() {
         let mut ctx = RunContext::new(&wl.reference);
         ctx.config = wl.config;
-        // Drivers pinned to a single accumulator (the ring reduction) run
-        // it; everything else runs fixed point.
-        ctx.config.accumulator = if driver.capabilities().supports(AccumulatorMode::Fixed) {
-            AccumulatorMode::Fixed
-        } else {
-            driver.capabilities().accumulators[0]
-        };
+        ctx.config.accumulator = AccumulatorMode::Fixed;
         ctx.seed = spec().seed;
         ctx.threads = 3;
         ctx.batch_size = 16;

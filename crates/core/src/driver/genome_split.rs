@@ -20,10 +20,12 @@
 //!    are then combined across ranks with an allreduce per read batch —
 //!    this is the communication that makes the mode slower than
 //!    read-split (Figure 4). Sorting the merged candidates into the serial
-//!    engine's evaluation order makes the posterior weights (and, with the
-//!    FIXED layout, the accumulator) bit-identical to a serial run. Only
-//!    owned candidates that survive the global `min_weight` cut then get
-//!    the backward pass and their columns, as in the serial engine.
+//!    engine's evaluation order makes the posterior weights — from the
+//!    weight step every driver shares — and, with the FIXED layout, the
+//!    accumulator bit-identical to a serial run. Only owned candidates
+//!    that survive the global `min_weight` cut then get the backward pass
+//!    and their columns, in the lockstep pieces of the shared batching
+//!    core, packed across the reads of the batch.
 //! 3. Evidence deposited into the margin beyond `e_r` is shipped to the
 //!    next rank and folded in.
 //! 4. Each rank calls SNPs on its own shard; calls are gathered at rank 0.
@@ -35,9 +37,9 @@
 use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
 use crate::driver::{decode_calls, encode_calls, CallWireError, DriverError};
-use crate::mapping::{AlignScratch, MappingEngine};
+use crate::mapping::{AlignScratch, MappingEngine, PosteriorWeights, Unmapped};
 use crate::observe::{Observer, RunTimer, Stage, StageTimer};
-use crate::pipeline::{deposit, BatchCounts};
+use crate::pipeline::{deposit, BatchCounts, LOCKSTEP_SURVIVORS};
 use crate::report::RunReport;
 use crate::snpcall::call_snps_with_offset;
 use genome::read::SequencedRead;
@@ -65,8 +67,9 @@ const MARGIN_TAG: u64 = 11;
 /// underflowed and no-candidate counts are carried by rank 0's event),
 /// with stage timings taken on rank 0.
 /// Survivors are counted per shard too, and sum to the serial driver's;
-/// their posterior lanes do not, because each rank chunks only the
-/// survivors it owns. Zero `ranks` is [`DriverError::NoRanks`].
+/// their posterior lanes do not, because each rank packs only the
+/// survivors it owns, and only across one 16-read batch. Zero `ranks` is
+/// [`DriverError::NoRanks`].
 pub fn run_genome_split<A: GenomeAccumulator>(
     reference: &DnaSeq,
     reads: &[SequencedRead],
@@ -114,43 +117,34 @@ pub fn run_genome_split<A: GenomeAccumulator>(
         let mut scratch = AlignScratch::new();
 
         for batch in reads.chunks(BATCH) {
-            // Phase 1: forward-score each read locally and keep only the
-            // placements this shard owns (placement start within
-            // [shard.start, shard.end)). Each is summarised for the wire
-            // as a `(strand, global placement, likelihood)` triple; the
-            // local `(strand, placement, likelihood)` is kept for phase 3.
-            let mut owned: Vec<Vec<(bool, usize, f64)>> = Vec::with_capacity(batch.len());
-            let mut triples: Vec<Vec<(u64, u64, f64)>> = Vec::with_capacity(batch.len());
-            for read in batch.iter() {
-                engine.score_read_with(read, &mut scratch);
-                let mut mine = Vec::new();
-                for a in scratch.alignments() {
-                    if !shard.contains(slice_start + a.placement_start) {
-                        continue;
-                    }
-                    counts.candidates += 1;
-                    mine.push((a.reverse, a.placement_start, a.score));
-                }
-                // Zero totals go on the wire too: a read whose merged
-                // candidates all underflowed is counted, not just dropped.
-                triples.push(
-                    mine.iter()
-                        .map(|&(rev, place, likelihood)| {
+            // Phase 1: score every read of the batch in full into one
+            // scratch batch, holding the candidates this shard owns
+            // (placement start within [shard.start, shard.end)). Each is
+            // summarised for the wire as a `(strand, global placement,
+            // likelihood)` triple — zero totals too, so a read whose
+            // merged candidates all underflowed is counted, not dropped.
+            scratch.begin_batch();
+            let triples: Vec<Vec<(u64, u64, f64)>> = batch
+                .iter()
+                .map(|read| {
+                    let owned = |place| shard.contains(slice_start + place);
+                    let wire: Vec<_> = engine
+                        .score_held(read, &mut scratch, owned)
+                        .map(|(rev, place, likelihood)| {
                             (rev as u64, (slice_start + place) as u64, likelihood)
                         })
-                        .collect(),
-                );
-                mine.retain(|c| c.2 > 0.0);
-                owned.push(mine);
-            }
+                        .collect();
+                    counts.candidates += wire.len() as u64;
+                    wire
+                })
+                .collect();
 
             // Phase 2: normalisation needs every shard's candidates — the
             // per-batch communication of this mode. Concatenating per rank
             // and then sorting strand-major/position-minor reconstructs the
-            // exact candidate order the serial engine's `map_read_with`
-            // sees (forward placements ascending, then reverse), so the
-            // grand total, the min-weight filter and the kept-sum
-            // renormalisation below are all evaluated in the serial
+            // exact candidate order the serial engine sees (forward
+            // placements ascending, then reverse), so the shared weight
+            // step sums the grand total and the kept weights in the serial
             // operation order: the resulting deposits are bit-identical to
             // a serial run.
             let all_triples = rank.allreduce(triples, |mut a, b| {
@@ -160,63 +154,28 @@ pub fn run_genome_split<A: GenomeAccumulator>(
                 a
             });
 
-            for ((read, mine), mut merged) in batch.iter().zip(owned).zip(all_triples) {
+            // Phase 3: queue each read's owned candidates that survive the
+            // global cut, with their global weights, and give them their
+            // columns in lockstep pieces packed across the batch's reads.
+            // Every rank derives the same weights, so rank 0 alone counts
+            // each read's outcome (a cross-shard read is still one read).
+            for (slot, mut merged) in all_triples.into_iter().enumerate() {
                 merged.sort_by_key(|x| (x.0, x.1));
-                // Zero terms leave the bits of a positive sum unchanged.
-                let grand_total: f64 = merged.iter().map(|t| t.2).sum();
-                if grand_total <= 0.0 {
-                    // Every rank sees the same merged list; rank 0 counts.
-                    if rank.id() == 0 {
-                        if merged.is_empty() {
-                            counts.no_candidates += 1;
-                        } else {
-                            counts.underflowed += 1;
-                        }
+                let totals = merged.iter().map(|t| t.2);
+                match PosteriorWeights::new(totals, config.mapping.min_weight) {
+                    Ok(weights) => {
+                        counts.mapped += u64::from(rank.id() == 0 && weights.kept() > 0);
+                        counts.survivors += scratch.queue_held(slot, &weights) as u64;
                     }
-                    continue;
+                    Err(_) if rank.id() != 0 => {}
+                    Err(Unmapped::NoCandidates) => counts.no_candidates += 1,
+                    Err(Unmapped::Underflowed) => counts.underflowed += 1,
                 }
-                // Mirror `MappingEngine::map_read_with`: posterior weights,
-                // min-weight filter, renormalise over the kept set. A zero
-                // total kept at `min_weight = 0` matches no owned
-                // candidate and adds nothing to the kept sum.
-                let mut kept: Vec<(u64, u64, f64)> = merged
-                    .into_iter()
-                    .filter_map(|(rev, place, likelihood)| {
-                        let weight = likelihood / grand_total;
-                        (weight >= config.mapping.min_weight).then_some((rev, place, weight))
-                    })
-                    .collect();
-                let kept_sum: f64 = kept.iter().map(|t| t.2).sum();
-                if kept_sum > 0.0 {
-                    for t in &mut kept {
-                        t.2 /= kept_sum;
-                    }
-                }
-                // Every rank derives the same kept set, so counting reads
-                // on rank 0 alone gives the exact global mapped count (a
-                // cross-shard read is still one read).
-                if rank.id() == 0 && !kept.is_empty() {
-                    counts.mapped += 1;
-                }
-                // Phase 3: columns only for owned candidates that survived
-                // the global cut, deposited with their global weights.
-                let survivors: Vec<((bool, usize, f64), f64)> = mine
-                    .into_iter()
-                    .filter_map(|cand @ (rev, place, _)| {
-                        let key = (rev as u64, (slice_start + place) as u64);
-                        let idx = kept.binary_search_by(|t| (t.0, t.1).cmp(&key)).ok()?;
-                        Some((cand, kept[idx].2))
-                    })
-                    .collect();
-                if survivors.is_empty() {
-                    continue;
-                }
-                engine.posterior_for(read, survivors.iter().map(|s| s.0), &mut scratch);
-                counts.survivors += scratch.len() as u64;
-                counts.posterior_lanes += scratch.posterior_lanes() as u64;
-                for (aln, &(_, weight)) in scratch.alignments().zip(&survivors) {
-                    counts.columns += aln.columns.len() as u64;
-                    deposit(&mut acc, aln.window_start, weight, aln.columns);
+                if scratch.len() >= LOCKSTEP_SURVIVORS || slot + 1 == batch.len() {
+                    counts.posterior_piece(&engine, &mut scratch, |_, start, w, columns| {
+                        deposit(&mut acc, start, w, columns)
+                    });
+                    scratch.begin_piece();
                 }
             }
         }
@@ -340,6 +299,66 @@ mod tests {
                 "ranks={ranks}: genome-split must agree with serial"
             );
         }
+    }
+
+    /// Genome-split's accumulator digest and the FNV-1a hash of its call
+    /// wire's bits on `fixture()`, at 1, 2 and 4 ranks.
+    fn bits<A: GenomeAccumulator>() -> [(u64, u64); 3] {
+        let (reference, _, reads) = fixture();
+        let cfg = GnumapConfig::default();
+        [1, 2, 4].map(|ranks| {
+            let report =
+                run_genome_split::<A>(&reference, &reads, &cfg, ranks, &Observer::disabled())
+                    .unwrap();
+            let wire = encode_calls(&report.calls)
+                .iter()
+                .fold(0xCBF2_9CE4_8422_2325, |h, v| {
+                    (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01B3)
+                });
+            (report.accumulator_digest.unwrap(), wire)
+        })
+    }
+
+    #[test]
+    fn genome_split_bits_are_pinned_in_every_layout() {
+        use crate::accum::{CentDiscAccumulator, CharDiscAccumulator, FixedAccumulator};
+        // A rank deposits its survivors in read order, then candidate
+        // order, in every layout; these pins hold that order fixed.
+        let got = [
+            bits::<NormAccumulator>(),
+            bits::<CharDiscAccumulator>(),
+            bits::<CentDiscAccumulator>(),
+            bits::<FixedAccumulator>(),
+        ];
+        // (digest, call-wire hash) at 1, 2 and 4 ranks, recorded from the
+        // per-read loop this driver ran before it joined the batching core.
+        let pinned: [[(u64, u64); 3]; 4] = [
+            // NORM
+            [
+                (0x4d1b_4125_c9e9_9ac2, 0x7455_ae96_92d3_f4e3),
+                (0xcc01_4717_d3f3_b796, 0x7455_ae96_92d3_f4e3),
+                (0xad66_386e_1659_4609, 0x7455_ae96_92d3_f4e3),
+            ],
+            // CHARDISC
+            [
+                (0xab5a_0363_0b07_d8b5, 0x4437_3345_832a_721e),
+                (0x162b_0292_cfea_67b6, 0x4437_3345_832a_721e),
+                (0x977d_8ffd_0351_c557, 0x4437_3345_832a_721e),
+            ],
+            // CENTDISC
+            [
+                (0x98d0_7a71_2004_0740, 0xb691_49d0_f7ce_62e1),
+                (0x493b_ed2b_e60d_bd58, 0xb691_49d0_f7ce_62e1),
+                (0x74ca_1e14_176e_4027, 0xb691_49d0_f7ce_62e1),
+            ],
+            // FIXED
+            [
+                (0x37f1_b00e_7f68_63ab, 0xaa8c_c149_f95b_97f5),
+                (0x37f1_b00e_7f68_63ab, 0xaa8c_c149_f95b_97f5),
+                (0x37f1_b00e_7f68_63ab, 0xaa8c_c149_f95b_97f5),
+            ],
+        ];
+        assert_eq!(got, pinned, "{got:#x?}");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! * [`read_split`] — the paper's first MPI decomposition: every rank
 //!   holds the full genome + index + accumulator, reads are partitioned,
-//!   accumulators are reduced at the end ("each machine will process the
-//!   entire genome, then map a different portion of the reads"), with a
-//!   star gather or (as an ablation) a ring allreduce;
+//!   accumulators are gathered at rank 0 at the end ("each machine will
+//!   process the entire genome, then map a different portion of the
+//!   reads");
 //! * [`genome_split`] — the paper's second MPI decomposition: the genome
 //!   (index + accumulator) is sharded, every read is scored on every
 //!   shard, and per-read normalising constants travel by allreduce ("the
@@ -16,7 +16,7 @@
 //! Each decomposition has one entry function taking an
 //! [`crate::observe::Observer`]. The serial pipeline lives in
 //! [`crate::pipeline`]. The shared-memory driver — the streaming batch
-//! pipeline with backpressure, a sharded accumulator and
+//! pipeline with backpressure, paged evidence and
 //! checkpoint/resume — lives in the `exec` crate, which builds on the
 //! call-wire helpers defined here and [`crate::report::StreamStats`].
 
@@ -162,8 +162,6 @@ mod tests {
         };
         assert_eq!(split(0).unwrap_err(), DriverError::NoRanks);
         assert!(split(1).is_ok());
-        let ring = read_split::run_read_split_ring(&reference, &reads, &cfg, 0, &quiet);
-        assert_eq!(ring.unwrap_err(), DriverError::NoRanks);
         let genome =
             genome_split::run_genome_split::<NormAccumulator>(&reference, &reads, &cfg, 0, &quiet);
         assert_eq!(genome.unwrap_err(), DriverError::NoRanks);

@@ -12,7 +12,7 @@
 //! rank — large but happening exactly once, which is why this mode scales
 //! almost linearly in Figure 4.
 
-use crate::accum::{AccumulatorMode, GenomeAccumulator, NormAccumulator};
+use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
 use crate::driver::{decode_calls, encode_calls, DriverError};
 use crate::mapping::{AlignScratch, MappingEngine};
@@ -22,7 +22,7 @@ use crate::report::RunReport;
 use crate::snpcall::call_snps;
 use genome::read::SequencedRead;
 use genome::seq::DnaSeq;
-use mpisim::{Rank, World};
+use mpisim::World;
 
 /// Run the read-split decomposition on `ranks` simulated MPI ranks, with
 /// a star gather of the accumulators at rank 0. The observer gets one
@@ -40,82 +40,6 @@ pub fn run_read_split<A: GenomeAccumulator>(
         return Err(DriverError::NoRanks);
     }
     let run = RunTimer::start(observer, "read-split", config.accumulator);
-    let len = reference.len();
-    let report = run_ranks(
-        reference,
-        reads,
-        config,
-        ranks,
-        observer,
-        |rank, acc: A, mapped| {
-            // "Communicate the state of their genome": gather accumulator
-            // wires at rank 0, which folds them in rank order.
-            let wires = rank.gather(0, acc.to_wire());
-            let mapped_counts = rank.gather(0, mapped);
-            let (wires, mapped_counts) = (wires?, mapped_counts?);
-            let mut total = A::new(len);
-            for wire in wires {
-                total.merge_wire(&wire);
-            }
-            Some((total, mapped_counts.iter().sum()))
-        },
-    )?;
-    Ok(run.finish(observer, report))
-}
-
-/// Read-split with a **ring allreduce** for the accumulator reduction
-/// (NORM layout only — the ring needs a flat elementwise-summable wire).
-///
-/// The plain read-split funnels every rank's genome-length accumulator
-/// through rank 0, so the root receives `(ranks−1) × 20 B/base`; the ring
-/// moves `≈ 2 × 20 B/base` through *every* rank regardless of rank count —
-/// the standard bandwidth-optimal alternative, included as an ablation of
-/// the reduction strategy. Events and errors as for [`run_read_split`].
-pub fn run_read_split_ring(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    ranks: usize,
-    observer: &Observer,
-) -> Result<RunReport, DriverError> {
-    if ranks == 0 {
-        return Err(DriverError::NoRanks);
-    }
-    let run = RunTimer::start(observer, "read-split-ring", AccumulatorMode::Norm);
-    let len = reference.len();
-    let report = run_ranks(
-        reference,
-        reads,
-        config,
-        ranks,
-        observer,
-        |rank, acc: NormAccumulator, mapped| {
-            // Every rank ends up with the fully reduced accumulator.
-            let reduced = rank.ring_allreduce(acc.to_wire(), |a, b| a + b);
-            let mapped_total = rank.allreduce(mapped, |a, b| a + b);
-            (rank.id() == 0).then(|| {
-                let mut total = NormAccumulator::new(len);
-                total.merge_wire(&reduced);
-                (total, mapped_total)
-            })
-        },
-    )?;
-    Ok(run.finish(observer, report))
-}
-
-/// The rank body both read-split variants share: every rank indexes the
-/// whole genome, maps its strided read share into a full-genome
-/// accumulator, and hands it to `reduce`, which returns the reduced
-/// accumulator and global mapped count on rank 0 (and `None` elsewhere).
-/// Rank 0 then calls SNPs once.
-fn run_ranks<A: GenomeAccumulator>(
-    reference: &DnaSeq,
-    reads: &[SequencedRead],
-    config: &GnumapConfig,
-    ranks: usize,
-    observer: &Observer,
-    reduce: impl Fn(&mut Rank, A, u64) -> Option<(A, u64)> + Sync,
-) -> Result<RunReport, DriverError> {
     let disabled = Observer::disabled();
     let (mut results, world_report) = World::new(ranks).run_with_report(|rank| {
         // Stage timings come from rank 0 only.
@@ -145,8 +69,18 @@ fn run_ranks<A: GenomeAccumulator>(
         counts.emit(observer, rank.id());
         timer.finish(stages);
 
+        // "Communicate the state of their genome": gather accumulator
+        // wires at rank 0, which folds them in rank order.
         let timer = StageTimer::start(stages, Stage::Reduce);
-        let reduced = reduce(rank, acc, counts.mapped);
+        let wires = rank.gather(0, acc.to_wire());
+        let mapped_counts = rank.gather(0, counts.mapped);
+        let reduced = wires.zip(mapped_counts).map(|(wires, mapped_counts)| {
+            let mut total = A::new(reference.len());
+            for wire in wires {
+                total.merge_wire(&wire);
+            }
+            (total, mapped_counts.iter().sum::<u64>())
+        });
         timer.finish(stages);
         let (total, mapped_total) = reduced?;
         let timer = StageTimer::start(stages, Stage::Call);
@@ -162,7 +96,7 @@ fn run_ranks<A: GenomeAccumulator>(
 
     let (call_wire, mapped_total, acc_bytes, digest) =
         results.swap_remove(0).expect("rank 0 returns the result");
-    Ok(RunReport {
+    let report = RunReport {
         calls: decode_calls(&call_wire)?,
         reads_processed: reads.len(),
         reads_mapped: mapped_total as usize,
@@ -171,7 +105,8 @@ fn run_ranks<A: GenomeAccumulator>(
         rank_cpu_secs: world_report.rank_cpu_secs,
         accumulator_digest: Some(digest),
         ..RunReport::default()
-    })
+    };
+    Ok(run.finish(observer, report))
 }
 
 #[cfg(test)]
@@ -224,22 +159,6 @@ mod tests {
         assert!(t4.payload_bytes > t2.payload_bytes, "{t2} vs {t4}");
         // Each non-root rank ships one genome-sized accumulator (~20 B/base).
         assert!(t2.payload_bytes as usize >= reference.len() * 20);
-    }
-
-    #[test]
-    fn ring_reduction_matches_star_reduction() {
-        let quiet = Observer::disabled();
-        let (reference, _, reads) = fixture();
-        let cfg = GnumapConfig::default();
-        for ranks in [1usize, 2, 4] {
-            let star =
-                run_read_split::<NormAccumulator>(&reference, &reads, &cfg, ranks, &quiet).unwrap();
-            let ring = run_read_split_ring(&reference, &reads, &cfg, ranks, &quiet).unwrap();
-            let star_keys: Vec<_> = star.calls.iter().map(|c| (c.pos, c.allele)).collect();
-            let ring_keys: Vec<_> = ring.calls.iter().map(|c| (c.pos, c.allele)).collect();
-            assert_eq!(ring_keys, star_keys, "ranks={ranks}");
-            assert_eq!(ring.reads_mapped, star.reads_mapped);
-        }
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub struct AlignScratch {
     cols: Vec<ColumnPosterior>,
     /// The current read's candidates while they are scored and pruned.
     cands: Vec<CandMeta>,
+    /// The batch's scored candidates held for a weight cut made elsewhere
+    /// ([`MappingEngine::score_held`]), in read order, then candidate order.
+    held: Vec<CandMeta>,
     /// The batch's alignments, in read order, then candidate order.
     queue: Vec<CandMeta>,
     /// Candidates the most recent read scored with the forward pass.
@@ -176,11 +179,13 @@ struct ReadRows {
 }
 
 /// One candidate inside an [`AlignScratch`].
+#[derive(Clone, Copy)]
 struct CandMeta {
     /// The read's slot in its batch.
     read: u32,
+    /// Genome position of the window's first column, which is also the
+    /// placement the seeds proposed for read base 1.
     window_start: usize,
-    placement_start: usize,
     /// Seed hits on the candidate's diagonal.
     votes: u32,
     /// Forward total likelihood from the scoring phase; an upper bound on
@@ -203,7 +208,6 @@ impl CandMeta {
         CandMeta {
             read,
             window_start: start,
-            placement_start: start,
             votes,
             likelihood,
             abandoned: false,
@@ -238,8 +242,6 @@ pub struct AlignmentView<'a> {
     pub read: usize,
     /// Genome position of the window's first column.
     pub window_start: usize,
-    /// Genome position the seeds proposed for read base 1.
-    pub placement_start: usize,
     /// Raw Pair-HMM likelihood (after
     /// [`MappingEngine::map_read_raw_with`]) or normalised posterior
     /// weight (after [`MappingEngine::map_read_with`]).
@@ -264,7 +266,6 @@ impl AlignScratch {
         self.queue.iter().map(move |c| AlignmentView {
             read: c.read as usize,
             window_start: c.window_start,
-            placement_start: c.placement_start,
             score: c.score,
             reverse: c.reverse,
             columns: &self.cols[c.col_off..c.col_off + c.col_len],
@@ -325,12 +326,119 @@ impl AlignScratch {
         self.queue.is_empty()
     }
 
-    /// Start a batch: drop the previous batch's reads and alignments.
+    /// Start a batch: drop the previous batch's reads, held candidates and
+    /// alignments.
     pub(crate) fn begin_batch(&mut self) {
         self.batch_reads = 0;
+        self.held.clear();
+        self.begin_piece();
+    }
+
+    /// Start the next posterior piece of the current batch: drop the
+    /// alignments, keep the batch's reads and held candidates.
+    pub(crate) fn begin_piece(&mut self) {
         self.queue.clear();
         self.cols.clear();
         self.posterior_lanes = 0;
+    }
+
+    /// Queue the held candidates of the batch's read in slot `read` that
+    /// `weights` keeps, each with its weight as its score, for
+    /// [`MappingEngine::posterior_batch`]. Returns the number queued.
+    pub(crate) fn queue_held(&mut self, read: usize, weights: &PosteriorWeights) -> usize {
+        let first = self.held.partition_point(|c| (c.read as usize) < read);
+        let queued = self.queue.len();
+        for c in self.held[first..]
+            .iter()
+            .take_while(|c| c.read as usize == read)
+        {
+            if let Some(weight) = weights.weight(c.likelihood) {
+                self.queue.push(CandMeta {
+                    score: weight,
+                    ..*c
+                });
+            }
+        }
+        self.queue.len() - queued
+    }
+}
+
+/// Why a read with no positive grand total came back unmapped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unmapped {
+    /// The read had no candidate placement to score.
+    NoCandidates,
+    /// Every candidate's forward total underflowed to 0.
+    Underflowed,
+}
+
+/// The posterior-weight step of one read, which every driver shares: a
+/// candidate's weight follows from its own forward total, the read's grand
+/// total and the sum of the kept weights.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PosteriorWeights {
+    grand_total: f64,
+    kept_sum: f64,
+    kept: usize,
+    min_weight: f64,
+}
+
+impl PosteriorWeights {
+    /// The weights of a read whose candidates' forward totals are `totals`,
+    /// in evaluation order (forward placements ascending, then reverse).
+    /// The grand total is summed in that order; when it is not positive,
+    /// the read is unmapped, for the returned reason. A candidate is kept
+    /// when its total is positive and its weight, total ÷ grand total, is
+    /// at least `min_weight`. Kept weights are renormalised by their sum,
+    /// taken in the same order. Zero totals leave the bits of both sums
+    /// unchanged, so they may be listed or left out.
+    pub(crate) fn new(
+        totals: impl Iterator<Item = f64> + Clone,
+        min_weight: f64,
+    ) -> Result<PosteriorWeights, Unmapped> {
+        let grand_total: f64 = totals.clone().sum();
+        if grand_total <= 0.0 {
+            return Err(match totals.clone().next() {
+                None => Unmapped::NoCandidates,
+                Some(_) => Unmapped::Underflowed,
+            });
+        }
+        let mut weights = PosteriorWeights {
+            grand_total,
+            kept_sum: 0.0,
+            kept: 0,
+            min_weight,
+        };
+        for total in totals {
+            if let Some(weight) = weights.cut(total) {
+                weights.kept += 1;
+                weights.kept_sum += weight;
+            }
+        }
+        Ok(weights)
+    }
+
+    /// Candidates kept.
+    pub(crate) fn kept(&self) -> usize {
+        self.kept
+    }
+
+    /// The weight before renormalisation of a candidate whose forward total
+    /// is `total`, or `None` when it is cut.
+    fn cut(&self, total: f64) -> Option<f64> {
+        let weight = total / self.grand_total;
+        (total > 0.0 && weight >= self.min_weight).then_some(weight)
+    }
+
+    /// The weight of a candidate whose forward total is `total`, or `None`
+    /// when it is cut.
+    pub(crate) fn weight(&self, total: f64) -> Option<f64> {
+        let weight = self.cut(total)?;
+        Some(if self.kept_sum > 0.0 {
+            weight / self.kept_sum
+        } else {
+            weight
+        })
     }
 }
 
@@ -514,8 +622,9 @@ impl<'g> MappingEngine<'g> {
         MappingEngine::with_index(genome, index, config)
     }
 
-    /// Construct around an existing index (used by the genome-split driver
-    /// to index a shard slice only).
+    /// Construct around an index built beforehand: the server builds its
+    /// index up front, so that an index configuration the genome cannot
+    /// take is an error at startup, and moves it into its one engine.
     pub fn with_index(
         genome: &'g DnaSeq,
         index: KmerIndex,
@@ -636,32 +745,43 @@ impl<'g> MappingEngine<'g> {
         slot as u32
     }
 
-    /// Phase 1 — score, as its own batch of one read. Seed both strands of
-    /// `read` and give every candidate placement its Pair-HMM forward
-    /// total. Leaves every scored candidate in `scratch`, in evaluation
-    /// order (forward placements ascending, then reverse), with its total
-    /// in [`AlignmentView::score`] and no columns — zero totals included,
-    /// so [`AlignScratch::scored`] and [`AlignScratch::len`] agree.
-    /// [`Self::map_read_raw_with`] builds on this; the genome-split driver
-    /// calls it directly, because its weight cut needs every shard's
-    /// totals first. Both score every candidate to the last row:
-    /// abandoning needs the read's best total, which a shard does not see.
+    /// Phase 1 — score — for a driver whose weight cut needs totals this
+    /// engine does not see: the genome-split driver, each of whose shards
+    /// holds part of a read's candidates. Prepares `read` as the next read
+    /// of the batch in `scratch`, gives every candidate placement on both
+    /// strands its Pair-HMM forward total, and holds the candidates whose
+    /// placement start `keep` accepts, after the batch's earlier reads,
+    /// for [`AlignScratch::queue_held`]. Nothing is abandoned: abandoning
+    /// needs the read's best total, which a shard does not see. Returns
+    /// this read's held candidates as `(reverse, placement start, total)`
+    /// in evaluation order (forward placements ascending, then reverse),
+    /// zero totals included.
+    pub(crate) fn score_held<'s>(
+        &self,
+        read: &SequencedRead,
+        scratch: &'s mut AlignScratch,
+        keep: impl Fn(usize) -> bool,
+    ) -> impl Iterator<Item = (bool, usize, f64)> + 's {
+        self.score(read, scratch, false);
+        let first = scratch.held.len();
+        let held = scratch.cands.drain(..).filter(|c| keep(c.window_start));
+        scratch.held.extend(held);
+        scratch.held[first..]
+            .iter()
+            .map(|c| (c.reverse, c.window_start, c.likelihood))
+    }
+
+    /// Prepare `read` as the next read of the batch and score its
+    /// candidates into `scratch.cands`, in evaluation order, optionally
+    /// abandoning candidates.
     ///
     /// Both strands' candidates are pooled and scored [`LANES`] at a time
     /// by [`PhmmScratch::forward_totals`] (rolling rows, no planes, no
     /// columns), each lane with its own strand's profile. A short last
     /// chunk repeats its last candidate in the spare lanes, whose totals
     /// are discarded. Each lane's total has the bits a candidate scored
-    /// on its own would get, so chunking changes no result.
-    pub(crate) fn score_read_with(&self, read: &SequencedRead, scratch: &mut AlignScratch) {
-        scratch.begin_batch();
-        self.score(read, scratch, false);
-        scratch.queue.append(&mut scratch.cands);
-    }
-
-    /// Prepare `read` as the next read of the batch and score its
-    /// candidates into `scratch.cands`, optionally abandoning candidates.
-    /// With `abandon`, candidates are scored best-voted first, and a chunk
+    /// on its own would get, so chunking changes no result. With
+    /// `abandon`, candidates are scored best-voted first, and a chunk
     /// stops once every lane's bound is below `abandon_ratio` × the best
     /// total scored so far; its candidates keep their bounds and are
     /// marked abandoned.
@@ -848,27 +968,6 @@ impl<'g> MappingEngine<'g> {
         self.posterior_batch(scratch);
     }
 
-    /// Posterior columns for candidates of `read` pruned elsewhere — the
-    /// genome-split driver's third phase, after the cross-shard weight
-    /// cut. Each `(reverse, placement_start, likelihood)` must come from
-    /// [`Self::score_read_with`] on this engine. Leaves one alignment per
-    /// entry, in the given order, with the likelihood as its score.
-    pub(crate) fn posterior_for(
-        &self,
-        read: &SequencedRead,
-        survivors: impl IntoIterator<Item = (bool, usize, f64)>,
-        scratch: &mut AlignScratch,
-    ) {
-        scratch.begin_batch();
-        let slot = self.prepare(read, scratch);
-        scratch
-            .queue
-            .extend(survivors.into_iter().map(|(reverse, start, likelihood)| {
-                CandMeta::new(slot, reverse, start, 0, likelihood)
-            }));
-        self.posterior_batch(scratch);
-    }
-
     /// Map one read into `scratch`: all candidate placements on both
     /// strands, posterior-normalised ([`AlignmentView::score`] holds the
     /// weight). The scratch is left empty for unmappable reads. This is
@@ -882,10 +981,10 @@ impl<'g> MappingEngine<'g> {
     }
 
     /// The per-read half of mapping: score `read`'s candidates, normalise
-    /// their totals into posterior weights, prune them by `min_weight`
-    /// and queue the survivors in `scratch`'s batch, for
-    /// [`Self::posterior_batch`] to give them their columns. Returns the
-    /// number of survivors queued.
+    /// their totals into posterior weights and prune them by `min_weight`
+    /// ([`PosteriorWeights`]), and queue the survivors in `scratch`'s
+    /// batch, for [`Self::posterior_batch`] to give them their columns.
+    /// Returns the number of survivors queued.
     ///
     /// Every candidate is scored with a forward total; weights depend on
     /// forward totals alone, so giving only the survivors their columns is
@@ -903,29 +1002,27 @@ impl<'g> MappingEngine<'g> {
         if scratch.abandoned > 0 && !total_certified(terms) {
             self.rescore_abandoned(scratch);
         }
-        // Abandoned candidates fail the `min_weight` cut below: their
-        // totals are under `abandon_ratio` of one term of the grand total.
+        // Abandoned candidates fail the `min_weight` cut: their totals are
+        // under `abandon_ratio` of one term of the grand total.
         let cands = &mut scratch.cands;
-        cands.retain(|c| !c.abandoned && c.likelihood > 0.0);
-        let grand_total: f64 = cands.iter().map(|c| c.score).sum();
-        if grand_total <= 0.0 {
-            scratch.underflowed = usize::from(scratch.scored > 0);
-            cands.clear();
-            return 0;
-        }
-        // Posterior weights; drop negligible locations, renormalise.
-        // `retain_mut` preserves order, so the kept set and both sums are
-        // evaluated in exactly the order the Vec-returning path used.
-        cands.retain_mut(|c| {
-            c.score /= grand_total;
-            c.score >= self.config.min_weight
-        });
-        let kept_sum: f64 = cands.iter().map(|c| c.score).sum();
-        if kept_sum > 0.0 {
-            for c in cands.iter_mut() {
-                c.score /= kept_sum;
+        cands.retain(|c| !c.abandoned);
+        let totals = cands.iter().map(|c| c.likelihood);
+        let weights = match PosteriorWeights::new(totals, self.config.min_weight) {
+            Ok(weights) => weights,
+            Err(reason) => {
+                scratch.underflowed = usize::from(reason == Unmapped::Underflowed);
+                cands.clear();
+                return 0;
             }
-        }
+        };
+        // `retain_mut` keeps evaluation order, which the weights assume.
+        cands.retain_mut(|c| match weights.weight(c.likelihood) {
+            Some(weight) => {
+                c.score = weight;
+                true
+            }
+            None => false,
+        });
         let survivors = cands.len();
         scratch.queue.append(cands);
         survivors
@@ -1119,10 +1216,9 @@ mod tests {
             },
         );
         let mut scratch = AlignScratch::new();
-        engine.score_read_with(read, &mut scratch);
         let mut per_strand = [0; 2];
-        for a in scratch.alignments() {
-            per_strand[usize::from(a.reverse)] += 1;
+        for (reverse, _, _) in engine.score_held(read, &mut scratch, |_| true) {
+            per_strand[usize::from(reverse)] += 1;
         }
         assert_eq!(per_strand[0] + per_strand[1], scratch.scored());
         per_strand

@@ -1,9 +1,10 @@
 //! The serial end-to-end pipeline: index → map → accumulate → call.
 //!
 //! This is the reference implementation the parallel drivers must agree
-//! with. It also owns the batch step that every driver but genome-split
-//! shares ([`BatchCounts::map_batch`]): map a batch of reads, count them,
-//! deposit their evidence.
+//! with. It also owns the batch step the other drivers share
+//! ([`BatchCounts::map_batch`]): map a batch of reads, count them, deposit
+//! their evidence. Genome-split, whose weight cut waits for every shard's
+//! totals, shares its posterior tail (`BatchCounts::posterior_piece`).
 
 use crate::accum::GenomeAccumulator;
 use crate::config::GnumapConfig;
@@ -106,14 +107,30 @@ impl BatchCounts {
             if !piece_full && i + 1 < items.len() {
                 continue;
             }
-            engine.posterior_batch(scratch);
-            self.posterior_lanes += scratch.posterior_lanes() as u64;
-            for aln in scratch.alignments() {
-                self.columns += aln.columns.len() as u64;
-                deposit(first + aln.read, aln.window_start, aln.score, aln.columns);
-            }
+            self.posterior_piece(engine, scratch, |slot, start, w, columns| {
+                deposit(first + slot, start, w, columns)
+            });
             first = i + 1;
             scratch.begin_batch();
+        }
+    }
+
+    /// The posterior tail of a lockstep piece: give the survivors queued in
+    /// `scratch` their columns, packed four to a lane chunk across reads
+    /// (`MappingEngine::posterior_batch`), count their lane slots and
+    /// columns, and hand each alignment's `(read slot, window_start,
+    /// weight, columns)` to `deposit` in read order, then candidate order.
+    pub(crate) fn posterior_piece(
+        &mut self,
+        engine: &MappingEngine<'_>,
+        scratch: &mut AlignScratch,
+        mut deposit: impl FnMut(usize, usize, f64, &[ColumnPosterior]),
+    ) {
+        engine.posterior_batch(scratch);
+        self.posterior_lanes += scratch.posterior_lanes() as u64;
+        for aln in scratch.alignments() {
+            self.columns += aln.columns.len() as u64;
+            deposit(aln.read, aln.window_start, aln.score, aln.columns);
         }
     }
 

@@ -22,10 +22,6 @@ pub struct Capabilities {
     pub streaming: bool,
     /// Whether the driver can write and resume from checkpoints.
     pub checkpointing: bool,
-    /// Whether parallel runs are bit-identical to serial under the
-    /// fixed-point accumulator. Only the ring allreduce — pinned to float
-    /// summation whose order varies with the rank count — gives this up.
-    pub bit_exact_parallel: bool,
 }
 
 impl Capabilities {

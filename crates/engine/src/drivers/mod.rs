@@ -1,4 +1,4 @@
-//! The six driver adapters: one per execution mode.
+//! The five driver adapters: one per execution mode.
 //!
 //! Each adapter is a unit struct implementing [`crate::Driver`] over the
 //! one run function of its execution mode; it validates the context,
@@ -8,14 +8,12 @@
 
 mod genome_split;
 mod read_split;
-mod ring;
 mod serial;
 mod server;
 mod stream;
 
 pub use genome_split::GenomeSplitDriver;
 pub use read_split::ReadSplitDriver;
-pub use ring::ReadSplitRingDriver;
 pub use serial::SerialDriver;
 pub use server::ServerDriver;
 pub use stream::StreamDriver;

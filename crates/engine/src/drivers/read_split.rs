@@ -42,7 +42,6 @@ impl Driver for ReadSplitDriver {
             parallel: true,
             streaming: false,
             checkpointing: false,
-            bit_exact_parallel: true,
         }
     }
 

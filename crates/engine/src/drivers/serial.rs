@@ -36,7 +36,6 @@ impl Driver for SerialDriver {
             parallel: false,
             streaming: false,
             checkpointing: false,
-            bit_exact_parallel: true,
         }
     }
 

@@ -40,7 +40,6 @@ impl Driver for ServerDriver {
             parallel: true,
             streaming: true,
             checkpointing: false,
-            bit_exact_parallel: true,
         }
     }
 

@@ -40,7 +40,6 @@ impl Driver for StreamDriver {
             parallel: true,
             streaming: true,
             checkpointing: true,
-            bit_exact_parallel: true,
         }
     }
 

@@ -19,8 +19,8 @@ pub enum EngineError {
         known: Vec<&'static str>,
     },
     /// The driver cannot run the requested accumulator layout (for
-    /// example, the ring allreduce is pinned to the float norm
-    /// accumulator and the shared-memory merges need commuting deposits).
+    /// example, the stream driver and the server deposit into shared paged
+    /// evidence, which takes the NORM and FIXED layouts only).
     UnsupportedAccumulator {
         /// The driver that rejected the mode.
         driver: &'static str,
@@ -111,13 +111,13 @@ mod tests {
     #[test]
     fn unsupported_accumulator_names_the_alternatives() {
         let err = EngineError::UnsupportedAccumulator {
-            driver: "read-split-ring",
-            mode: AccumulatorMode::Fixed,
-            supported: &[AccumulatorMode::Norm],
+            driver: "stream",
+            mode: AccumulatorMode::CharDisc,
+            supported: &[AccumulatorMode::Norm, AccumulatorMode::Fixed],
         };
         let msg = err.to_string();
-        assert!(msg.contains("read-split-ring"), "{msg}");
-        assert!(msg.contains("FIXED"), "{msg}");
-        assert!(msg.contains("supported: NORM"), "{msg}");
+        assert!(msg.contains("stream"), "{msg}");
+        assert!(msg.contains("CHARDISC"), "{msg}");
+        assert!(msg.contains("supported: NORM | FIXED"), "{msg}");
     }
 }

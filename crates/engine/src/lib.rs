@@ -1,9 +1,10 @@
 //! Unified driver engine: one registry, one run contract.
 //!
-//! The pipeline has six ways to execute the same map → accumulate → call
-//! algorithm — serial, two MPI decompositions, a ring-allreduce variant,
-//! a streaming batch engine (also the shared-memory mode), and a TCP
-//! daemon — each with its own run function. This crate puts them behind
+//! The pipeline has five ways to execute the same map → accumulate → call
+//! algorithm — serial, two MPI decompositions, a streaming batch engine
+//! (also the shared-memory mode), and a TCP daemon — each with its own run
+//! function, all mapping through the one batching core of
+//! [`gnumap_core::pipeline`]. This crate puts them behind
 //! a single contract, so the CLI, the conformance matrix and the
 //! benchmarks share one set of call sites:
 //!
@@ -21,9 +22,7 @@
 //! The adapters are behaviour-preserving wrappers over the run
 //! functions: with the fixed-point accumulator, every driver resolved
 //! from the registry produces the same accumulator digest and the same
-//! bit-identical call wire as the serial reference (the ring variant,
-//! pinned to float summation, agrees semantically instead — its
-//! [`Capabilities::bit_exact_parallel`] says so).
+//! bit-identical call wire as the serial reference.
 
 pub mod context;
 pub mod contract;

@@ -8,8 +8,7 @@
 
 use crate::contract::Driver;
 use crate::drivers::{
-    GenomeSplitDriver, ReadSplitDriver, ReadSplitRingDriver, SerialDriver, ServerDriver,
-    StreamDriver,
+    GenomeSplitDriver, ReadSplitDriver, SerialDriver, ServerDriver, StreamDriver,
 };
 use crate::error::EngineError;
 
@@ -26,12 +25,11 @@ impl DriverRegistry {
         }
     }
 
-    /// The standard six execution modes, in documentation order.
+    /// The standard five execution modes, in documentation order.
     pub fn standard() -> Self {
         let mut r = DriverRegistry::new();
         r.register(Box::new(SerialDriver));
         r.register(Box::new(ReadSplitDriver));
-        r.register(Box::new(ReadSplitRingDriver));
         r.register(Box::new(GenomeSplitDriver));
         r.register(Box::new(StreamDriver));
         r.register(Box::new(ServerDriver));
@@ -114,8 +112,8 @@ impl DriverRegistry {
     pub fn driver_table(&self) -> String {
         let mut out = String::from(
             "| Driver | Aliases | Accumulators | Parallel | Streaming | \
-             Checkpointing | Bit-exact parallel |\n\
-             |---|---|---|---|---|---|---|\n",
+             Checkpointing |\n\
+             |---|---|---|---|---|---|\n",
         );
         let yn = |b: bool| if b { "yes" } else { "no" };
         for d in self.all() {
@@ -136,14 +134,13 @@ impl DriverRegistry {
                 .collect::<Vec<_>>()
                 .join(", ");
             out.push_str(&format!(
-                "| `{}` | {} | {} | {} | {} | {} | {} |\n",
+                "| `{}` | {} | {} | {} | {} | {} |\n",
                 d.name(),
                 aliases,
                 accs,
                 yn(caps.parallel),
                 yn(caps.streaming),
                 yn(caps.checkpointing),
-                yn(caps.bit_exact_parallel),
             ));
         }
         out
@@ -178,18 +175,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_registry_has_the_six_modes() {
+    fn standard_registry_has_the_five_modes() {
         let r = DriverRegistry::standard();
         assert_eq!(
             r.names(),
-            vec![
-                "serial",
-                "read-split",
-                "read-split-ring",
-                "genome-split",
-                "stream",
-                "server"
-            ]
+            vec!["serial", "read-split", "genome-split", "stream", "server"]
         );
     }
 
@@ -201,7 +191,6 @@ mod tests {
         for alias in ["rayon", "threads", "shared"] {
             assert_eq!(r.get(alias).unwrap().name(), "stream", "{alias}");
         }
-        assert_eq!(r.get("ring").unwrap().name(), "read-split-ring");
         assert_eq!(r.get("mpi-genome").unwrap().name(), "genome-split");
         assert_eq!(r.get("loopback").unwrap().name(), "server");
     }
@@ -215,7 +204,7 @@ mod tests {
                 suggestion, known, ..
             } => {
                 assert_eq!(suggestion.as_deref(), Some("stream"));
-                assert_eq!(known.len(), 6);
+                assert_eq!(known.len(), 5);
             }
             other => panic!("unexpected error: {other:?}"),
         }
@@ -245,12 +234,12 @@ mod tests {
         let r = DriverRegistry::standard();
         let table = r.driver_table();
         let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 2 + 6, "header + separator + one row each");
+        assert_eq!(lines.len(), 2 + 5, "header + separator + one row each");
         for line in &lines {
-            assert_eq!(line.matches('|').count(), 8, "8 pipes per row: {line}");
+            assert_eq!(line.matches('|').count(), 7, "7 pipes per row: {line}");
         }
         assert!(table.contains("| `serial` |"));
-        assert!(table.contains("| `read-split-ring` | `ring` |"));
+        assert!(table.contains("| `genome-split` | `mpi-genome` |"));
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn unsupported_accumulators_are_typed_errors() {
     let mut ctx = RunContext::new(&reference);
     ctx.config.accumulator = AccumulatorMode::CharDisc;
 
-    for name in ["read-split-ring", "stream", "server"] {
+    for name in ["stream", "server"] {
         let driver = registry.get(name).unwrap();
         assert!(!driver.capabilities().supports(AccumulatorMode::CharDisc));
         let err = driver

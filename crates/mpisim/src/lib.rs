@@ -19,7 +19,6 @@
 
 pub mod collectives;
 pub mod cputime;
-pub mod ring;
 pub mod stats;
 pub mod wire;
 pub mod world;

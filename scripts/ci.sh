@@ -27,7 +27,7 @@ echo "==> rustdoc (warnings are errors, shims excluded)"
 # A doc link to a deleted or private item fails here instead of going
 # stale. The offline dependency stand-ins under shims/ are not held to it.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-    --exclude criterion --exclude crossbeam --exclude parking_lot \
+    --exclude criterion --exclude crossbeam \
     --exclude proptest --exclude rand --exclude rand_chacha
 
 echo "==> tier-1: build + test"
@@ -49,7 +49,7 @@ target/release/gnumap simulate --out-dir "$trace_dir" \
 target/release/gnumap drivers | grep -q '`serial`' || {
     echo "gnumap drivers does not list the serial driver"; exit 1;
 }
-for driver in serial read-split read-split-ring genome-split stream server; do
+for driver in serial read-split genome-split stream server; do
     target/release/gnumap call --reference "$trace_dir/reference.fa" \
         --reads "$trace_dir/reads.fq" --out "$trace_dir/$driver.vcf" \
         --driver "$driver" --trace-json "$trace_dir/$driver.trace.jsonl" \
@@ -131,21 +131,38 @@ cmp -s "$lanes_dir/serial.vcf" "$lanes_dir/stream.vcf" || {
 # The simulated reference itself has no repeats, so its reads have about
 # one survivor each: only packing lone survivors of different reads into
 # shared lanes (the batch-wide posterior) fills four-lane chunks there.
-for driver in serial stream; do
+# Genome-split's three ranks each pack the survivors they own across a
+# 16-read allreduce batch, so at most one survivor per rank and batch may
+# run on its own: lanes + 3 × ⌈reads / 16⌉ must reach the survivors.
+batch_sum() {
+    sed -n "s/.*\"event\":\"batch\".*\"$1\":\([0-9]*\).*/\1/p" "$2" |
+        awk '{ s += $1 } END { print s + 0 }'
+}
+for driver in serial stream genome-split; do
+    threads=1
+    [[ "$driver" == genome-split ]] && threads=3
+    trace="$lanes_dir/unique-$driver.trace.jsonl"
     target/release/gnumap call --reference "$lanes_dir/reference.fa" \
         --reads "$lanes_dir/reads.fq" --out "$lanes_dir/unique-$driver.vcf" \
-        --accumulator fixed --driver "$driver" \
-        --trace-json "$lanes_dir/unique-$driver.trace.jsonl" >/dev/null
-    target/release/gnumap trace-check --trace "$lanes_dir/unique-$driver.trace.jsonl" >/dev/null
-    lanes="$(sed -n 's/.*"event":"batch".*"posterior_lanes":\([0-9]*\).*/\1/p' \
-        "$lanes_dir/unique-$driver.trace.jsonl" | awk '{ s += $1 } END { print s + 0 }')"
+        --accumulator fixed --driver "$driver" --threads "$threads" \
+        --trace-json "$trace" >/dev/null
+    target/release/gnumap trace-check --trace "$trace" >/dev/null
+    lanes="$(batch_sum posterior_lanes "$trace")"
     [[ "$lanes" -gt 0 ]] || {
         echo "the $driver driver packed no lone survivors into lanes on the unique smoke"; exit 1;
     }
+    if [[ "$driver" == genome-split ]]; then
+        survivors="$(batch_sum survivors "$trace")"
+        reads="$(batch_sum reads "$trace")"
+        (( lanes + threads * ((reads + 15) / 16) >= survivors )) || {
+            echo "genome-split ran $survivors survivors of $reads reads in only $lanes lanes"
+            exit 1
+        }
+    fi
+    cmp -s "$lanes_dir/unique-serial.vcf" "$lanes_dir/unique-$driver.vcf" || {
+        echo "serial and $driver calls differ on the unique smoke"; exit 1;
+    }
 done
-cmp -s "$lanes_dir/unique-serial.vcf" "$lanes_dir/unique-stream.vcf" || {
-    echo "serial and stream calls differ on the unique smoke"; exit 1;
-}
 
 echo "==> serve smoke: loopback server round trip + clean drain"
 smoke_dir="target/serve-smoke"

@@ -622,14 +622,7 @@ mod tests {
 
         // The drivers table comes straight from the registry.
         let table = run_to_string(&["drivers"]).unwrap();
-        for name in [
-            "serial",
-            "read-split",
-            "read-split-ring",
-            "genome-split",
-            "stream",
-            "server",
-        ] {
+        for name in ["serial", "read-split", "genome-split", "stream", "server"] {
             assert!(table.contains(&format!("`{name}`")), "{table}");
         }
 
